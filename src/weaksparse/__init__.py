@@ -49,6 +49,7 @@ from .measure import (
     ExponentTuple,
     GridFunction,
     Weight,
+    atom_norms,
     average,
     constant,
     dual_weight,
@@ -62,7 +63,9 @@ from .measure import (
     weighted_measure,
 )
 from .sparse import (
+    FamilyAtoms,
     SparseFamily,
+    family_atoms,
     family_from_cubes,
     generate_sparse,
     restrict,

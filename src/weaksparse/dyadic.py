@@ -210,7 +210,7 @@ def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray
 def _halve(arr: np.ndarray, dimension: int) -> np.ndarray:
     """Sum 2 (1D) or 2x2 (2D) sibling blocks; input flat at some level."""
     if dimension == 1:
-        return arr.reshape(-1, 2).sum(axis=1)
+        return arr[0::2] + arr[1::2]  # bit-identical to a size-2 axis sum, much faster
     side = int(round(np.sqrt(arr.size)))
     half = side // 2
     return arr.reshape(half, 2, half, 2).sum(axis=(1, 3)).ravel()

@@ -9,9 +9,16 @@ quantity against log joint-constant gives an empirical exponent; theory
 provides an upper envelope, so only one-sided comparisons against the
 predicted exponents are meaningful.
 
+Every pair image sum_Q <g1>_Q <g2>_Q 1_Q is constant on the atoms of the
+family (sparse.FamilyAtoms), so each family point evaluates all pairs at
+once on those |S| + 1 atoms, with exact atom masses, instead of on the
+2^{nK} cells.  The atom values equal the cellwise sparse_eval values bit
+for bit; testing_conditions.global_weak_quantity and
+global_strong_quantity, maximized over pairs, are the cellwise oracle.
+
 Slopes use a plain least-squares fit over all points, no point dropping.
-Set WSL_THREADS to evaluate family points in parallel; results are
-gathered in delta order either way.
+Set WSL_THREADS to a positive integer to evaluate family points in
+parallel; results are gathered in delta order either way.
 """
 
 from __future__ import annotations
@@ -29,13 +36,13 @@ from .measure import (
     ExponentTuple,
     GridFunction,
     Weight,
+    atom_norms,
     dual_weight,
     indicator,
     joint_weight,
     lp_norm,
-    weak_norm,
 )
-from .sparse import SparseFamily, sparse_eval
+from .sparse import FamilyAtoms, SparseFamily, family_atoms
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,12 @@ def default_test_functions(
 
 def thread_map(fn, items):
     """Map preserving order; WSL_THREADS > 1 enables a thread pool."""
-    workers = int(os.environ.get("WSL_THREADS", "1"))
+    try:
+        workers = int(os.environ.get("WSL_THREADS", "1"))
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("WSL_THREADS must be a positive integer")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
@@ -86,7 +98,7 @@ def thread_map(fn, items):
 
 
 def _pair_sweep(
-    S: SparseFamily,
+    atoms: FamilyAtoms,
     w1: Weight,
     w2: Weight,
     P: ExponentTuple,
@@ -94,25 +106,28 @@ def _pair_sweep(
 ) -> tuple[float, float]:
     """Max weak and strong normalized quantities over all test-function pairs.
 
-    Shares one sparse evaluation per pair between the two norms; equivalent
-    to maximizing global_weak_quantity and global_strong_quantity.
+    Gathers each slot's cube averages once per test function, forms every
+    pair image on the family atoms, and takes both norms there with the
+    atom masses of the joint weight.  Equal, up to the order of the mass
+    sums, to maximizing global_weak_quantity and global_strong_quantity,
+    which evaluate one pair on the cells.
     """
     s1 = dual_weight(w1, P.p1)
     s2 = dual_weight(w2, P.p2)
     v = joint_weight(w1, w2, P)
     slot1 = [abs(f) * s1 for f in fns]
     slot2 = [abs(f) * s2 for f in fns]
-    norms1 = [lp_norm(f, s1, P.p1) for f in fns]
-    norms2 = [lp_norm(f, s2, P.p2) for f in fns]
-    if any(n == 0.0 for n in norms1 + norms2):
+    norms1 = np.array([lp_norm(f, s1, P.p1) for f in fns])
+    norms2 = np.array([lp_norm(f, s2, P.p2) for f in fns])
+    if not (norms1.all() and norms2.all()):
         raise ValueError("test functions must not vanish identically")
-    weak = strong = 0.0
-    for g1, n1 in zip(slot1, norms1):
-        for g2, n2 in zip(slot2, norms2):
-            g = sparse_eval(S, g1, g2)
-            weak = max(weak, weak_norm(g, v, P.p) / (n1 * n2))
-            strong = max(strong, lp_norm(g, v, P.p) / (n1 * n2))
-    return weak, strong
+    g = atoms.images(
+        np.array([atoms.coefficients(f) for f in slot1]),
+        np.array([atoms.coefficients(f) for f in slot2]),
+    )
+    strong, weak = atom_norms(g, atoms.masses(v), P.p)
+    scale = norms1[:, None] * norms2[None, :]
+    return float((weak / scale).max()), float((strong / scale).max())
 
 
 def slope_experiment(
@@ -135,10 +150,11 @@ def slope_experiment(
             raise ValueError("family constants not strictly increasing")
     fns = test_functions or default_test_functions(config, test_seed)
     report = alpha(P)
+    atoms = family_atoms(S)
 
     def measure(row):
         d, w1, w2, apv = row
-        weak, strong = _pair_sweep(S, w1, w2, P, fns)
+        weak, strong = _pair_sweep(atoms, w1, w2, P, fns)
         return ExperimentRow(
             delta=d,
             apvec=apv,

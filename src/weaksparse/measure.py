@@ -212,6 +212,28 @@ def weak_norm(f: GridFunction, w: Weight, p: float) -> float:
     return float(np.max(t[pos] * m[pos] ** (1.0 / p)))
 
 
+def atom_norms(
+    values: np.ndarray, masses: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strong and weak L^p norms of step functions given on atoms.
+
+    values[..., a] is a function's value on atom a and masses[a] the
+    atom's measure.  Both norms reduce the last axis the way lp_norm and
+    weak_norm reduce cells, ties and the t > 0 filter included.
+    """
+    if not 0.0 < p < np.inf:
+        raise ValueError("p must be in (0, inf)")
+    a = np.abs(values)
+    strong = (a**p * masses).sum(axis=-1) ** (1.0 / p)
+    order = np.argsort(-a, axis=-1, kind="stable")
+    av = np.take_along_axis(a, order, axis=-1)
+    mass = np.cumsum(masses[order], axis=-1)
+    last = np.ones(av.shape, dtype=bool)
+    last[..., :-1] = av[..., 1:] != av[..., :-1]
+    weak = np.where(last & (av > 0.0), av * mass ** (1.0 / p), 0.0).max(axis=-1)
+    return strong, weak
+
+
 def kolmogorov_check(
     f: GridFunction, q: DyadicCube, p: float
 ) -> tuple[float, float, bool]:

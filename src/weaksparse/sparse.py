@@ -10,11 +10,18 @@ exact.
 
 Evaluation sums run in enumeration order (level-major, lexicographic) to
 keep outputs bit-stable across runs.
+
+A sparse image sum_Q c_Q 1_Q is constant on each atom: the cells whose
+finest containing family cube is Q (the canonical E_Q of a verified
+family), plus one atom off the union where it vanishes.  FamilyAtoms
+evaluates many images on these |S| + 1 atoms instead of the 2^{nK}
+cells; sparse_eval stays the cellwise reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +59,11 @@ class SparseFamily:
         return iter(self.cubes)
 
     def __contains__(self, q: DyadicCube):
-        return q in set(self.cubes)
+        return q in self._cube_set
+
+    @cached_property
+    def _cube_set(self) -> frozenset[DyadicCube]:
+        return frozenset(self.cubes)
 
 
 def family_forest(cubes) -> tuple[list[DyadicCube], dict[DyadicCube, list[DyadicCube]]]:
@@ -77,6 +88,18 @@ def family_forest(cubes) -> tuple[list[DyadicCube], dict[DyadicCube, list[Dyadic
         else:
             children[hit].append(q)
     return roots, children
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a, as np.unique(a) returns them.
+
+    np.unique also tests for a masked array, which imports numpy.ma (about
+    1 MB of module objects) in the middle of the first call that gets here.
+    """
+    s = np.sort(a, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def verify_sparse(cubes, config: GridConfig):
@@ -105,7 +128,7 @@ def verify_sparse(cubes, config: GridConfig):
     # disjointness of the canonical witnesses holds by construction; check anyway
     if witness:
         allcells = np.concatenate(list(witness.values()))
-        if np.unique(allcells).size != allcells.size:
+        if _sorted_distinct(allcells).size != allcells.size:
             raise AssertionError("canonical witnesses are not disjoint")
     return True, witness
 
@@ -178,6 +201,63 @@ def sparse_eval(S: SparseFamily, f1: GridFunction, f2: GridFunction) -> GridFunc
         i = cube_index(q)
         cell_view(out, q, cfg)[...] += a1[q.level][i] * a2[q.level][i]
     return GridFunction(cfg, out)
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyAtoms:
+    """The atoms of a cube family S, for exact evaluation of sparse images.
+
+    labels[c] is the position in S.cubes of the finest cube holding cell
+    c, or len(S) off the union.  members[j] lists the nonempty atoms inside
+    the j-th cube, and flat_index[j] is its index in the concatenated
+    per-level arrays of level_averages.
+    """
+
+    config: GridConfig
+    labels: np.ndarray
+    members: tuple[np.ndarray, ...]
+    flat_index: np.ndarray
+
+    def coefficients(self, f: GridFunction) -> np.ndarray:
+        """Averages of f over the family cubes, in S.cubes order."""
+        return np.concatenate(level_averages(f.values, self.config))[self.flat_index]
+
+    def masses(self, w: GridFunction) -> np.ndarray:
+        """w-measure of every atom."""
+        size = len(self.members) + 1
+        sums = np.bincount(self.labels, weights=w.values, minlength=size)
+        return sums * self.config.cell_volume
+
+    def images(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """Atom values of sum_Q c1[a, Q] c2[b, Q] 1_Q for every pair (a, b).
+
+        Each atom adds its cubes' terms in S.cubes order, as sparse_eval
+        does on each cell, so the values equal its cell values bit for bit.
+        """
+        coef = c1[:, None, :] * c2[None, :, :]
+        out = np.zeros(coef.shape[:2] + (len(self.members) + 1,))
+        for j, atoms in enumerate(self.members):
+            out[:, :, atoms] += coef[:, :, j, None]
+        if not np.isfinite(out).all():
+            raise ValueError("cell values must be finite")
+        return out
+
+
+def family_atoms(S: SparseFamily) -> FamilyAtoms:
+    """Atom labels and cube memberships of any finite family S."""
+    cfg = S.config
+    labels = np.full(cfg.cell_count, len(S), dtype=np.intp)
+    # coarse to fine, so the finest containing cube paints last
+    for j in sorted(range(len(S)), key=lambda j: S.cubes[j].level):
+        check_cube(S.cubes[j], cfg)
+        cell_view(labels, S.cubes[j], cfg)[...] = j
+    members = tuple(_sorted_distinct(cell_view(labels, q, cfg)) for q in S.cubes)
+    # level k starts after the 1 + r + ... + r^(k-1) cubes of coarser levels
+    r = cfg.level_cube_count(1)
+    flat_index = np.array(
+        [(r**q.level - 1) // (r - 1) + cube_index(q) for q in S.cubes], dtype=np.intp
+    )
+    return FamilyAtoms(cfg, labels, members, flat_index)
 
 
 def sparse_split_eval(

@@ -51,6 +51,23 @@ def _dual_data(w1: Weight, w2: Weight, P: ExponentTuple):
     return dual_weight(w1, P.p1), dual_weight(w2, P.p2), joint_weight(w1, w2, P)
 
 
+def _global_image(
+    S: SparseFamily,
+    w1: Weight,
+    w2: Weight,
+    P: ExponentTuple,
+    f1: GridFunction,
+    f2: GridFunction,
+):
+    """Sparse image of (|f1| s1, |f2| s2), the joint weight v, and the norm product."""
+    s1, s2, v = _dual_data(w1, w2, P)
+    n1 = lp_norm(f1, s1, P.p1)
+    n2 = lp_norm(f2, s2, P.p2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ValueError("test functions must not vanish identically")
+    return sparse_eval(S, abs(f1) * s1, abs(f2) * s2), v, n1 * n2
+
+
 def global_weak_quantity(
     S: SparseFamily,
     w1: Weight,
@@ -60,13 +77,8 @@ def global_weak_quantity(
     f2: GridFunction,
 ) -> float:
     """Weak norm of the sparse image of (|f1| s1, |f2| s2) over the product norms."""
-    s1, s2, v = _dual_data(w1, w2, P)
-    n1 = lp_norm(f1, s1, P.p1)
-    n2 = lp_norm(f2, s2, P.p2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("test functions must not vanish identically")
-    g = sparse_eval(S, abs(f1) * s1, abs(f2) * s2)
-    return weak_norm(g, v, P.p) / (n1 * n2)
+    g, v, scale = _global_image(S, w1, w2, P, f1, f2)
+    return weak_norm(g, v, P.p) / scale
 
 
 def global_strong_quantity(
@@ -78,13 +90,8 @@ def global_strong_quantity(
     f2: GridFunction,
 ) -> float:
     """Same normalization with the strong L^p(v) norm on top."""
-    s1, s2, v = _dual_data(w1, w2, P)
-    n1 = lp_norm(f1, s1, P.p1)
-    n2 = lp_norm(f2, s2, P.p2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("test functions must not vanish identically")
-    g = sparse_eval(S, abs(f1) * s1, abs(f2) * s2)
-    return lp_norm(g, v, P.p) / (n1 * n2)
+    g, v, scale = _global_image(S, w1, w2, P, f1, f2)
+    return lp_norm(g, v, P.p) / scale
 
 
 def local_testing_quantity(

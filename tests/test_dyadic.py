@@ -134,6 +134,18 @@ def test_cube_sums_match_direct_sums(dim, K, rng):
         assert sums[q.level][cube_index(q)] == pytest.approx(direct, rel=1e-13)
 
 
+def test_cube_sums_1d_bit_identical_to_pair_reduction(rng):
+    # reference: the size-2 axis reduction that pooled 1D levels before
+    cfg = GridConfig(1, 10)
+    values = rng.normal(0.0, 1.0, cfg.cell_count) * np.exp(
+        rng.uniform(-300.0, 300.0, cfg.cell_count)
+    )
+    ref = values
+    for level_sums in reversed(cube_sums(values, cfg)[:-1]):
+        ref = ref.reshape(-1, 2).sum(axis=1)
+        assert np.array_equal(level_sums, ref)
+
+
 def test_level_averages_and_expand_are_inverse(rng):
     cfg = GridConfig(2, 3)
     values = rng.uniform(0.0, 5.0, cfg.cell_count)

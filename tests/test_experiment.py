@@ -1,16 +1,34 @@
 import numpy as np
 import pytest
 
-from weaksparse.dyadic import GridConfig
+from conftest import random_exponents, random_function, random_weight
+from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube
 from weaksparse.experiment import (
+    _pair_sweep,
     default_test_functions,
     fit_loglog_slope,
     slope_experiment,
     thread_map,
 )
 from weaksparse.families import WeightFamilySpec
-from weaksparse.measure import ExponentTuple
-from weaksparse.sparse import tower_family
+from weaksparse.measure import (
+    ExponentTuple,
+    Weight,
+    constant,
+    dual_weight,
+    indicator,
+)
+from weaksparse.sparse import (
+    SparseFamily,
+    family_atoms,
+    generate_sparse,
+    sparse_eval,
+    tower_family,
+)
+from weaksparse.testing_conditions import (
+    global_strong_quantity,
+    global_weak_quantity,
+)
 
 CFG = GridConfig(1, 8)
 P66 = ExponentTuple(6.0, 6.0)
@@ -37,6 +55,115 @@ def test_thread_map_orders_and_env(monkeypatch):
     assert thread_map(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
     monkeypatch.delenv("WSL_THREADS")
     assert thread_map(lambda x: -x, [1, 2]) == [-1, -2]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "1.5"])
+def test_thread_map_rejects_bad_thread_count(monkeypatch, value):
+    monkeypatch.setenv("WSL_THREADS", value)
+    with pytest.raises(ValueError, match="WSL_THREADS must be a positive integer"):
+        thread_map(lambda x: x, [1])
+
+
+# --- atom evaluation against the cellwise oracle ----------------------------
+
+
+def _oracle_family(rng, seed):
+    """1D / 2D generated families, towers, and unverified shuffled cube sets."""
+    kind = seed % 4
+    cfg = GridConfig(1, 6) if seed % 8 < 4 else GridConfig(2, 3)
+    if kind == 0:
+        return generate_sparse(cfg, seed=seed, budget=0.35)
+    if kind == 1:
+        return generate_sparse(cfg, seed=seed, budget=0.2)
+    if kind == 2:
+        return tower_family(cfg)
+    # witness=None, any cube order, not necessarily sparse, one duplicate
+    pool = list(all_cubes(cfg))
+    picks = rng.choice(len(pool), size=8, replace=False)
+    cubes = [pool[i] for i in picks]
+    return SparseFamily(cfg, tuple(cubes + [cubes[3]]))
+
+
+def _oracle_functions(rng, cfg):
+    fns = [
+        indicator(cfg, DyadicCube(k, (0,) * cfg.dimension))
+        for k in range(cfg.finest_level + 1)
+    ]
+    return fns + [random_function(rng, cfg) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pair_sweep_matches_cellwise_oracle(seed):
+    rng = np.random.default_rng(seed)
+    S = _oracle_family(rng, seed)
+    cfg = S.config
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    P = random_exponents(rng)
+    fns = _oracle_functions(rng, cfg)
+    atoms = family_atoms(S)
+
+    weak, strong = _pair_sweep(atoms, w1, w2, P, fns)
+    pairs = [(a, b) for a in fns for b in fns]
+    assert weak == pytest.approx(
+        max(global_weak_quantity(S, w1, w2, P, a, b) for a, b in pairs), rel=1e-12
+    )
+    assert strong == pytest.approx(
+        max(global_strong_quantity(S, w1, w2, P, a, b) for a, b in pairs), rel=1e-12
+    )
+
+    s1, s2 = dual_weight(w1, P.p1), dual_weight(w2, P.p2)
+    g1 = [abs(f) * s1 for f in fns]
+    g2 = [abs(f) * s2 for f in fns]
+    images = atoms.images(
+        np.array([atoms.coefficients(f) for f in g1]),
+        np.array([atoms.coefficients(f) for f in g2]),
+    )
+    assert not images[:, :, len(S)].any()  # zero off the union
+    for i, a in enumerate(g1):
+        for j, b in enumerate(g2):
+            cellwise = sparse_eval(S, a, b).values
+            assert np.array_equal(images[i, j][atoms.labels], cellwise)
+
+
+def test_pair_sweep_keeps_ties_at_full_mass():
+    # {root, both children}: the root atom is empty and the two child atoms
+    # carry the same value, so weak_norm's last-of-run mass must be used
+    cfg = GridConfig(1, 2)
+    S = SparseFamily(cfg, (cube(0, 0), cube(1, 0), cube(1, 1)))
+    one = Weight(cfg, np.ones(cfg.cell_count))
+    P = ExponentTuple(3.0, 3.0)
+    fns = [constant(cfg, 1.0)]
+    atoms = family_atoms(S)
+    images = atoms.images(
+        np.array([atoms.coefficients(fns[0])]), np.array([atoms.coefficients(fns[0])])
+    )
+    assert images[0, 0, 1] == images[0, 0, 2] == 2.0
+    assert atoms.masses(one)[0] == 0.0
+    weak, strong = _pair_sweep(atoms, one, one, P, fns)
+    assert weak == global_weak_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
+    assert strong == global_strong_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_pair_sweep_raises_like_the_oracle():
+    cfg = GridConfig(1, 4)
+    S = tower_family(cfg)
+    one = Weight(cfg, np.ones(cfg.cell_count))
+    P = ExponentTuple(3.0, 3.0)
+    atoms = family_atoms(S)
+    huge = constant(cfg, 1e200)  # finite slots whose image overflows
+    with pytest.raises(ValueError, match="cell values must be finite"):
+        global_weak_quantity(S, one, one, P, huge, huge)
+    with pytest.raises(ValueError, match="cell values must be finite"):
+        _pair_sweep(atoms, one, one, P, [huge])
+    zero = constant(cfg, 0.0)
+    with pytest.raises(ValueError, match="must not vanish identically"):
+        _pair_sweep(atoms, one, one, P, [constant(cfg, 1.0), zero])
+    tiny = Weight(cfg, np.full(cfg.cell_count, 1e-300))  # dual weight 1e150
+    with pytest.raises(ValueError, match="cell values must be finite"):
+        global_weak_quantity(S, tiny, one, P, huge, huge)
+    with pytest.raises(ValueError, match="cell values must be finite"):
+        _pair_sweep(atoms, tiny, one, P, [huge])  # the slot product overflows
 
 
 def _small_spec(deltas=(0.5, 0.25, 0.125, 0.0625)):

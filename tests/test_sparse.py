@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from conftest import random_function
 from weaksparse.dyadic import GridConfig, all_cubes, cells_of, cube
 from weaksparse.measure import GridFunction, constant, indicator
 from weaksparse.sparse import (
+    SparseFamily,
+    _sorted_distinct,
     family_from_cubes,
     generate_sparse,
     restrict,
@@ -52,6 +58,36 @@ def test_witnesses_are_disjoint(rng):
     assert np.unique(cells).size == cells.size
 
 
+def test_sorted_distinct_matches_unique(rng):
+    for n in (0, 1, 2, 50):
+        a = rng.integers(0, 6, n)
+        got, want = _sorted_distinct(a), np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_family_checks_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, which would put about 1 MB
+    # of module objects in the middle of the first call that verifies a family
+    code = (
+        "import sys, weaksparse as ws\n"
+        "cfg = ws.GridConfig(1, 6)\n"
+        "ws.generate_sparse(cfg, 5, 0.3)\n"
+        "ws.family_atoms(ws.tower_family(cfg))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    import weaksparse
+
+    src = os.path.dirname(os.path.dirname(weaksparse.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_carleson_packing_of_verified_families(rng):
     for seed in range(8):
         fam = generate_sparse(CFG, seed=seed, budget=0.4)
@@ -59,6 +95,15 @@ def test_carleson_packing_of_verified_families(rng):
         union = sum(w.size for w in fam.witness.values()) * CFG.cell_volume
         assert total <= 2 * union + 1e-12
         assert union <= 1.0 + 1e-12
+
+
+def test_membership_follows_cubes():
+    fam = generate_sparse(CFG, seed=4, budget=0.3)
+    for q in all_cubes(CFG):
+        assert (q in fam) == (q in fam.cubes)
+    plain = SparseFamily(CFG, (cube(2, 1), cube(0, 0)))
+    assert cube(2, 1) in plain and cube(0, 0) in plain
+    assert cube(1, 0) not in plain and cube(2, 1, 0) not in plain
 
 
 # --- generation -------------------------------------------------------------
