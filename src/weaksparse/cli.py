@@ -2,6 +2,7 @@
 
 Subcommands: exponents, region, constants, sparse-eval, verify, and
 experiment slope.  All outputs are deterministic given flags and seeds.
+A command's ValueError or OSError ends in one "weaksparse: error:" line.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ def _cmd_region(args) -> int:
 def _cmd_constants(args) -> int:
     paths = args.weights.split(",")
     if len(paths) != 2:
-        raise SystemExit("--weights expects two comma-separated files")
+        raise ValueError("--weights expects two comma-separated files")
     w1 = wio.load_weight(paths[0])
     w2 = wio.load_weight(paths[1])
     if w1.config != w2.config:
-        raise SystemExit("weight files live on different grids")
+        raise ValueError("weight files live on different grids")
     P = ExponentTuple(args.p1, args.p2)
     inequalities = wc.check_constant_inequalities(w1, w2, P)
     report = {
@@ -73,7 +74,7 @@ def _cmd_sparse_eval(args) -> int:
     f1 = wio.load_grid_function(args.f1)
     f2 = wio.load_grid_function(args.f2)
     if f1.config != f2.config:
-        raise SystemExit("input functions live on different grids")
+        raise ValueError("input functions live on different grids")
     family = wio.load_sparse_family(args.family, f1.config)
     from .sparse import sparse_eval
 
@@ -175,7 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as e:
+        sys.stderr.write(f"weaksparse: error: {e}\n")
+        return 2
 
 
 if __name__ == "__main__":

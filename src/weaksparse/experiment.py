@@ -17,14 +17,10 @@ for bit; testing_conditions.global_weak_quantity and
 global_strong_quantity, maximized over pairs, are the cellwise oracle.
 
 Slopes use a plain least-squares fit over all points, no point dropping.
-Set WSL_THREADS to a positive integer to evaluate family points in
-parallel; results are gathered in delta order either way.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,20 +79,6 @@ def default_test_functions(
     return fns
 
 
-def thread_map(fn, items):
-    """Map preserving order; WSL_THREADS > 1 enables a thread pool."""
-    try:
-        workers = int(os.environ.get("WSL_THREADS", "1"))
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError("WSL_THREADS must be a positive integer")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def _pair_sweep(
     atoms: FamilyAtoms,
     w1: Weight,
@@ -152,21 +134,21 @@ def slope_experiment(
     report = alpha(P)
     atoms = family_atoms(S)
 
-    def measure(row):
-        d, w1, w2, apv = row
+    rows = []
+    for d, w1, w2, apv in family:
         weak, strong = _pair_sweep(atoms, w1, w2, P, fns)
-        return ExperimentRow(
-            delta=d,
-            apvec=apv,
-            weak=weak,
-            strong=strong,
-            ratio_weak=weak / apv**report.alpha,
-            ratio_strong=strong / apv**report.gamma,
+        rows.append(
+            ExperimentRow(
+                delta=d,
+                apvec=apv,
+                weak=weak,
+                strong=strong,
+                ratio_weak=weak / apv**report.alpha,
+                ratio_strong=strong / apv**report.gamma,
+            )
         )
-
-    rows = tuple(thread_map(measure, family))
     weak_slope = fit_loglog_slope([r.apvec for r in rows], [r.weak for r in rows])
     strong_slope = fit_loglog_slope(
         [r.apvec for r in rows], [r.strong for r in rows]
     )
-    return SlopeResult(rows, weak_slope, strong_slope)
+    return SlopeResult(tuple(rows), weak_slope, strong_slope)

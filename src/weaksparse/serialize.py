@@ -85,8 +85,16 @@ def load_sparse_family(path, config: GridConfig) -> SparseFamily:
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of cubes")
     cubes = []
-    for entry in doc:
-        cubes.append(DyadicCube(int(entry["level"]), tuple(int(c) for c in entry["coords"])))
+    for i, entry in enumerate(doc):
+        where = f"{path}: cube entry {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        if "level" not in entry or "coords" not in entry:
+            raise ValueError(f"{where}: needs 'level' and 'coords'")
+        level, coords = entry["level"], entry["coords"]
+        if not isinstance(coords, list) or any(type(v) is not int for v in [level, *coords]):
+            raise ValueError(f"{where}: level and coords must be integers")
+        cubes.append(DyadicCube(level, tuple(coords)))
     return family_from_cubes(config, cubes)
 
 

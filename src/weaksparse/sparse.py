@@ -11,11 +11,14 @@ exact.
 Evaluation sums run in enumeration order (level-major, lexicographic) to
 keep outputs bit-stable across runs.
 
-A sparse image sum_Q c_Q 1_Q is constant on each atom: the cells whose
-finest containing family cube is Q (the canonical E_Q of a verified
-family), plus one atom off the union where it vanishes.  FamilyAtoms
-evaluates many images on these |S| + 1 atoms instead of the 2^{nK}
-cells; sparse_eval stays the cellwise reference.
+One label array answers every "finest family cube above" question.
+Painting cube positions onto the cells coarse to fine labels each cell
+with the finest cube holding it; the label under a cube just before it
+is painted is its minimal strict ancestor.  The cells labelled Q are the
+canonical E_Q, and the labels are the atoms on which a sparse image
+sum_Q c_Q 1_Q is constant (one more atom off the union, where it
+vanishes).  FamilyAtoms evaluates many images on these |S| + 1 atoms
+instead of the 2^{nK} cells; sparse_eval stays the cellwise reference.
 """
 
 from __future__ import annotations
@@ -29,13 +32,11 @@ from .dyadic import (
     DyadicCube,
     GridConfig,
     Relation,
-    all_cubes,
     cell_view,
-    cells_of,
     check_cube,
+    cube_from_index,
     cube_index,
     level_averages,
-    parent,
     relation,
 )
 from .measure import GridFunction
@@ -66,27 +67,44 @@ class SparseFamily:
         return frozenset(self.cubes)
 
 
-def family_forest(cubes) -> tuple[list[DyadicCube], dict[DyadicCube, list[DyadicCube]]]:
+def _paint(cubes, config: GridConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Paint cube positions onto the cells, coarse to fine.
+
+    Returns (labels, up).  labels[c] is the position of the finest cube
+    holding cell c, or len(cubes) off the union; the order is stable
+    within a level, so a later duplicate wins.  up[j] is the label under
+    cube j's first cell just before j is painted: for distinct cubes, the
+    position of j's minimal strict ancestor in the set, or len(cubes).
+    """
+    for q in cubes:
+        check_cube(q, config)
+    n = len(cubes)
+    labels = np.full(config.cell_count, n, dtype=np.intp)
+    up = np.empty(n, dtype=np.intp)
+    for j in sorted(range(n), key=lambda j: cubes[j].level):
+        view = cell_view(labels, cubes[j], config)
+        up[j] = view.flat[0]
+        view[...] = j
+    return labels, up
+
+
+def family_forest(
+    cubes, config: GridConfig
+) -> tuple[list[DyadicCube], dict[DyadicCube, list[DyadicCube]]]:
     """Maximal cubes and the containment forest of a finite cube set.
 
-    children[q] lists the maximal strict subcubes of q within the set,
-    found by walking each cube's ancestor chain to its first in-set hit.
+    children[q] lists the maximal strict subcubes of q within the set, in
+    enumeration order; each cube hangs under its minimal strict ancestor.
     """
-    cube_set = set(cubes)
+    ordered = sorted(set(cubes), key=_SORT_KEY)
+    _, up = _paint(ordered, config)
     roots: list[DyadicCube] = []
-    children: dict[DyadicCube, list[DyadicCube]] = {q: [] for q in cube_set}
-    for q in sorted(cube_set, key=_SORT_KEY):
-        a = q
-        hit = None
-        while a.level > 0:
-            a = parent(a)
-            if a in cube_set:
-                hit = a
-                break
-        if hit is None:
+    children: dict[DyadicCube, list[DyadicCube]] = {q: [] for q in ordered}
+    for q, u in zip(ordered, up.tolist()):
+        if u == len(ordered):
             roots.append(q)
         else:
-            children[hit].append(q)
+            children[ordered[u]].append(q)
     return roots, children
 
 
@@ -107,30 +125,19 @@ def verify_sparse(cubes, config: GridConfig):
 
     Returns (True, witness) where witness maps each cube to the sorted
     cell indices of its E_Q, or (False, offending_cube) on the first cube
-    whose canonical witness drops below half measure.
+    in enumeration order whose canonical witness drops below half
+    measure.  E_Q is the set of cells labelled Q, so the witnesses
+    partition the union and are disjoint by construction.
     """
     ordered = sorted(set(cubes), key=_SORT_KEY)
-    for q in ordered:
-        check_cube(q, config)
-    _, children = family_forest(ordered)
-    witness: dict[DyadicCube, np.ndarray] = {}
-    for q in ordered:
-        own = cells_of(q, config)
-        kids = children[q]
-        if kids:
-            covered = np.concatenate([cells_of(c, config) for c in kids])
-            free = np.setdiff1d(own, covered, assume_unique=True)
-        else:
-            free = own
-        if 2 * free.size < own.size:
-            return False, q
-        witness[q] = free
-    # disjointness of the canonical witnesses holds by construction; check anyway
-    if witness:
-        allcells = np.concatenate(list(witness.values()))
-        if _sorted_distinct(allcells).size != allcells.size:
-            raise AssertionError("canonical witnesses are not disjoint")
-    return True, witness
+    labels, _ = _paint(ordered, config)
+    sizes = np.bincount(labels, minlength=len(ordered) + 1)[:-1]
+    need = np.array([config.cells_per_cube(q.level) for q in ordered], dtype=np.int64)
+    bad = np.flatnonzero(2 * sizes < need)
+    if bad.size:
+        return False, ordered[bad[0]]
+    cells = np.argsort(labels, kind="stable")
+    return True, dict(zip(ordered, np.split(cells, np.cumsum(sizes))))
 
 
 def family_from_cubes(config: GridConfig, cubes) -> SparseFamily:
@@ -138,8 +145,7 @@ def family_from_cubes(config: GridConfig, cubes) -> SparseFamily:
     ok, payload = verify_sparse(cubes, config)
     if not ok:
         raise ValueError(f"not canonically sparse: witness fails at {payload}")
-    ordered = tuple(sorted(set(cubes), key=_SORT_KEY))
-    return SparseFamily(config, ordered, payload)
+    return SparseFamily(config, tuple(payload), payload)  # keys in enumeration order
 
 
 def tower_family(config: GridConfig) -> SparseFamily:
@@ -154,38 +160,40 @@ def tower_family(config: GridConfig) -> SparseFamily:
 def generate_sparse(config: GridConfig, seed: int, budget: float) -> SparseFamily:
     """Seeded random sparse family; always passes verify_sparse.
 
-    Scans cubes coarse to fine.  Each cube is drawn with probability
-    2*budget (so budget = 1/2 is a deterministic greedy scan) and admitted
-    only if its minimal already-kept ancestor would still retain at least
-    half of its measure for the canonical witness.  Occupancy is tracked
-    in exact cell counts.
+    Scans cubes coarse to fine, one draw each (a level's draws at once
+    give the same stream).  Each cube is drawn with probability 2*budget
+    (so budget = 1/2 is a deterministic greedy scan) and admitted only if
+    its minimal already-kept ancestor, owner[i], would still retain half
+    of its measure for the canonical witness; room[s] counts the cells
+    kept cube s can still give away.  A level's candidates share one size,
+    so those under one owner are admitted in scan order while room lasts.
     """
     if not 0.0 < budget <= 0.5:
         raise ValueError("budget must be in (0, 1/2]")
     rng = np.random.default_rng(seed)
+    n = config.dimension
     kept: list[DyadicCube] = []
-    kept_set: set[DyadicCube] = set()
-    occupied: dict[DyadicCube, int] = {}
-    prob = 2.0 * budget
-    for q in all_cubes(config):
-        if rng.random() >= prob:
-            continue
-        a = q
-        anc = None
-        while a.level > 0:
-            a = parent(a)
-            if a in kept_set:
-                anc = a
-                break
-        size = config.cells_per_cube(q.level)
-        if anc is not None:
-            cap = config.cells_per_cube(anc.level) // 2
-            if occupied[anc] + size > cap:
-                continue
-            occupied[anc] += size
-        kept.append(q)
-        kept_set.add(q)
-        occupied[q] = 0
+    # slot 0 is the whole space with every cell free: cubes with no kept
+    # ancestor lie in its free cells, so it never refuses one
+    room = np.array([config.cell_count], dtype=np.int64)
+    owner = np.zeros((1,) * n, dtype=np.intp)  # flat index = cube_index
+    for k in range(config.finest_level + 1):
+        for axis in range(n if k else 0):  # children inherit the owner
+            owner = owner.repeat(2, axis=axis)
+        cand = np.flatnonzero(rng.random(owner.size) < 2.0 * budget)
+        own = owner.flat[cand]
+        # rank of each candidate among the earlier ones with its owner
+        order = np.argsort(own, kind="stable")
+        grouped = own[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(cand.size) - np.searchsorted(grouped, grouped)
+        size = config.cells_per_cube(k)
+        admit = rank < room[own] // size
+        new = cand[admit]
+        room -= size * np.bincount(own[admit], minlength=room.size)
+        owner.flat[new] = np.arange(room.size, room.size + new.size)
+        room = np.concatenate([room, np.full(new.size, size // 2, dtype=np.int64)])
+        kept.extend(cube_from_index(k, i, n) for i in new.tolist())
     return family_from_cubes(config, kept)
 
 
@@ -246,11 +254,7 @@ class FamilyAtoms:
 def family_atoms(S: SparseFamily) -> FamilyAtoms:
     """Atom labels and cube memberships of any finite family S."""
     cfg = S.config
-    labels = np.full(cfg.cell_count, len(S), dtype=np.intp)
-    # coarse to fine, so the finest containing cube paints last
-    for j in sorted(range(len(S)), key=lambda j: S.cubes[j].level):
-        check_cube(S.cubes[j], cfg)
-        cell_view(labels, S.cubes[j], cfg)[...] = j
+    labels, _ = _paint(S.cubes, cfg)
     members = tuple(_sorted_distinct(cell_view(labels, q, cfg)) for q in S.cubes)
     # level k starts after the 1 + r + ... + r^(k-1) cubes of coarser levels
     r = cfg.level_cube_count(1)

@@ -68,7 +68,7 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
     if float(f.values.min()) < 0.0:
         raise ValueError("stopping construction requires nonnegative f")
     wavg = _weighted_averages(S.cubes, S.config, f, w)
-    roots, forest = family_forest(S.cubes)
+    roots, forest = family_forest(S.cubes, S.config)
     generation: dict[DyadicCube, int] = {}
     children: dict[DyadicCube, tuple[DyadicCube, ...]] = {}
     queue: deque[DyadicCube] = deque()
@@ -176,7 +176,7 @@ def bilinear_form_decompose(
     for g in (f2, h, sigma2, v, sigma1):
         if g.config != cfg:
             raise ValueError("grid mismatch")
-    roots, _ = family_forest(Sprime.cubes)
+    roots, _ = family_forest(Sprime.cubes, Sprime.config)
     if len(roots) != 1:
         raise ValueError("family must have a single maximal cube")
     if float(f2.values.min()) < 0.0 or float(h.values.min()) < 0.0:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from weaksparse.dyadic import GridConfig
-from weaksparse.measure import ExponentTuple, GridFunction, Weight
+from weaksparse.measure import GridFunction
+from weaksparse.verify import _random_exponents as random_exponents
+from weaksparse.verify import _random_nonneg
+from weaksparse.verify import _random_weight as random_weight
 
 
 @pytest.fixture
@@ -10,22 +13,10 @@ def rng():
     return np.random.default_rng(314159)
 
 
-def random_weight(rng, cfg, spread=1.5) -> Weight:
-    return Weight(cfg, np.exp(rng.uniform(-spread, spread, cfg.cell_count)))
-
-
 def random_function(rng, cfg, signed=False) -> GridFunction:
     if signed:
         return GridFunction(cfg, rng.normal(0.0, 2.0, cfg.cell_count))
-    vals = rng.uniform(0.0, 3.0, cfg.cell_count)
-    vals *= rng.random(cfg.cell_count) > 0.25
-    return GridFunction(cfg, vals)
-
-
-def random_exponents(rng) -> ExponentTuple:
-    x = rng.uniform(0.08, 0.80)
-    y = rng.uniform(0.08, 0.92 - x)
-    return ExponentTuple(1.0 / x, 1.0 / y)
+    return _random_nonneg(rng, cfg)
 
 
 CFG1 = GridConfig(1, 4)

@@ -23,7 +23,13 @@ from weaksparse.stopping import (
     carleson_checks,
     stopping_parent,
 )
-from weaksparse.verify import _DEFAULT_SEED, _delta_family_ratios
+from weaksparse.verify import (
+    _DEFAULT_SEED,
+    _delta_family_ratios,
+    _random_exponents,
+    _random_nonneg,
+    _random_weight,
+)
 
 SEED = 987654321
 
@@ -35,22 +41,6 @@ def _report(num, ok, detail=""):
 
 def _rng():
     return np.random.default_rng(SEED)
-
-
-def _random_weight(rng, cfg):
-    return Weight(cfg, np.exp(rng.uniform(-1.5, 1.5, cfg.cell_count)))
-
-
-def _random_nonneg(rng, cfg):
-    vals = rng.uniform(0.0, 3.0, cfg.cell_count)
-    vals *= rng.random(cfg.cell_count) > 0.25
-    return wsl.GridFunction(cfg, vals)
-
-
-def _random_exponents(rng):
-    x = rng.uniform(0.08, 0.80)
-    y = rng.uniform(0.08, 0.92 - x)
-    return ExponentTuple(1.0 / x, 1.0 / y)
 
 
 def test_acceptance_01_exponent_formulas():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from weaksparse import verify as wv
 from weaksparse.cli import main
 from weaksparse.dyadic import GridConfig
 from weaksparse.measure import Weight
@@ -122,3 +123,64 @@ def test_experiment_slope_command(tmp_path, capsys):
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+SPARSE_EVAL = (
+    "sparse-eval", "--family", "{tmp}/fam.json", "--f1", "{tmp}/f.json",
+    "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json",
+)
+
+
+@pytest.mark.parametrize(
+    "template, family, message",
+    [
+        (
+            ("constants", "--weights", "{tmp}/a.json,{tmp}/b.json", "--p1", "2", "--p2", "3"),
+            None,
+            "No such file or directory",
+        ),
+        (
+            SPARSE_EVAL,
+            [{"level": 0, "coords": [0]}, [1, 0]],
+            "cube entry 1: expected a JSON object",
+        ),
+        (
+            SPARSE_EVAL,
+            [{"level": 0, "coords": [0]}, {"level": 1}],
+            "cube entry 1: needs 'level' and 'coords'",
+        ),
+        (
+            SPARSE_EVAL,
+            [{"level": 1.5, "coords": [0]}],
+            "cube entry 0: level and coords must be integers",
+        ),
+        (SPARSE_EVAL, [{"level": 1, "coords": [0, 1]}], "cube dimension does not match grid"),
+        (("exponents", "--p1", "1", "--p2", "3"), None, "p1 must satisfy 1 < p1 < inf"),
+        (
+            ("constants", "--weights", "{tmp}/f.json", "--p1", "2", "--p2", "3"),
+            None,
+            "--weights expects two comma-separated files",
+        ),
+    ],
+    ids=[
+        "missing_file", "non_object", "no_coords", "fractional_level",
+        "wrong_dimension", "p1_one", "one_weight_file",
+    ],
+)
+def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, family, message):
+    cfg = GridConfig(1, 3)
+    save_grid_function(Weight(cfg, np.ones(cfg.cell_count)), tmp_path / "f.json")
+    if family is not None:
+        (tmp_path / "fam.json").write_text(json.dumps(family))
+    code = main([arg.format(tmp=tmp_path) for arg in template])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("weaksparse: error: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_failed_suite_still_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(wv, "run_suite", lambda suite, seed: {"passed": False})
+    code, _ = run_cli(capsys, "verify", "--suite", "dyadic")
+    assert code == 1

@@ -8,7 +8,6 @@ from weaksparse.experiment import (
     default_test_functions,
     fit_loglog_slope,
     slope_experiment,
-    thread_map,
 )
 from weaksparse.families import WeightFamilySpec
 from weaksparse.measure import (
@@ -48,20 +47,6 @@ def test_default_test_functions_shape():
     assert all(
         np.array_equal(a.values, b.values) for a, b in zip(fns, again)
     )
-
-
-def test_thread_map_orders_and_env(monkeypatch):
-    monkeypatch.setenv("WSL_THREADS", "4")
-    assert thread_map(lambda x: x * x, [1, 2, 3, 4]) == [1, 4, 9, 16]
-    monkeypatch.delenv("WSL_THREADS")
-    assert thread_map(lambda x: -x, [1, 2]) == [-1, -2]
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "1.5"])
-def test_thread_map_rejects_bad_thread_count(monkeypatch, value):
-    monkeypatch.setenv("WSL_THREADS", value)
-    with pytest.raises(ValueError, match="WSL_THREADS must be a positive integer"):
-        thread_map(lambda x: x, [1])
 
 
 # --- atom evaluation against the cellwise oracle ----------------------------

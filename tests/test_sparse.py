@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_function
-from weaksparse.dyadic import GridConfig, all_cubes, cells_of, cube
+from weaksparse.dyadic import GridConfig, all_cubes, cells_of, cube, parent
 from weaksparse.measure import GridFunction, constant, indicator
 from weaksparse.sparse import (
     SparseFamily,
     _sorted_distinct,
+    family_atoms,
+    family_forest,
     family_from_cubes,
     generate_sparse,
     restrict,
@@ -135,6 +137,126 @@ def test_generator_greedy_budget_is_tower():
 def test_generator_budget_validation():
     with pytest.raises(ValueError):
         generate_sparse(CFG, seed=0, budget=0.75)
+
+
+# --- the label paint against the algorithms it replaced ---------------------
+#
+# The coarse-to-fine label paint answers every "finest family cube above"
+# question.  These oracles are the scan generator, the parent-walk forest
+# and the cells_of/setdiff1d witness it replaced, plus a per-cell atom
+# label that keeps the finest (then last-listed) cube.
+
+_KEY = lambda q: (q.level, q.coords)  # noqa: E731
+
+
+def _forest_oracle(cubes):
+    cube_set = set(cubes)
+    roots, children = [], {q: [] for q in cube_set}
+    for q in sorted(cube_set, key=_KEY):
+        a, hit = q, None
+        while a.level > 0:
+            a = parent(a)
+            if a in cube_set:
+                hit = a
+                break
+        if hit is None:
+            roots.append(q)
+        else:
+            children[hit].append(q)
+    return roots, children
+
+
+def _verify_oracle(cubes, config):
+    ordered = sorted(set(cubes), key=_KEY)
+    _, children = _forest_oracle(ordered)
+    witness = {}
+    for q in ordered:
+        own = cells_of(q, config)
+        free = own
+        if children[q]:
+            covered = np.concatenate([cells_of(c, config) for c in children[q]])
+            free = np.setdiff1d(own, covered, assume_unique=True)
+        if 2 * free.size < own.size:
+            return False, q
+        witness[q] = free
+    return True, witness
+
+
+def _generate_oracle(config, seed, budget):
+    rng = np.random.default_rng(seed)
+    kept, occupied = set(), {}
+    for q in all_cubes(config):
+        if rng.random() >= 2.0 * budget:
+            continue
+        a, anc = q, None
+        while a.level > 0:
+            a = parent(a)
+            if a in kept:
+                anc = a
+                break
+        size = config.cells_per_cube(q.level)
+        if anc is not None:
+            if occupied[anc] + size > config.cells_per_cube(anc.level) // 2:
+                continue
+            occupied[anc] += size
+        kept.add(q)
+        occupied[q] = 0
+    return tuple(sorted(kept, key=_KEY))
+
+
+def _atom_labels_oracle(cubes, config):
+    labels = np.full(config.cell_count, len(cubes))
+    finest = np.full(config.cell_count, -1)
+    for j, q in enumerate(cubes):
+        cells = cells_of(q, config)
+        cells = cells[finest[cells] <= q.level]
+        labels[cells] = j
+        finest[cells] = q.level
+    return labels
+
+
+def _check_against_oracles(cubes, config):
+    """Assert paint and oracles agree on cubes; return the sparsity verdict."""
+    ok, payload = verify_sparse(cubes, config)
+    want_ok, want = _verify_oracle(cubes, config)
+    assert ok == want_ok
+    if ok:
+        assert list(payload) == list(want)
+        for q, cells in want.items():
+            assert payload[q].dtype == cells.dtype
+            assert np.array_equal(payload[q], cells)
+    else:
+        assert payload == want
+    assert family_forest(cubes, config) == _forest_oracle(cubes)
+    atoms = family_atoms(SparseFamily(config, tuple(cubes)))
+    labels = _atom_labels_oracle(cubes, config)
+    assert np.array_equal(atoms.labels, labels)
+    for q, members in zip(cubes, atoms.members):
+        assert np.array_equal(members, np.unique(labels[cells_of(q, config)]))
+    return ok
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GridConfig(1, K) for K in range(1, 9)] + [GridConfig(2, K) for K in range(1, 5)],
+    ids=lambda c: f"{c.dimension}d-K{c.finest_level}",
+)
+def test_generator_matches_scan_oracle(config):
+    for seed in range(6):
+        for budget in (0.02, 0.1, 0.25, 0.37, 0.5):
+            fam = generate_sparse(config, seed, budget)
+            assert fam.cubes == _generate_oracle(config, seed, budget)
+            assert _check_against_oracles(fam.cubes, config)
+
+
+@pytest.mark.parametrize("config", [GridConfig(1, 5), GridConfig(2, 3)], ids=["1d", "2d"])
+def test_arbitrary_cube_sets_match_oracles(rng, config):
+    cubes = list(all_cubes(config))
+    verdicts = []
+    for _ in range(150):
+        pick = rng.integers(0, len(cubes), int(rng.integers(0, 12)))
+        verdicts.append(_check_against_oracles([cubes[i] for i in pick], config))
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # --- evaluation -------------------------------------------------------------
