@@ -28,17 +28,9 @@ import numpy as np
 from .dyadic import DyadicCube, GridConfig
 from .exponents import alpha
 from .families import WeightFamilySpec, build_family
-from .measure import (
-    ExponentTuple,
-    GridFunction,
-    Weight,
-    atom_norms,
-    dual_weight,
-    indicator,
-    joint_weight,
-    lp_norm,
-)
+from .measure import ExponentTuple, GridFunction, Weight, atom_norms, indicator
 from .sparse import FamilyAtoms, SparseFamily, family_atoms
+from .testing_conditions import _slot_sums
 
 
 @dataclass(frozen=True)
@@ -88,27 +80,19 @@ def _pair_sweep(
 ) -> tuple[float, float]:
     """Max weak and strong normalized quantities over all test-function pairs.
 
-    Gathers each slot's cube averages once per test function, forms every
+    Gathers each slot's cube sums once per test function, forms every
     pair image on the family atoms, and takes both norms there with the
     atom masses of the joint weight.  Equal, up to the order of the mass
     sums, to maximizing global_weak_quantity and global_strong_quantity,
     which evaluate one pair on the cells.
     """
-    s1 = dual_weight(w1, P.p1)
-    s2 = dual_weight(w2, P.p2)
-    v = joint_weight(w1, w2, P)
-    slot1 = [abs(f) * s1 for f in fns]
-    slot2 = [abs(f) * s2 for f in fns]
-    norms1 = np.array([lp_norm(f, s1, P.p1) for f in fns])
-    norms2 = np.array([lp_norm(f, s2, P.p2) for f in fns])
-    if not (norms1.all() and norms2.all()):
-        raise ValueError("test functions must not vanish identically")
-    g = atoms.images(
-        np.array([atoms.coefficients(f) for f in slot1]),
-        np.array([atoms.coefficients(f) for f in slot2]),
-    )
+    v, norms, sums = _slot_sums(atoms, w1, w2, P, fns)
+    c1, c2 = sums / atoms.cells
+    g = atoms.images(c1[:, None, :] * c2[None, :, :])
+    if not np.isfinite(g).all():
+        raise ValueError("cell values must be finite")
     strong, weak = atom_norms(g, atoms.masses(v), P.p)
-    scale = norms1[:, None] * norms2[None, :]
+    scale = norms[0][:, None] * norms[1][None, :]
     return float((weak / scale).max()), float((strong / scale).max())
 
 

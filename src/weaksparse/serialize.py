@@ -34,6 +34,8 @@ def _read_json(path):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: invalid JSON at byte offset {e.pos}: {e.msg}") from e
+    except RecursionError as e:
+        raise ValueError(f"{path}: JSON nested too deeply") from e
 
 
 def save_grid_function(f: GridFunction, path) -> None:
@@ -43,7 +45,7 @@ def save_grid_function(f: GridFunction, path) -> None:
         "values": f.values.tolist(),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump's bytes, but from the C encoder
         fh.write("\n")
 
 
@@ -54,8 +56,16 @@ def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
     for key in ("dimension", "finest_level", "values"):
         if key not in doc:
             raise ValueError(f"{path}: missing field '{key}'")
-    cfg = GridConfig(int(doc["dimension"]), int(doc["finest_level"]))
-    values = np.asarray(doc["values"], dtype=np.float64)
+    for key in ("dimension", "finest_level"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{path}: field '{key}' must be an integer")
+    cfg = GridConfig(doc["dimension"], doc["finest_level"])
+    try:
+        values = np.asarray(doc["values"])  # no dtype: strings and nulls stay visible
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: field 'values' must be an array of numbers")
     if values.shape != (cfg.cell_count,):
         raise ValueError(
             f"{path}: expected {cfg.cell_count} values, got {values.size}"
@@ -76,7 +86,7 @@ def load_weight(path) -> Weight:
 def save_sparse_family(S: SparseFamily, path) -> None:
     doc = [{"level": q.level, "coords": list(q.coords)} for q in S.cubes]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump's bytes, but from the C encoder
         fh.write("\n")
 
 
@@ -94,6 +104,8 @@ def load_sparse_family(path, config: GridConfig) -> SparseFamily:
         level, coords = entry["level"], entry["coords"]
         if not isinstance(coords, list) or any(type(v) is not int for v in [level, *coords]):
             raise ValueError(f"{where}: level and coords must be integers")
+        if not 0 <= level <= config.finest_level:  # before DyadicCube computes 2**level
+            raise ValueError(f"{where}: level must be in [0, {config.finest_level}]")
         cubes.append(DyadicCube(level, tuple(coords)))
     return family_from_cubes(config, cubes)
 

@@ -36,6 +36,7 @@ from .dyadic import (
     check_cube,
     cube_from_index,
     cube_index,
+    cube_sums,
     level_averages,
     relation,
 )
@@ -217,18 +218,22 @@ class FamilyAtoms:
 
     labels[c] is the position in S.cubes of the finest cube holding cell
     c, or len(S) off the union.  members[j] lists the nonempty atoms inside
-    the j-th cube, and flat_index[j] is its index in the concatenated
-    per-level arrays of level_averages.
+    the j-th cube, flat_index[j] is its index in the concatenated per-level
+    arrays of cube_sums, and cells[j] its number of cells.
     """
 
     config: GridConfig
     labels: np.ndarray
     members: tuple[np.ndarray, ...]
     flat_index: np.ndarray
+    cells: np.ndarray
 
-    def coefficients(self, f: GridFunction) -> np.ndarray:
-        """Averages of f over the family cubes, in S.cubes order."""
-        return np.concatenate(level_averages(f.values, self.config))[self.flat_index]
+    def sums(self, f: GridFunction) -> np.ndarray:
+        """Sums of f over the family cubes, in S.cubes order.
+
+        Divided by cells they are the level_averages values, bit for bit.
+        """
+        return np.concatenate(cube_sums(f.values, self.config))[self.flat_index]
 
     def masses(self, w: GridFunction) -> np.ndarray:
         """w-measure of every atom."""
@@ -236,18 +241,15 @@ class FamilyAtoms:
         sums = np.bincount(self.labels, weights=w.values, minlength=size)
         return sums * self.config.cell_volume
 
-    def images(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """Atom values of sum_Q c1[a, Q] c2[b, Q] 1_Q for every pair (a, b).
+    def images(self, coef: np.ndarray) -> np.ndarray:
+        """Atom values of sum_Q coef[..., Q] 1_Q for every leading index.
 
         Each atom adds its cubes' terms in S.cubes order, as sparse_eval
         does on each cell, so the values equal its cell values bit for bit.
         """
-        coef = c1[:, None, :] * c2[None, :, :]
-        out = np.zeros(coef.shape[:2] + (len(self.members) + 1,))
+        out = np.zeros(coef.shape[:-1] + (len(self.members) + 1,))
         for j, atoms in enumerate(self.members):
-            out[:, :, atoms] += coef[:, :, j, None]
-        if not np.isfinite(out).all():
-            raise ValueError("cell values must be finite")
+            out[..., atoms] += coef[..., j, None]
         return out
 
 
@@ -261,7 +263,8 @@ def family_atoms(S: SparseFamily) -> FamilyAtoms:
     flat_index = np.array(
         [(r**q.level - 1) // (r - 1) + cube_index(q) for q in S.cubes], dtype=np.intp
     )
-    return FamilyAtoms(cfg, labels, members, flat_index)
+    cells = np.array([cfg.cells_per_cube(q.level) for q in S.cubes], dtype=np.float64)
+    return FamilyAtoms(cfg, labels, members, flat_index, cells)
 
 
 def sparse_split_eval(

@@ -5,6 +5,15 @@ sides) of a weighted-norm inequality whose implicit constant is not
 explicit in theory.  Ratios are therefore never asserted against a
 theoretical number here; suites pin first-run values and watch for
 growth trends instead.
+
+global_weak_quantity and local_testing_quantity are the cellwise
+definitions: each evaluates one test-function pair (and one family cube)
+with sparse_eval on the 2^{nK} cells.  testing_sweep returns both for
+every pair of a test set and every family cube at once.  It evaluates
+the images on the family atoms (sparse.FamilyAtoms), where the data
+masked to a cube Q needs no new cube sums, and reduces each quantity
+over the cells in the cellwise functions' order, so its values equal
+theirs bit for bit; the cellwise functions are its test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .measure import (
     weak_norm,
     weighted_measure,
 )
-from .sparse import SparseFamily, sparse_eval
+from .sparse import FamilyAtoms, SparseFamily, family_atoms, sparse_eval
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,74 @@ def _global_image(
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("test functions must not vanish identically")
     return sparse_eval(S, abs(f1) * s1, abs(f2) * s2), v, n1 * n2
+
+
+def _slot_sums(
+    atoms: FamilyAtoms,
+    w1: Weight,
+    w2: Weight,
+    P: ExponentTuple,
+    fns: list[GridFunction],
+):
+    """Joint weight v, slot norms and family-cube sums of every test function.
+
+    norms[k, a] is the L^{p_k}(s_k) norm of fns[a] and sums[k, a] the sums
+    of |fns[a]| s_k over the family cubes, for the slots k = 0, 1 with the
+    dual weights s_k; raises if a test function vanishes identically.
+    """
+    s1, s2, v = _dual_data(w1, w2, P)
+    slots = ((s1, P.p1), (s2, P.p2))
+    norms = np.array([[lp_norm(f, s, p) for f in fns] for s, p in slots])
+    if not norms.all():
+        raise ValueError("test functions must not vanish identically")
+    sums = np.array([[atoms.sums(abs(f) * s) for f in fns] for s, _ in slots])
+    return v, norms, sums
+
+
+def testing_sweep(
+    S: SparseFamily,
+    w1: Weight,
+    w2: Weight,
+    P: ExponentTuple,
+    fns: list[GridFunction],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global weak and local testing quantities of every test-function pair.
+
+    glob[a, b] == global_weak_quantity(S, w1, w2, P, fns[a], fns[b]) and
+    loc[a, b, i] == local_testing_quantity(S, w1, w2, P, fns[a], fns[b],
+    S.cubes[i]), bit for bit.  The data masked to Q = S.cubes[i] keeps the
+    cube sums of the cubes inside Q, and every coarser cube that meets Q
+    contains it, so its halving-tree sum is Q's own (the other terms are
+    exact zeros).  A coarser cube disjoint from Q gets a wrong coefficient
+    too, but it only reaches atoms outside Q, which are never read.
+
+    Raises the cellwise functions' errors for a vanishing test function and
+    a non-finite image.  Holds len(fns)^2 (len(S) + 1)^2 atom values.
+    """
+    cfg = S.config
+    atoms = family_atoms(S)
+    v, norms, sums = _slot_sums(atoms, w1, w2, P, fns)
+    level = np.array([q.level for q in S.cubes])
+    coarser = level[None, :] < level[:, None]  # [i, j]: cube j coarser than cube i
+    masked = np.where(coarser, sums[..., :, None], sums[..., None, :])
+    c = np.concatenate([sums[..., None, :], masked], axis=-2) / atoms.cells
+    # [a, b, 0] are the global images, [a, b, 1 + i] those masked to cube i
+    images = atoms.images(c[0][:, None] * c[1][None, :])
+    scale = norms[0][:, None] * norms[1][None, :]
+    glob = np.empty(scale.shape)
+    for a, b in np.ndindex(scale.shape):
+        g = GridFunction(cfg, images[a, b, 0][atoms.labels])  # raises if not finite
+        glob[a, b] = weak_norm(g, v, P.p) / scale[a, b]
+    # each masked image is at most the global one on Q's cells, so it is finite
+    loc = np.empty(scale.shape + (len(S),))
+    for i, q in enumerate(S.cubes):
+        cells = images[:, :, 1 + i][..., cell_view(atoms.labels, q, cfg)]
+        cells *= cell_view(v.values, q, cfg)
+        denom = weighted_measure(v, q) ** (1.0 / P.p_prime)
+        for a, b in np.ndindex(scale.shape):
+            num = float(cells[a, b].sum()) * cfg.cell_volume  # the oracle's order
+            loc[a, b, i] = num / (scale[a, b] * denom)
+    return glob, loc
 
 
 def global_weak_quantity(

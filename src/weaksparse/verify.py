@@ -14,6 +14,8 @@ the report.  Suites:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import constants as wc
@@ -352,25 +354,20 @@ def check_local_testing_direction(seed):
             wm.indicator(cfg, wd.cube(k, 0)) for k in range(0, cfg.finest_level, 2)
         ]
         fns.append(_random_nonneg(rng, cfg, zeros=0.0))
-        glob = max(
-            wtc.global_weak_quantity(S, w1, w2, P, fa, fb)
-            for fa in fns
-            for fb in fns
-        )
-        loc = max(
-            wtc.local_testing_quantity(S, w1, w2, P, fa, fb, q)
-            for fa in fns
-            for fb in fns
-            for q in S.cubes
-        )
+        glob, loc = wtc.testing_sweep(S, w1, w2, P, fns)
+        glob, loc = float(glob.max()), float(loc.max())
         worst = max(worst, loc / glob)
         if loc > LOCAL_GLOBAL_FACTOR * glob:
             failures += 1
     return {"pass": failures == 0, "failures": failures, "max_local_over_global": worst}
 
 
+@functools.lru_cache(maxsize=1)
 def _delta_family_ratios(seed):
-    """Shared degeneration family for the localized and aggregate ratio suites."""
+    """Shared degeneration family for the localized and aggregate ratio suites.
+
+    Both suites run it with the same seed, so the last result is kept.
+    """
     rng = np.random.default_rng(seed)
     cfg = wd.GridConfig(1, 10)
     P = wm.ExponentTuple(2.0, 3.0)
@@ -391,7 +388,7 @@ def _delta_family_ratios(seed):
         )
         r1, r2 = wtc.sparse_sum_norm_ratios(S, w1, w2, P)
         rows.append((d, apv, local, r1.ratio, r2.ratio))
-    return rows
+    return tuple(rows)
 
 
 def check_localized_testing_family(seed):

@@ -126,13 +126,13 @@ def test_unknown_suite_rejected(capsys):
 
 
 SPARSE_EVAL = (
-    "sparse-eval", "--family", "{tmp}/fam.json", "--f1", "{tmp}/f.json",
+    "sparse-eval", "--family", "{tmp}/doc.json", "--f1", "{tmp}/f.json",
     "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json",
 )
 
 
 @pytest.mark.parametrize(
-    "template, family, message",
+    "template, doc, message",
     [
         (
             ("constants", "--weights", "{tmp}/a.json,{tmp}/b.json", "--p1", "2", "--p2", "3"),
@@ -161,17 +161,25 @@ SPARSE_EVAL = (
             None,
             "--weights expects two comma-separated files",
         ),
+        (
+            (
+                "constants", "--weights", "{tmp}/doc.json,{tmp}/f.json",
+                "--p1", "2", "--p2", "3",
+            ),
+            {"dimension": 1.7, "finest_level": 3.9, "values": [1.0] * 8},
+            "doc.json: field 'dimension' must be an integer",
+        ),
     ],
     ids=[
         "missing_file", "non_object", "no_coords", "fractional_level",
-        "wrong_dimension", "p1_one", "one_weight_file",
+        "wrong_dimension", "p1_one", "one_weight_file", "fractional_grid_header",
     ],
 )
-def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, family, message):
+def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, doc, message):
     cfg = GridConfig(1, 3)
     save_grid_function(Weight(cfg, np.ones(cfg.cell_count)), tmp_path / "f.json")
-    if family is not None:
-        (tmp_path / "fam.json").write_text(json.dumps(family))
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
     code = main([arg.format(tmp=tmp_path) for arg in template])
     captured = capsys.readouterr()
     assert code == 2

@@ -99,10 +99,9 @@ def test_pair_sweep_matches_cellwise_oracle(seed):
     s1, s2 = dual_weight(w1, P.p1), dual_weight(w2, P.p2)
     g1 = [abs(f) * s1 for f in fns]
     g2 = [abs(f) * s2 for f in fns]
-    images = atoms.images(
-        np.array([atoms.coefficients(f) for f in g1]),
-        np.array([atoms.coefficients(f) for f in g2]),
-    )
+    c1 = np.array([atoms.sums(f) for f in g1]) / atoms.cells
+    c2 = np.array([atoms.sums(f) for f in g2]) / atoms.cells
+    images = atoms.images(c1[:, None, :] * c2[None, :, :])
     assert not images[:, :, len(S)].any()  # zero off the union
     for i, a in enumerate(g1):
         for j, b in enumerate(g2):
@@ -119,10 +118,9 @@ def test_pair_sweep_keeps_ties_at_full_mass():
     P = ExponentTuple(3.0, 3.0)
     fns = [constant(cfg, 1.0)]
     atoms = family_atoms(S)
-    images = atoms.images(
-        np.array([atoms.coefficients(fns[0])]), np.array([atoms.coefficients(fns[0])])
-    )
-    assert images[0, 0, 1] == images[0, 0, 2] == 2.0
+    c = atoms.sums(fns[0]) / atoms.cells
+    images = atoms.images(c * c)
+    assert images[1] == images[2] == 2.0
     assert atoms.masses(one)[0] == 0.0
     weak, strong = _pair_sweep(atoms, one, one, P, fns)
     assert weak == global_weak_quantity(S, one, one, P, fns[0], fns[0]) == 2.0

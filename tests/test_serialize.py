@@ -1,7 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_weight
 from weaksparse.dyadic import GridConfig
@@ -21,6 +24,25 @@ from weaksparse.serialize import (
 from weaksparse.sparse import generate_sparse
 
 CFG = GridConfig(1, 5)
+
+
+def _json_dump_bytes(doc):
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    return (buf.getvalue() + "\n").encode("utf-8")
+
+
+def test_saved_bytes_equal_json_dump_output(tmp_path, rng):
+    vals = rng.normal(0, 1, CFG.cell_count)
+    vals[:8] = [5e-324, -2.2250738585072014e-308, 1e-310, -0.0, 0.0, 1e300, -1e308, 0.1]
+    f = GridFunction(CFG, vals)
+    save_grid_function(f, tmp_path / "f.json")
+    doc = {"dimension": 1, "finest_level": 5, "values": f.values.tolist()}
+    assert (tmp_path / "f.json").read_bytes() == _json_dump_bytes(doc)
+    fam = generate_sparse(GridConfig(2, 3), seed=4, budget=0.3)
+    save_sparse_family(fam, tmp_path / "s.json")
+    doc = [{"level": q.level, "coords": list(q.coords)} for q in fam.cubes]
+    assert (tmp_path / "s.json").read_bytes() == _json_dump_bytes(doc)
 
 
 def test_grid_function_roundtrip_bit_exact(tmp_path, rng):
@@ -69,6 +91,90 @@ def test_missing_fields_and_wrong_length(tmp_path):
     path2.write_text('{"dimension": 1, "values": [1.0, 1.0]}')
     with pytest.raises(ValueError, match="finest_level"):
         load_grid_function(path2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", 1.7),
+        ("finest_level", 3.9),
+        ("finest_level", 3.0),
+        ("dimension", True),
+        ("dimension", "1"),
+    ],
+)
+def test_grid_header_fields_must_be_json_integers(tmp_path, field, value):
+    doc = {"dimension": 1, "finest_level": 3, "values": [1.0] * 8, field: value}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    for load in (load_grid_function, load_weight):
+        with pytest.raises(ValueError, match=f"g.json: field '{field}' must be an int"):
+            load(path)
+
+
+@pytest.mark.parametrize(
+    "values", [[True] * 8, ["1.5"] * 8, [None] * 8, [[1.0], [1.0, 2.0]], "abc"]
+)
+def test_grid_values_must_be_numbers(tmp_path, values):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dimension": 1, "finest_level": 3, "values": values}))
+    with pytest.raises(ValueError, match="g.json: field 'values' must be an array"):
+        load_grid_function(path)
+
+
+def test_deeply_nested_document_is_a_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="deep.json: JSON nested too deeply"):
+        load_sparse_family(path, CFG)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+    ),
+    max_leaves=16,
+)
+_GRID_DOC = st.fixed_dictionaries(
+    {
+        "dimension": st.integers(0, 3) | _JSON,
+        "finest_level": st.integers(-1, 4) | _JSON,
+        "values": st.lists(st.floats() | st.integers(), max_size=17) | _JSON,
+    }
+)
+_CUBE = st.fixed_dictionaries(
+    {
+        "level": st.integers(-1, 4) | _JSON,
+        "coords": st.lists(st.integers(-1, 9), max_size=3) | _JSON,
+    }
+)
+_DOC = _JSON | _GRID_DOC | st.lists(_CUBE | _JSON, max_size=5) | st.binary(max_size=24)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_DOC)
+def test_loaders_load_or_raise_value_error(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
+    for load in (load_grid_function, load_weight):
+        try:
+            load(path)
+        except ValueError:
+            pass
+    for cfg in (GridConfig(1, 3), GridConfig(2, 2)):
+        try:
+            load_sparse_family(path, cfg)
+        except ValueError:
+            pass
 
 
 def test_sparse_family_roundtrip(tmp_path):

@@ -20,6 +20,7 @@ from weaksparse.testing_conditions import (
     local_testing_quantity,
     sparse_sum_norm_ratios,
 )
+from weaksparse import testing_conditions as wtc  # a bare testing_sweep is collected
 
 CFG = GridConfig(1, 6)
 P23 = ExponentTuple(2.0, 3.0)
@@ -135,6 +136,85 @@ def test_local_bounded_by_global_times_factor(rng):
         )
         # pinned comparison factor; observed max ratio is ~1.7
         assert loc <= 4.0 * glob
+
+
+# --- batched sweep against the cellwise quantities --------------------------
+
+
+def _cellwise(S, w1, w2, P, fns):
+    glob = [[global_weak_quantity(S, w1, w2, P, a, b) for b in fns] for a in fns]
+    loc = [
+        [[local_testing_quantity(S, w1, w2, P, a, b, q) for q in S.cubes] for b in fns]
+        for a in fns
+    ]
+    return np.array(glob), np.array(loc)
+
+
+def _sweep_functions(rng, cfg):
+    corner = (0,) * cfg.dimension
+    fns = [indicator(cfg, cube(k, *corner)) for k in (0, cfg.finest_level // 2)]
+    return fns + [random_function(rng, cfg), random_function(rng, cfg, signed=False)]
+
+
+def _assert_sweep_is_cellwise(rng, S):
+    cfg = S.config
+    P = random_exponents(rng)
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    fns = _sweep_functions(rng, cfg)
+    glob, loc = wtc.testing_sweep(S, w1, w2, P, fns)
+    want_glob, want_loc = _cellwise(S, w1, w2, P, fns)
+    assert np.array_equal(glob, want_glob)
+    assert loc.shape == (len(fns), len(fns), len(S))
+    assert np.array_equal(loc, want_loc)
+
+
+@pytest.mark.parametrize(
+    "dim, K", [(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 2), (2, 3), (2, 4)]
+)
+def test_sweep_matches_cellwise_bit_for_bit(dim, K):
+    cfg = GridConfig(dim, K)
+    for seed in range(3):
+        rng = np.random.default_rng(100 * K + 10 * dim + seed)
+        budget = float(rng.uniform(0.1, 0.5))
+        S = generate_sparse(cfg, int(rng.integers(0, 2**31)), budget)
+        _assert_sweep_is_cellwise(rng, S if len(S) else tower_family(cfg))
+
+
+@pytest.mark.parametrize("cfg", [GridConfig(1, 6), GridConfig(2, 3)], ids=["1d", "2d"])
+def test_sweep_on_shuffled_unverified_family_with_duplicate(cfg):
+    # witness=None, any cube order, not necessarily sparse, one duplicate
+    from weaksparse.dyadic import all_cubes
+    from weaksparse.sparse import SparseFamily
+
+    rng = np.random.default_rng(cfg.dimension)
+    pool = list(all_cubes(cfg))
+    for _ in range(4):
+        cubes = [pool[i] for i in rng.choice(len(pool), size=9, replace=False)]
+        S = SparseFamily(cfg, tuple(cubes + [cubes[4]]))
+        _assert_sweep_is_cellwise(rng, S)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sweep_raises_like_the_cellwise_quantities():
+    S = tower_family(CFG)
+    one = _ones(CFG)
+    q = S.cubes[2]
+    zero, unit = constant(CFG, 0.0), constant(CFG, 1.0)
+    for call in (
+        lambda: wtc.testing_sweep(S, one, one, P23, [unit, zero]),
+        lambda: global_weak_quantity(S, one, one, P23, unit, zero),
+        lambda: local_testing_quantity(S, one, one, P23, zero, unit, q),
+    ):
+        with pytest.raises(ValueError, match="must not vanish identically"):
+            call()
+    huge = constant(CFG, 1e200)  # finite slots whose image overflows
+    for call in (
+        lambda: wtc.testing_sweep(S, one, one, P23, [unit, huge]),
+        lambda: global_weak_quantity(S, one, one, P23, huge, huge),
+        lambda: local_testing_quantity(S, one, one, P23, huge, huge, q),
+    ):
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            call()
 
 
 # --- localized saturated-slot ratio -------------------------------------------

@@ -1,7 +1,12 @@
 import time
 
+import numpy as np
 import pytest
 
+from weaksparse import dyadic as wd
+from weaksparse import measure as wm
+from weaksparse import testing_conditions as wtc
+from weaksparse import verify as wv
 from weaksparse.verify import SUITES, run_suite, verify_all
 
 
@@ -45,3 +50,59 @@ def test_failures_are_reported_not_thrown(monkeypatch):
     assert report["passed"] is False
     failing = [c for c in report["checks"] if c["name"] == "dyadic_exhaustive"]
     assert "synthetic failure" in failing[0]["error"]
+
+
+def _cellwise_local_testing_direction(seed):
+    """check_local_testing_direction with one cellwise call per pair and cube."""
+    rng = np.random.default_rng(seed)
+    cfg = wd.GridConfig(1, 6)
+    worst = 0.0
+    failures = 0
+    for _ in range(12):
+        P = wv._random_exponents(rng)
+        w1 = wv._random_weight(rng, cfg)
+        w2 = wv._random_weight(rng, cfg)
+        S = wv._random_family(rng, cfg)
+        if len(S) == 0:
+            continue
+        fns = [
+            wm.indicator(cfg, wd.cube(k, 0)) for k in range(0, cfg.finest_level, 2)
+        ]
+        fns.append(wv._random_nonneg(rng, cfg, zeros=0.0))
+        glob = max(
+            wtc.global_weak_quantity(S, w1, w2, P, fa, fb)
+            for fa in fns
+            for fb in fns
+        )
+        loc = max(
+            wtc.local_testing_quantity(S, w1, w2, P, fa, fb, q)
+            for fa in fns
+            for fb in fns
+            for q in S.cubes
+        )
+        worst = max(worst, loc / glob)
+        if loc > wv.LOCAL_GLOBAL_FACTOR * glob:
+            failures += 1
+    return {"pass": failures == 0, "failures": failures, "max_local_over_global": worst}
+
+
+@pytest.mark.parametrize("seed", [wv._DEFAULT_SEED, 1, 7, 12345])
+def test_local_testing_direction_matches_cellwise_check(seed):
+    report = wv._jsonable(wv.check_local_testing_direction(seed))
+    assert report == wv._jsonable(_cellwise_local_testing_direction(seed))
+    assert report["max_local_over_global"] > 0.0
+
+
+def test_delta_family_ratios_run_once_per_seed(monkeypatch):
+    calls = []
+    real = wtc.local_sigma_testing_ratio
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wtc, "local_sigma_testing_ratio", counted)
+    wv._delta_family_ratios.cache_clear()
+    wv.check_localized_testing_family(5)
+    wv.check_sparse_sum_ratio_family(5)
+    assert len(calls) == 8 * 4  # 8 deltas x 4 functions, shared by both checks
