@@ -37,14 +37,15 @@ class ConstantReport:
 def _argmax_over_levels(per_level: list[np.ndarray], config: GridConfig) -> ConstantReport:
     """Max over all cubes, ties broken by enumeration order (level-major)."""
     best = -np.inf
-    best_cube = None
+    at = None
     for k, arr in enumerate(per_level):
         i = int(np.argmax(arr))
         v = float(arr[i])
         if v > best:
             best = v
-            best_cube = cube_from_index(k, i, config.dimension)
-    return ConstantReport(best, best_cube)
+            at = (k, i)
+    witness = None if at is None else cube_from_index(*at, config.dimension)
+    return ConstantReport(best, witness)
 
 
 def ap_constant(w: Weight, p: float) -> ConstantReport:

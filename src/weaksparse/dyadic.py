@@ -103,14 +103,6 @@ def parent(q: DyadicCube) -> DyadicCube:
     return DyadicCube(q.level - 1, tuple(c >> 1 for c in q.coords))
 
 
-def ancestor(q: DyadicCube, level: int) -> DyadicCube:
-    """The unique level-`level` cube containing q; requires level <= q.level."""
-    if not 0 <= level <= q.level:
-        raise ValueError("ancestor level must be in [0, q.level]")
-    shift = q.level - level
-    return DyadicCube(level, tuple(c >> shift for c in q.coords))
-
-
 def children(q: DyadicCube, config: GridConfig) -> list[DyadicCube]:
     """The 2^n next-level cubes inside q, in lexicographic order."""
     if q.level >= config.finest_level:
@@ -126,23 +118,22 @@ def children(q: DyadicCube, config: GridConfig) -> list[DyadicCube]:
 
 
 def relation(q: DyadicCube, r: DyadicCube) -> Relation:
-    """Exact classification; two dyadic cubes are nested or disjoint."""
+    """Exact classification; two dyadic cubes are nested or disjoint.
+
+    They are nested exactly when their coordinates agree at the coarser level.
+    """
     if q.dimension != r.dimension:
         raise ValueError("cubes live on grids of different dimension")
-    if q.level == r.level:
+    d = q.level - r.level
+    if d == 0:
         return Relation.EQUAL if q.coords == r.coords else Relation.DISJOINT
-    if q.level > r.level:
-        if ancestor(q, r.level).coords == r.coords:
+    if d > 0:
+        if tuple(c >> d for c in q.coords) == r.coords:
             return Relation.Q_INSIDE_R
         return Relation.DISJOINT
-    if ancestor(r, q.level).coords == q.coords:
+    if tuple(c >> -d for c in r.coords) == q.coords:
         return Relation.R_INSIDE_Q
     return Relation.DISJOINT
-
-
-def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
-    """outer ⊇ inner (equality counts)."""
-    return relation(inner, outer) in (Relation.EQUAL, Relation.Q_INSIDE_R)
 
 
 def all_cubes(config: GridConfig) -> Iterator[DyadicCube]:

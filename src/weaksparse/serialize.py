@@ -28,10 +28,11 @@ def _fmt_bool(b) -> str:
 
 
 def _read_json(path):
+    """The parsed document and its raw bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return json.loads(raw)
+        return json.loads(raw), raw
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: invalid JSON at byte offset {e.pos}: {e.msg}") from e
     except RecursionError as e:
@@ -50,7 +51,7 @@ def save_grid_function(f: GridFunction, path) -> None:
 
 
 def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
-    doc = _read_json(path)
+    doc, raw = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in ("dimension", "finest_level", "values"):
@@ -64,7 +65,12 @@ def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
         values = np.asarray(doc["values"])  # no dtype: strings and nulls stay visible
     except ValueError:  # ragged nesting
         values = None
-    if values is None or values.dtype.kind not in "iuf":
+    if values is None or values.dtype.kind not in "iuf" or (
+        # numpy promotes [true, 1.5] to floats; scan only if a boolean is there
+        values.ndim == 1
+        and (b"true" in raw or b"false" in raw)
+        and any(type(x) is bool for x in doc["values"])
+    ):
         raise ValueError(f"{path}: field 'values' must be an array of numbers")
     if values.shape != (cfg.cell_count,):
         raise ValueError(
@@ -91,7 +97,7 @@ def save_sparse_family(S: SparseFamily, path) -> None:
 
 
 def load_sparse_family(path, config: GridConfig) -> SparseFamily:
-    doc = _read_json(path)
+    doc, _ = _read_json(path)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of cubes")
     cubes = []

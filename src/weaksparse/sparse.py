@@ -19,6 +19,10 @@ canonical E_Q, and the labels are the atoms on which a sparse image
 sum_Q c_Q 1_Q is constant (one more atom off the union, where it
 vanishes).  FamilyAtoms evaluates many images on these |S| + 1 atoms
 instead of the 2^{nK} cells; sparse_eval stays the cellwise reference.
+family_forest returns these ancestor positions for the stopping-time
+construction.  restrict and sparse_split_eval sort the family cubes
+against a cube qt by shifting coordinates to the coarser level, and the
+split is two sparse_eval calls on the two parts.
 """
 
 from __future__ import annotations
@@ -31,14 +35,12 @@ import numpy as np
 from .dyadic import (
     DyadicCube,
     GridConfig,
-    Relation,
     cell_view,
     check_cube,
     cube_from_index,
     cube_index,
     cube_sums,
     level_averages,
-    relation,
 )
 from .measure import GridFunction
 
@@ -89,24 +91,30 @@ def _paint(cubes, config: GridConfig) -> tuple[np.ndarray, np.ndarray]:
     return labels, up
 
 
-def family_forest(
-    cubes, config: GridConfig
-) -> tuple[list[DyadicCube], dict[DyadicCube, list[DyadicCube]]]:
-    """Maximal cubes and the containment forest of a finite cube set.
+def family_forest(cubes, config: GridConfig) -> tuple[list[DyadicCube], np.ndarray]:
+    """The distinct cubes of a finite set in enumeration order, and their forest.
 
-    children[q] lists the maximal strict subcubes of q within the set, in
-    enumeration order; each cube hangs under its minimal strict ancestor.
+    up[j] is the position in ordered of the minimal strict ancestor of
+    ordered[j] within the set, or len(ordered) for a maximal cube.  Every
+    cube comes after the cubes containing it, so up[j] < j otherwise.
     """
     ordered = sorted(set(cubes), key=_SORT_KEY)
     _, up = _paint(ordered, config)
-    roots: list[DyadicCube] = []
-    children: dict[DyadicCube, list[DyadicCube]] = {q: [] for q in ordered}
-    for q, u in zip(ordered, up.tolist()):
-        if u == len(ordered):
-            roots.append(q)
-        else:
-            children[ordered[u]].append(q)
-    return roots, children
+    return ordered, up
+
+
+def _flat_index(cubes, config: GridConfig) -> np.ndarray:
+    """Index of each cube in the concatenated per-level arrays of cube_sums."""
+    # level k starts after the 1 + r + ... + r^(k-1) cubes of coarser levels
+    r = config.level_cube_count(1)
+    return np.array(
+        [(r**q.level - 1) // (r - 1) + cube_index(q) for q in cubes], dtype=np.intp
+    )
+
+
+def _cube_sums_at(values: np.ndarray, cubes, config: GridConfig) -> np.ndarray:
+    """Sums of a cell array over the given cubes, gathered from cube_sums."""
+    return np.concatenate(cube_sums(values, config))[_flat_index(cubes, config)]
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -258,13 +266,28 @@ def family_atoms(S: SparseFamily) -> FamilyAtoms:
     cfg = S.config
     labels, _ = _paint(S.cubes, cfg)
     members = tuple(_sorted_distinct(cell_view(labels, q, cfg)) for q in S.cubes)
-    # level k starts after the 1 + r + ... + r^(k-1) cubes of coarser levels
-    r = cfg.level_cube_count(1)
-    flat_index = np.array(
-        [(r**q.level - 1) // (r - 1) + cube_index(q) for q in S.cubes], dtype=np.intp
-    )
     cells = np.array([cfg.cells_per_cube(q.level) for q in S.cubes], dtype=np.float64)
-    return FamilyAtoms(cfg, labels, members, flat_index, cells)
+    return FamilyAtoms(cfg, labels, members, _flat_index(S.cubes, cfg), cells)
+
+
+def _nested_with(cubes, qt: DyadicCube) -> tuple[list[DyadicCube], list[DyadicCube]]:
+    """The cubes containing qt (equality included), and those strictly inside.
+
+    Two dyadic cubes are nested exactly when their coordinates agree at the
+    coarser of their levels.
+    """
+    above: list[DyadicCube] = []
+    inside: list[DyadicCube] = []
+    for q in cubes:
+        if q.dimension != qt.dimension:
+            raise ValueError("cubes live on grids of different dimension")
+        d = q.level - qt.level
+        if d <= 0:
+            if tuple(c >> -d for c in qt.coords) == q.coords:
+                above.append(q)
+        elif tuple(c >> d for c in q.coords) == qt.coords:
+            inside.append(q)
+    return above, inside
 
 
 def sparse_split_eval(
@@ -276,7 +299,7 @@ def sparse_split_eval(
     here, where the masked and plain averages of f1 agree) with the first
     slot masked to qt, A2 the cubes strictly inside qt.  Cubes disjoint
     from qt carry a zero f2-average, so A1 + A2 equals the full evaluation
-    of (f1 restricted to qt, f2).
+    of (f1 restricted to qt, f2).  Each part is sparse_eval on its cubes.
     """
     cfg = S.config
     if f1.config != cfg or f2.config != cfg:
@@ -287,29 +310,14 @@ def sparse_split_eval(
     if np.any(f2.values[outside] != 0.0):
         raise ValueError("localization hypothesis violated: supp f2 not inside qt")
     f1m = f1.restricted(qt)
-    a1 = level_averages(f1m.values, cfg)
-    a2 = level_averages(f2.values, cfg)
-    big = np.zeros(cfg.cell_count)
-    small = np.zeros(cfg.cell_count)
-    for q in S.cubes:
-        rel = relation(qt, q)
-        if rel in (Relation.EQUAL, Relation.Q_INSIDE_R):
-            target = big  # qt inside q (or equal): masked-average branch
-        elif rel is Relation.R_INSIDE_Q:
-            target = small  # q strictly inside qt
-        else:
-            continue
-        i = cube_index(q)
-        cell_view(target, q, cfg)[...] += a1[q.level][i] * a2[q.level][i]
-    return GridFunction(cfg, big), GridFunction(cfg, small)
+    return tuple(
+        sparse_eval(SparseFamily(cfg, tuple(part)), f1m, f2)
+        for part in _nested_with(S.cubes, qt)
+    )
 
 
 def restrict(S: SparseFamily, qt: DyadicCube) -> SparseFamily:
     """Keep the cubes contained in qt; subfamilies stay canonically sparse."""
     check_cube(qt, S.config)
-    kept = [
-        q
-        for q in S.cubes
-        if relation(q, qt) in (Relation.EQUAL, Relation.Q_INSIDE_R)
-    ]
-    return family_from_cubes(S.config, kept)
+    above, inside = _nested_with(S.cubes, qt)
+    return family_from_cubes(S.config, inside + [q for q in above if q == qt])

@@ -7,6 +7,15 @@ whose w-average of f strictly more than doubles the average on F.  On a
 finite grid the recursion terminates because averages strictly increase
 along chains and levels strictly increase with each generation.
 
+The recursion is one pass over the distinct family cubes in enumeration
+order, where every cube comes after the cubes containing it.  Each cube's
+minimal strict ancestor in the family comes from sparse.family_forest;
+the cube is selected when it is maximal or when its average strictly
+more than doubles that of its ancestor's stopping parent, and otherwise
+inherits that stopping parent.  So no family cube is walked through
+parent or relation; only stopping_parent of a cube outside the family
+climbs with parent to the nearest family cube.
+
 The strict doubling threshold 2 is hard-coded.  Two consequences are
 checked downstream: each generation loses at least half the w-mass of
 its parent, and summing (average)^p w(F) over the family is controlled
@@ -16,27 +25,24 @@ Doob maximal bound, giving the pinned test constant 2 (p')^p.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (
-    DyadicCube,
-    GridConfig,
-    Relation,
-    cube_index,
-    cube_sums,
-    parent,
-    relation,
-)
+from .dyadic import DyadicCube, GridConfig, parent
 from .measure import GridFunction, Weight, lp_norm
-from .sparse import SparseFamily, family_forest
+from .sparse import SparseFamily, _cube_sums_at, family_forest
 
 
 @dataclass
 class StoppingFamily:
-    """Selected cubes with generations, stopping children, and cached averages."""
+    """Selected cubes with generations, stopping children, and cached averages.
+
+    generation and children are keyed by the members (the selected cubes);
+    children[F] lists the next generation inside F in enumeration order.
+    wavg and top are keyed by every family cube q: the w-average of f on q
+    and q's stopping parent, the minimal member containing q.
+    """
 
     config: GridConfig
     members: frozenset[DyadicCube]
@@ -44,19 +50,13 @@ class StoppingFamily:
     children: dict[DyadicCube, tuple[DyadicCube, ...]]
     maximal: tuple[DyadicCube, ...]
     wavg: dict[DyadicCube, float] = field(repr=False)
-    source: tuple = field(repr=False, default=())
+    top: dict[DyadicCube, DyadicCube] = field(repr=False)
 
 
-def _weighted_averages(
-    cubes, config: GridConfig, f: GridFunction, w: Weight
-) -> dict[DyadicCube, float]:
-    num = cube_sums((f * w).values, config)
-    den = cube_sums(w.values, config)
-    out = {}
-    for q in cubes:
-        i = cube_index(q)
-        out[q] = float(num[q.level][i] / den[q.level][i])
-    return out
+def _averages(cubes, f: GridFunction, w: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """w-averages of f on the cubes, and their w-sums."""
+    den = _cube_sums_at(w.values, cubes, w.config)
+    return _cube_sums_at((f * w).values, cubes, w.config) / den, den
 
 
 def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamily:
@@ -67,38 +67,32 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
         raise ValueError("grid mismatch")
     if float(f.values.min()) < 0.0:
         raise ValueError("stopping construction requires nonnegative f")
-    wavg = _weighted_averages(S.cubes, S.config, f, w)
-    roots, forest = family_forest(S.cubes, S.config)
+    ordered, up = family_forest(S.cubes, S.config)
+    avg = _averages(ordered, f, w)[0].tolist()
+    n = len(ordered)
+    top = list(range(n))
     generation: dict[DyadicCube, int] = {}
-    children: dict[DyadicCube, tuple[DyadicCube, ...]] = {}
-    queue: deque[DyadicCube] = deque()
-    for r in roots:
-        generation[r] = 0
-        queue.append(r)
-    while queue:
-        F = queue.popleft()
-        threshold = 2.0 * wavg[F]
-        selected: list[DyadicCube] = []
-        stack = list(forest[F])
-        while stack:
-            q = stack.pop()
-            if wavg[q] > threshold:
-                selected.append(q)  # maximal: no family cube strictly between
-            else:
-                stack.extend(forest[q])
-        selected.sort(key=lambda q: (q.level, q.coords))
-        children[F] = tuple(selected)
-        for c in selected:
-            generation[c] = generation[F] + 1
-            queue.append(c)
+    children: dict[DyadicCube, list[DyadicCube]] = {}
+    for j, u in enumerate(up.tolist()):  # u < j, so top[u] is already final
+        q = ordered[j]
+        if u == n:
+            generation[q] = 0
+        elif avg[j] > 2.0 * avg[top[u]]:
+            F = ordered[top[u]]
+            generation[q] = generation[F] + 1
+            children[F].append(q)
+        else:
+            top[j] = top[u]
+            continue
+        children[q] = []
     return StoppingFamily(
         config=S.config,
         members=frozenset(generation),
         generation=generation,
-        children=children,
-        maximal=tuple(roots),
-        wavg=wavg,
-        source=(f, w, S),
+        children={F: tuple(kids) for F, kids in children.items()},
+        maximal=tuple(q for q, g in generation.items() if g == 0),
+        wavg=dict(zip(ordered, avg)),
+        top={q: ordered[t] for q, t in zip(ordered, top)},
     )
 
 
@@ -106,8 +100,8 @@ def stopping_parent(F: StoppingFamily, q: DyadicCube) -> DyadicCube:
     """Minimal family member containing q (q itself when q is a member)."""
     a = q
     while True:
-        if a in F.members:
-            return a
+        if a in F.top:
+            return F.top[a]
         if a.level == 0:
             break
         a = parent(a)
@@ -135,20 +129,16 @@ def carleson_checks(
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
     cfg = F.config
-    wsums = cube_sums(w.values, cfg)
-
-    def wmass(q: DyadicCube) -> float:
-        return float(wsums[q.level][cube_index(q)]) * cfg.cell_volume
-
     members = sorted(F.members, key=lambda q: (q.level, q.coords))
+    avg, wsums = _averages(members, f, w)
+    mass = dict(zip(members, (wsums * cfg.cell_volume).tolist()))
     child_mass_ok = True
     for member in members:
         kids = F.children.get(member, ())
-        if kids and sum(wmass(c) for c in kids) > wmass(member) / 2.0:
+        if kids and sum(mass[c] for c in kids) > mass[member] / 2.0:
             child_mass_ok = False
             break
-    wavg = _weighted_averages(members, cfg, f, w)
-    sum_value = sum(wavg[m] ** p * wmass(m) for m in members)
+    sum_value = sum(a**p * m for a, m in zip(avg.tolist(), mass.values()))
     pc = p / (p - 1.0)
     bound_value = 2.0 * pc**p * lp_norm(f, w, p) ** p
     return CarlesonReport(
@@ -170,37 +160,33 @@ def bilinear_form_decompose(
     of f2, the v-average of h, and lambda_Q = <sigma1>_Q <sigma2>_Q v(Q).
     Each term is routed by the pair of stopping parents (F2, H): terms with
     H inside F2 (equality included) land in I1, the rest in I2, so the two
-    parts partition the sum exactly.
+    parts partition the sum exactly.  Both parents contain the term's cube,
+    so they are nested, and H lies inside F2 exactly when it is not coarser.
     """
     cfg = Sprime.config
     for g in (f2, h, sigma2, v, sigma1):
         if g.config != cfg:
             raise ValueError("grid mismatch")
-    roots, _ = family_forest(Sprime.cubes, Sprime.config)
-    if len(roots) != 1:
+    _, up = family_forest(Sprime.cubes, Sprime.config)
+    if np.count_nonzero(up == len(up)) != 1:
         raise ValueError("family must have a single maximal cube")
     if float(f2.values.min()) < 0.0 or float(h.values.min()) < 0.0:
         raise ValueError("decomposition requires nonnegative f2 and h")
     fam2 = build_stopping(Sprime, f2, sigma2)
     famh = build_stopping(Sprime, h, v)
-    s1sums = cube_sums(sigma1.values, cfg)
-    s2sums = cube_sums(sigma2.values, cfg)
-    vsums = cube_sums(v.values, cfg)
+    count = np.array([cfg.cells_per_cube(q.level) for q in Sprime.cubes])
+    lam = (
+        (_cube_sums_at(sigma1.values, Sprime.cubes, cfg) / count)
+        * (_cube_sums_at(sigma2.values, Sprime.cubes, cfg) / count)
+        * (_cube_sums_at(v.values, Sprime.cubes, cfg) * cfg.cell_volume)
+    )
     i1 = 0.0
     i2 = 0.0
     total = 0.0
-    for q in Sprime.cubes:
-        k, i = q.level, cube_index(q)
-        count = cfg.cells_per_cube(k)
-        lam = (
-            (s1sums[k][i] / count)
-            * (s2sums[k][i] / count)
-            * (vsums[k][i] * cfg.cell_volume)
-        )
-        term = fam2.wavg[q] * famh.wavg[q] * lam
+    for q, lam_q in zip(Sprime.cubes, lam.tolist()):
+        term = fam2.wavg[q] * famh.wavg[q] * lam_q
         total += term
-        rel = relation(stopping_parent(famh, q), stopping_parent(fam2, q))
-        if rel in (Relation.EQUAL, Relation.Q_INSIDE_R):
+        if famh.top[q].level >= fam2.top[q].level:
             i1 += term
         else:
             i2 += term

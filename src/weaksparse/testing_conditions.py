@@ -259,24 +259,20 @@ def sparse_sum_norm_ratios(
     av = level_averages(v.values, cfg)
     apv = apvec_constant(w1, w2, P).value
 
-    sum1 = np.zeros(cfg.cell_count)
-    sum2 = np.zeros(cfg.cell_count)
     carleson1 = 0.0
     carleson2 = 0.0
     for q in S.cubes:
         k, i = q.level, cube_index(q)
         vol = q.volume
-        cell_view(sum1, q, cfg)[...] += a1[k][i] * a2[k][i]
-        cell_view(sum2, q, cfg)[...] += a1[k][i] * av[k][i]
         carleson1 += a1[k][i] ** (P.p / P.p1) * a2[k][i] ** (P.p / P.p2) * vol
         carleson2 += (
             a1[k][i] ** (P.p2_prime / P.p1)
             * av[k][i] ** (P.p2_prime / P.p_prime)
             * vol
         )
-    lhs1 = lp_norm(GridFunction(cfg, sum1), v, P.p)
+    lhs1 = lp_norm(sparse_eval(S, s1, s2), v, P.p)
     rhs1 = apv ** (1.0 / P.p) * carleson1 ** (1.0 / P.p)
-    lhs2 = lp_norm(GridFunction(cfg, sum2), s2, P.p2_prime)
+    lhs2 = lp_norm(sparse_eval(S, s1, v), s2, P.p2_prime)
     rhs2 = apv ** (1.0 / P.p) * carleson2 ** (1.0 / P.p2_prime)
     ctx = f"S={len(S)} cubes, P=({P.p1:g},{P.p2:g})"
     return _make_report(lhs1, rhs1, ctx), _make_report(lhs2, rhs2, ctx)

@@ -366,7 +366,8 @@ def check_local_testing_direction(seed):
 def _delta_family_ratios(seed):
     """Shared degeneration family for the localized and aggregate ratio suites.
 
-    Both suites run it with the same seed, so the last result is kept.
+    Both suites run it with the same seed, so the last result is kept until
+    run_suite returns.
     """
     rng = np.random.default_rng(seed)
     cfg = wd.GridConfig(1, 10)
@@ -572,6 +573,7 @@ def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
             result = {"pass": False, "error": f"{type(e).__name__}: {e}"}
         result["pass"] = bool(result["pass"])
         checks.append({"name": name, **result})
+    _delta_family_ratios.cache_clear()  # shared by the checks of one run only
     return {
         "suite": suite,
         "seed": seed,

@@ -78,6 +78,15 @@ def test_ap_constant_two_cell_example():
     assert rep.argmax_cube == cube(0, 0)
 
 
+@pytest.mark.parametrize("cfg", [GridConfig(1, 4), GridConfig(2, 3)], ids=["1d", "2d"])
+def test_argmax_ties_go_to_the_first_cube_in_enumeration_order(cfg):
+    # every cube gives exactly 1.0, so the strict tie rule keeps the root
+    w = Weight(cfg, np.ones(cfg.cell_count))
+    rep = ap_constant(w, 2.0)
+    assert rep.value == 1.0
+    assert rep.argmax_cube == cube(0, *(0,) * cfg.dimension)
+
+
 def test_ap_constant_trivial_for_constants():
     cfg = GridConfig(1, 4)
     w = Weight(cfg, np.full(cfg.cell_count, 2.7))

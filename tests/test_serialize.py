@@ -113,7 +113,16 @@ def test_grid_header_fields_must_be_json_integers(tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "values", [[True] * 8, ["1.5"] * 8, [None] * 8, [[1.0], [1.0, 2.0]], "abc"]
+    "values",
+    [
+        [True] * 8,
+        ["1.5"] * 8,
+        [None] * 8,
+        [[1.0], [1.0, 2.0]],
+        "abc",
+        [True] + [1.5] * 7,  # numpy would promote these booleans to floats
+        [1] * 7 + [False],
+    ],
 )
 def test_grid_values_must_be_numbers(tmp_path, values):
     path = tmp_path / "g.json"

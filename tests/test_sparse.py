@@ -227,7 +227,11 @@ def _check_against_oracles(cubes, config):
             assert np.array_equal(payload[q], cells)
     else:
         assert payload == want
-    assert family_forest(cubes, config) == _forest_oracle(cubes)
+    ordered, up = family_forest(cubes, config)
+    roots, children = [], {q: [] for q in ordered}
+    for q, u in zip(ordered, up.tolist()):
+        (roots if u == len(ordered) else children[ordered[u]]).append(q)
+    assert (roots, children) == _forest_oracle(cubes)
     atoms = family_atoms(SparseFamily(config, tuple(cubes)))
     labels = _atom_labels_oracle(cubes, config)
     assert np.array_equal(atoms.labels, labels)

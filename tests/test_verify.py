@@ -106,3 +106,19 @@ def test_delta_family_ratios_run_once_per_seed(monkeypatch):
     wv.check_localized_testing_family(5)
     wv.check_sparse_sum_ratio_family(5)
     assert len(calls) == 8 * 4  # 8 deltas x 4 functions, shared by both checks
+
+
+def test_delta_family_is_computed_once_per_run(monkeypatch):
+    calls = []
+    real = wtc.sparse_sum_norm_ratios
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wtc, "sparse_sum_norm_ratios", counted)
+    wv._delta_family_ratios.cache_clear()  # other tests call the checks directly
+    first = run_suite("lemmas", 5)
+    assert len(calls) == 8  # one delta family, shared by the two ratio checks
+    assert run_suite("lemmas", 5) == first
+    assert len(calls) == 16  # the same seed again is computed again
