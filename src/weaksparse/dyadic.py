@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -198,20 +199,31 @@ def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray
     return flat.reshape(side, side)[a * m : (a + 1) * m, b * m : (b + 1) * m]
 
 
+# Even and odd cells of the last axis, built once: building the index per
+# call costs more than the add itself on the small levels of a pyramid.
+_EVEN, _ODD = (..., slice(0, None, 2)), (..., slice(1, None, 2))
+
+
 def _halve(arr: np.ndarray, dimension: int) -> np.ndarray:
-    """Sum 2 (1D) or 2x2 (2D) sibling blocks; input flat at some level."""
+    """Sum 2 (1D) or 2x2 (2D) sibling blocks of the last axis, flat at some level.
+
+    Leading axes are independent rows, each pooled bit for bit as on its own.
+    """
     if dimension == 1:
-        return arr[0::2] + arr[1::2]  # bit-identical to a size-2 axis sum, much faster
-    side = int(round(np.sqrt(arr.size)))
-    half = side // 2
-    return arr.reshape(half, 2, half, 2).sum(axis=(1, 3)).ravel()
+        return arr[_EVEN] + arr[_ODD]  # bit-identical to a size-2 axis sum, faster
+    half = math.isqrt(arr.shape[-1]) // 2
+    lead = arr.shape[:-1]
+    blocks = arr.reshape(lead + (half, 2, half, 2))
+    return blocks.sum(axis=(-3, -1)).reshape(lead + (-1,))
 
 
 def cube_sums(values: np.ndarray, config: GridConfig) -> list[np.ndarray]:
     """Per-level cube sums of a cell array, the workhorse of every cube sweep.
 
-    Returns a list s with s[k][cube_index] = sum of `values` over the cells
-    of the level-k cube; computed by repeated sibling pooling in O(N log N).
+    Returns a list s with s[k][..., cube_index] = sum of `values` over the
+    cells of the level-k cube; computed by repeated sibling pooling in
+    O(N log N).  The cells are the last axis; leading axes are independent
+    arrays, each summed bit for bit as on its own.
     """
     cur = np.asarray(values, dtype=np.float64)
     table = [cur]

@@ -16,6 +16,14 @@ once on those |S| + 1 atoms, with exact atom masses, instead of on the
 for bit; testing_conditions.global_weak_quantity and
 global_strong_quantity, maximized over pairs, are the cellwise oracle.
 
+The test functions do not change with the weights, so |f|^{p_k} is
+computed once per experiment: one cell array per test function and
+distinct exponent (testing_conditions._slot_powers), the memory that
+grows with the test set.  Each family point then walks the functions in
+row chunks of 2^15 cells, forming the slot norms and the products |f| s_k
+chunk by chunk and gathering the family-cube sums level by level, with
+the per-function values bit for bit.
+
 Slopes use a plain least-squares fit over all points, no point dropping.
 """
 
@@ -30,7 +38,7 @@ from .exponents import alpha
 from .families import WeightFamilySpec, build_family
 from .measure import ExponentTuple, GridFunction, Weight, atom_norms, indicator
 from .sparse import FamilyAtoms, SparseFamily, family_atoms
-from .testing_conditions import _slot_sums
+from .testing_conditions import _slot_powers, _slot_sums
 
 
 @dataclass(frozen=True)
@@ -76,17 +84,22 @@ def _pair_sweep(
     w1: Weight,
     w2: Weight,
     P: ExponentTuple,
-    fns: list[GridFunction],
+    values: list[np.ndarray],
+    powers: tuple[list[np.ndarray], list[np.ndarray]],
 ) -> tuple[float, float]:
     """Max weak and strong normalized quantities over all test-function pairs.
 
-    Gathers each slot's cube sums once per test function, forms every
-    pair image on the family atoms, and takes both norms there with the
-    atom masses of the joint weight.  Equal, up to the order of the mass
-    sums, to maximizing global_weak_quantity and global_strong_quantity,
-    which evaluate one pair on the cells.
+    values and powers are the test set from _slot_powers, built once per
+    experiment; the weights change from call to call.  Gathers each slot's
+    family-cube sums once per test function (in row chunks, _slot_sums),
+    forms every pair image on the family atoms, and takes both norms there
+    with the atom masses of the joint weight.  Equal, up to the order of
+    the mass sums, to maximizing global_weak_quantity and
+    global_strong_quantity, which evaluate one pair on the cells.  Holds
+    one chunk of cell values besides powers, and len(values)^2 (len(S) + 1)
+    atom values per image array.
     """
-    v, norms, sums = _slot_sums(atoms, w1, w2, P, fns)
+    v, norms, sums = _slot_sums(atoms, w1, w2, P, values, powers)
     c1, c2 = sums / atoms.cells
     g = atoms.images(c1[:, None, :] * c2[None, :, :])
     if not np.isfinite(g).all():
@@ -114,13 +127,15 @@ def slope_experiment(
     for prev, nxt in zip(constants, constants[1:]):
         if not nxt > prev:
             raise ValueError("family constants not strictly increasing")
-    fns = test_functions or default_test_functions(config, test_seed)
+    if test_functions is None:
+        test_functions = default_test_functions(config, test_seed)
+    values, powers = _slot_powers(test_functions, config, P)
     report = alpha(P)
     atoms = family_atoms(S)
 
     rows = []
     for d, w1, w2, apv in family:
-        weak, strong = _pair_sweep(atoms, w1, w2, P, fns)
+        weak, strong = _pair_sweep(atoms, w1, w2, P, values, powers)
         rows.append(
             ExperimentRow(
                 delta=d,

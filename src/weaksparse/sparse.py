@@ -236,12 +236,33 @@ class FamilyAtoms:
     flat_index: np.ndarray
     cells: np.ndarray
 
-    def sums(self, f: GridFunction) -> np.ndarray:
+    def sums(self, f: GridFunction | np.ndarray) -> np.ndarray:
         """Sums of f over the family cubes, in S.cubes order.
 
+        f is a GridFunction or an array of cell values whose last axis is
+        the cells; leading axes are independent rows, as in images.  The
+        sums are gathered from cube_sums one level at a time, so its coarser
+        levels (at most the input's size again) are the only temporary.
         Divided by cells they are the level_averages values, bit for bit.
         """
-        return np.concatenate(cube_sums(f.values, self.config))[self.flat_index]
+        values = f.values if isinstance(f, GridFunction) else f
+        table = cube_sums(values, self.config)
+        out = np.empty(values.shape[:-1] + self.flat_index.shape)
+        for k, at, index in self._levels:
+            out[..., at] = table[k][..., index]
+        return out
+
+    @cached_property
+    def _levels(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(k, positions, cube indices) of the family cubes at each level k."""
+        r = self.config.level_cube_count(1)
+        starts = (r ** np.arange(self.config.finest_level + 2) - 1) // (r - 1)
+        level = np.searchsorted(starts, self.flat_index, side="right") - 1
+        out = []
+        for k in _sorted_distinct(level):
+            at = np.flatnonzero(level == k)
+            out.append((int(k), at, self.flat_index[at] - starts[k]))
+        return out
 
     def masses(self, w: GridFunction) -> np.ndarray:
         """w-measure of every atom."""

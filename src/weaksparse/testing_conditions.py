@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ainfty_constant, apvec_constant
-from .dyadic import DyadicCube, cell_view, check_cube, cube_index, level_averages
+from .dyadic import (
+    DyadicCube,
+    GridConfig,
+    cell_view,
+    check_cube,
+    cube_index,
+    level_averages,
+)
 from .measure import (
     ExponentTuple,
     GridFunction,
@@ -77,25 +84,81 @@ def _global_image(
     return sparse_eval(S, abs(f1) * s1, abs(f2) * s2), v, n1 * n2
 
 
+#: Cells per chunk of test-function rows in _slot_sums (at least one row).
+#: 2^15 cells (256 KB) ran the K = 14 slope experiment 1.15x faster than
+#: 2^14.  Larger chunks ran faster still, but once a block over 512 KB is
+#: freed glibc raises its mmap threshold for the rest of the process, and
+#: numpy code there that allocates 512 KB temporaries then ran 25 % faster
+#: than after an experiment that freed no such block.
+_CHUNK_CELLS = 1 << 15
+
+
+def _slot_powers(fns: list[GridFunction], config: GridConfig, P: ExponentTuple):
+    """Cell values of a test set and |f|^{p_k} of each function, for _slot_sums.
+
+    Returns (values, powers): values[a] is fns[a].values (not copied) and
+    powers[k][a] = |fns[a]|^{p_k} for the slots k = 0, 1, one cell array per
+    function and distinct exponent (the same list when p1 == p2), each
+    allocated on its own for the reason given at _CHUNK_CELLS.  None of it
+    depends on the weights, so a slope experiment builds it once for all
+    of its weight pairs.  Raises for an empty test set and for a function
+    on another grid than config.
+    """
+    if not fns:
+        raise ValueError("test set must be nonempty")
+    if any(f.config != config for f in fns):
+        raise ValueError("grid mismatch")
+    values = [f.values for f in fns]
+
+    def powers(p: float) -> list[np.ndarray]:
+        return [np.power(a, p, out=a) for a in map(np.abs, values)]  # lp_norm's |f|^p
+
+    first = powers(P.p1)
+    return values, (first, first if P.p2 == P.p1 else powers(P.p2))
+
+
 def _slot_sums(
     atoms: FamilyAtoms,
     w1: Weight,
     w2: Weight,
     P: ExponentTuple,
-    fns: list[GridFunction],
+    values: list[np.ndarray],
+    powers: tuple[list[np.ndarray], list[np.ndarray]],
 ):
     """Joint weight v, slot norms and family-cube sums of every test function.
 
-    norms[k, a] is the L^{p_k}(s_k) norm of fns[a] and sums[k, a] the sums
-    of |fns[a]| s_k over the family cubes, for the slots k = 0, 1 with the
-    dual weights s_k; raises if a test function vanishes identically.
+    values and powers come from _slot_powers.  norms[k, a] is the
+    L^{p_k}(s_k) norm of test function a and sums[k, a] the sums of
+    |f_a| s_k over the family cubes, for the slots k = 0, 1 with the dual
+    weights s_k.  The rows go in chunks of _CHUNK_CELLS cells (one row when
+    a row is wider).  Each row of a chunk holds |f|^p s, summed as lp_norm
+    sums it, and then |f| s; the chunk's products are summed over the
+    family cubes by FamilyAtoms.sums.  Both equal the per-function values
+    bit for bit.  Besides powers, this holds one chunk, its cube-sum
+    pyramid and the three weights.  Raises if a test function vanishes
+    identically, then if a slot product is not finite (as GridFunction
+    would).
     """
     s1, s2, v = _dual_data(w1, w2, P)
-    slots = ((s1, P.p1), (s2, P.p2))
-    norms = np.array([[lp_norm(f, s, p) for f in fns] for s, p in slots])
+    count, cells = len(values), s1.config.cell_count
+    rows = max(1, _CHUNK_CELLS // cells)
+    chunk = np.empty((min(rows, count), cells))
+    norms = np.empty((2, count))
+    sums = np.empty((2, count, len(atoms.cells)))
+    finite = True
+    for k, (s, p) in enumerate(((s1, P.p1), (s2, P.p2))):
+        for lo in range(0, count, rows):
+            part = chunk[: min(rows, count - lo)]
+            for a, row in enumerate(part, lo):
+                np.multiply(powers[k][a], s.values, out=row)
+                norms[k, a] = (float(row.sum()) * s.config.cell_volume) ** (1.0 / p)
+                np.multiply(np.abs(values[a], out=row), s.values, out=row)
+            finite = finite and bool(np.isfinite(part).all())
+            sums[k, lo : lo + rows] = atoms.sums(part)
     if not norms.all():
         raise ValueError("test functions must not vanish identically")
-    sums = np.array([[atoms.sums(abs(f) * s) for f in fns] for s, _ in slots])
+    if not finite:
+        raise ValueError("cell values must be finite")
     return v, norms, sums
 
 
@@ -117,11 +180,12 @@ def testing_sweep(
     too, but it only reaches atoms outside Q, which are never read.
 
     Raises the cellwise functions' errors for a vanishing test function and
-    a non-finite image.  Holds len(fns)^2 (len(S) + 1)^2 atom values.
+    a non-finite image.  Holds len(fns)^2 (len(S) + 1)^2 atom values, and
+    |f|^{p_k} of every test function on the cells (_slot_powers).
     """
     cfg = S.config
     atoms = family_atoms(S)
-    v, norms, sums = _slot_sums(atoms, w1, w2, P, fns)
+    v, norms, sums = _slot_sums(atoms, w1, w2, P, *_slot_powers(fns, w1.config, P))
     level = np.array([q.level for q in S.cubes])
     coarser = level[None, :] < level[:, None]  # [i, j]: cube j coarser than cube i
     masked = np.where(coarser, sums[..., :, None], sums[..., None, :])

@@ -146,6 +146,33 @@ def test_cube_sums_1d_bit_identical_to_pair_reduction(rng):
         assert np.array_equal(level_sums, ref)
 
 
+@pytest.mark.parametrize(
+    "dim, K", [(1, K) for K in range(1, 11)] + [(2, K) for K in range(1, 8)]
+)
+def test_batched_cube_sums_equal_per_row_cube_sums(dim, K):
+    cfg = GridConfig(dim, K)
+    rng = np.random.default_rng(10 * K + dim)
+    values = rng.normal(0.0, 1.0, (2, 3, cfg.cell_count)) * np.exp(
+        rng.uniform(-300.0, 300.0, (2, 3, cfg.cell_count))
+    )
+    batched = cube_sums(values, cfg)
+    assert [s.shape for s in batched] == [
+        (2, 3, cfg.level_cube_count(k)) for k in range(K + 1)
+    ]
+    for i, j in np.ndindex(2, 3):
+        for got, want in zip(batched, cube_sums(values[i, j], cfg)):
+            assert np.array_equal(got[i, j], want)
+        # reference: the one-array pooling that cube_sums did before
+        ref = values[i, j]
+        for level_sums in reversed(batched[:-1]):
+            if dim == 1:
+                ref = ref[0::2] + ref[1::2]
+            else:
+                half = int(round(np.sqrt(ref.size))) // 2
+                ref = ref.reshape(half, 2, half, 2).sum(axis=(1, 3)).ravel()
+            assert np.array_equal(level_sums[i, j], ref)
+
+
 def test_level_averages_and_expand_are_inverse(rng):
     cfg = GridConfig(2, 3)
     values = rng.uniform(0.0, 5.0, cfg.cell_count)

@@ -25,6 +25,7 @@ from weaksparse.sparse import (
     tower_family,
 )
 from weaksparse.testing_conditions import (
+    _slot_powers,
     global_strong_quantity,
     global_weak_quantity,
 )
@@ -87,7 +88,7 @@ def test_pair_sweep_matches_cellwise_oracle(seed):
     fns = _oracle_functions(rng, cfg)
     atoms = family_atoms(S)
 
-    weak, strong = _pair_sweep(atoms, w1, w2, P, fns)
+    weak, strong = _pair_sweep(atoms, w1, w2, P, *_slot_powers(fns, cfg, P))
     pairs = [(a, b) for a in fns for b in fns]
     assert weak == pytest.approx(
         max(global_weak_quantity(S, w1, w2, P, a, b) for a, b in pairs), rel=1e-12
@@ -122,7 +123,7 @@ def test_pair_sweep_keeps_ties_at_full_mass():
     images = atoms.images(c * c)
     assert images[1] == images[2] == 2.0
     assert atoms.masses(one)[0] == 0.0
-    weak, strong = _pair_sweep(atoms, one, one, P, fns)
+    weak, strong = _pair_sweep(atoms, one, one, P, *_slot_powers(fns, cfg, P))
     assert weak == global_weak_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
     assert strong == global_strong_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
 
@@ -138,15 +139,18 @@ def test_pair_sweep_raises_like_the_oracle():
     with pytest.raises(ValueError, match="cell values must be finite"):
         global_weak_quantity(S, one, one, P, huge, huge)
     with pytest.raises(ValueError, match="cell values must be finite"):
-        _pair_sweep(atoms, one, one, P, [huge])
+        _pair_sweep(atoms, one, one, P, *_slot_powers([huge], cfg, P))
     zero = constant(cfg, 0.0)
     with pytest.raises(ValueError, match="must not vanish identically"):
-        _pair_sweep(atoms, one, one, P, [constant(cfg, 1.0), zero])
+        _pair_sweep(
+            atoms, one, one, P, *_slot_powers([constant(cfg, 1.0), zero], cfg, P)
+        )
     tiny = Weight(cfg, np.full(cfg.cell_count, 1e-300))  # dual weight 1e150
     with pytest.raises(ValueError, match="cell values must be finite"):
         global_weak_quantity(S, tiny, one, P, huge, huge)
     with pytest.raises(ValueError, match="cell values must be finite"):
-        _pair_sweep(atoms, tiny, one, P, [huge])  # the slot product overflows
+        # the slot product overflows
+        _pair_sweep(atoms, tiny, one, P, *_slot_powers([huge], cfg, P))
 
 
 def _small_spec(deltas=(0.5, 0.25, 0.125, 0.0625)):

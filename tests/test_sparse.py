@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import random_function
-from weaksparse.dyadic import GridConfig, all_cubes, cells_of, cube, parent
+from weaksparse.dyadic import (
+    GridConfig,
+    all_cubes,
+    cells_of,
+    cube,
+    cube_index,
+    cube_sums,
+    parent,
+)
 from weaksparse.measure import GridFunction, constant, indicator
 from weaksparse.sparse import (
     SparseFamily,
@@ -237,6 +245,15 @@ def _check_against_oracles(cubes, config):
     assert np.array_equal(atoms.labels, labels)
     for q, members in zip(cubes, atoms.members):
         assert np.array_equal(members, np.unique(labels[cells_of(q, config)]))
+    # family-cube sums, gathered per level, of a batch and of each row alone
+    values = np.random.default_rng(len(cubes)).normal(0.0, 1.0, (2, config.cell_count))
+    batched = atoms.sums(values)
+    assert batched.shape == (2, len(cubes))
+    for row, x in zip(batched, values):
+        pyramid = cube_sums(x, config)
+        want = np.array([pyramid[q.level][cube_index(q)] for q in cubes])
+        assert np.array_equal(row, want)
+        assert np.array_equal(atoms.sums(GridFunction(config, x)), want)
     return ok
 
 
