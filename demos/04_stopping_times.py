@@ -28,7 +28,7 @@ from weaksparse.sparse import SparseFamily
 
 # the worked micro example: a spike at the left end
 cfg = GridConfig(1, 2)
-S = SparseFamily(cfg, tuple(sorted(all_cubes(cfg), key=lambda q: (q.level, q.coords))))
+S = SparseFamily(cfg, tuple(all_cubes(cfg)))
 f = GridFunction(cfg, [4.0, 1.0, 1.0, 1.0])
 w = Weight(cfg, np.ones(4))
 fam = build_stopping(S, f, w)

@@ -21,8 +21,10 @@ computed once per experiment: one cell array per test function and
 distinct exponent (testing_conditions._slot_powers), the memory that
 grows with the test set.  Each family point then walks the functions in
 row chunks of 2^15 cells, forming the slot norms and the products |f| s_k
-chunk by chunk and gathering the family-cube sums level by level, with
-the per-function values bit for bit.
+chunk by chunk and gathering the family-cube sums level by level
+(SparseFamily.sums), with the per-function values bit for bit.  A family
+on another grid than the weights raises "grid mismatch" before the first
+sweep, even when the two grids have the same number of cells.
 
 Slopes use a plain least-squares fit over all points, no point dropping.
 """

@@ -8,27 +8,31 @@ necessary, so a rejected family is "not canonically sparse" rather than
 proven non-sparse.  Cell counts are integers, so every witness check is
 exact.
 
-Evaluation sums run in enumeration order (level-major, lexicographic) to
-keep outputs bit-stable across runs.
+A family is a set of cubes held in enumeration order (level-major,
+lexicographic); repeats collapse.  The SparseFamily constructor is the one
+place that sorts cubes, and evaluation sums run in that order to keep
+outputs bit-stable across runs.
 
 One label array answers every "finest family cube above" question.
-Painting cube positions onto the cells coarse to fine labels each cell
-with the finest cube holding it; the label under a cube just before it
-is painted is its minimal strict ancestor.  The cells labelled Q are the
-canonical E_Q, and the labels are the atoms on which a sparse image
-sum_Q c_Q 1_Q is constant (one more atom off the union, where it
-vanishes).  FamilyAtoms evaluates many images on these |S| + 1 atoms
-instead of the 2^{nK} cells; sparse_eval stays the cellwise reference.
-family_forest returns these ancestor positions for the stopping-time
-construction.  restrict and sparse_split_eval sort the family cubes
-against a cube qt by shifting coordinates to the coarser level, and the
-split is two sparse_eval calls on the two parts.
+Painting the cubes in that order, coarse to fine, labels each cell with
+the finest cube holding it; the label under a cube just before it is
+painted is its minimal strict ancestor.  A family paints once and keeps
+the paint.  The cells labelled Q are the canonical E_Q, and the labels
+are the atoms on which a sparse image sum_Q c_Q 1_Q is constant (one
+more atom off the union, where it vanishes).  FamilyAtoms evaluates many
+images on these |S| + 1 atoms instead of the 2^{nK} cells; sparse_eval
+stays the cellwise reference.  family_forest returns the ancestor
+positions for the stopping-time construction, and SparseFamily.sums
+gathers family-cube sums one level at a time.  restrict and
+sparse_split_eval split the family at a cube qt by shifting coordinates
+to the coarser level, and the split is two sparse_eval calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -45,16 +49,28 @@ from .dyadic import (
 from .measure import GridFunction
 
 
-_SORT_KEY = lambda q: (q.level, q.coords)  # noqa: E731  enumeration order
-
-
 @dataclass
 class SparseFamily:
-    """Cube collection with (if verified) a canonical disjoint witness."""
+    """A set of dyadic cubes on one grid, held in enumeration order.
+
+    The constructor checks every cube against the grid, drops repeats and
+    sorts, so listing order never matters.  witness (if verified) maps each
+    cube to the cells of its canonical E_Q; it follows from the cubes, so
+    it is left out of comparison and repr.  The label paint and per-level
+    positions are computed once, on first use.
+    """
 
     config: GridConfig
     cubes: tuple[DyadicCube, ...]
-    witness: dict[DyadicCube, np.ndarray] | None = None
+    witness: dict[DyadicCube, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        # enumeration order: level-major, then lexicographic coordinates
+        self.cubes = tuple(sorted(set(self.cubes), key=lambda q: (q.level, q.coords)))
+        for q in self.cubes:
+            check_cube(q, self.config)
 
     def __len__(self):
         return len(self.cubes)
@@ -69,52 +85,55 @@ class SparseFamily:
     def _cube_set(self) -> frozenset[DyadicCube]:
         return frozenset(self.cubes)
 
+    @cached_property
+    def paint(self) -> tuple[np.ndarray, np.ndarray]:
+        """The label paint (labels, up), read-only.
 
-def _paint(cubes, config: GridConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Paint cube positions onto the cells, coarse to fine.
+        labels[c] is the position of the finest cube holding cell c, or
+        len(self) off the union.  up[j] is the label under cube j's first
+        cell just before j is painted: the position of its minimal strict
+        ancestor in the family, or len(self) for a maximal cube.  Every cube
+        comes after the cubes containing it, so up[j] < j otherwise.
+        """
+        n = len(self.cubes)
+        labels = np.full(self.config.cell_count, n, dtype=np.intp)
+        up = np.empty(n, dtype=np.intp)
+        for j, q in enumerate(self.cubes):  # level-major, so coarse to fine
+            view = cell_view(labels, q, self.config)
+            up[j] = view.flat[0]
+            view[...] = j
+        labels.flags.writeable = up.flags.writeable = False
+        return labels, up
 
-    Returns (labels, up).  labels[c] is the position of the finest cube
-    holding cell c, or len(cubes) off the union; the order is stable
-    within a level, so a later duplicate wins.  up[j] is the label under
-    cube j's first cell just before j is painted: for distinct cubes, the
-    position of j's minimal strict ancestor in the set, or len(cubes).
-    """
-    for q in cubes:
-        check_cube(q, config)
-    n = len(cubes)
-    labels = np.full(config.cell_count, n, dtype=np.intp)
-    up = np.empty(n, dtype=np.intp)
-    for j in sorted(range(n), key=lambda j: cubes[j].level):
-        view = cell_view(labels, cubes[j], config)
-        up[j] = view.flat[0]
-        view[...] = j
-    return labels, up
+    @cached_property
+    def _levels(self) -> list[tuple[int, slice, np.ndarray]]:
+        """(k, positions, cube indices) per level k present; level-major order
+        makes the positions of a level one slice."""
+        out, lo = [], 0
+        for k, group in groupby(self.cubes, key=lambda q: q.level):
+            index = np.array([cube_index(q) for q in group], dtype=np.intp)
+            out.append((k, slice(lo, lo + index.size), index))
+            lo += index.size
+        return out
+
+    def sums(self, f: GridFunction | np.ndarray) -> np.ndarray:
+        """Sums of f over the family cubes, in cubes order.
+
+        f is a GridFunction or an array whose last axis is the cells, with
+        independent rows on the leading axes.  Divided by the cells per
+        cube they are the level_averages values, bit for bit.
+        """
+        values = f.values if isinstance(f, GridFunction) else f
+        table = cube_sums(values, self.config)
+        out = np.empty(values.shape[:-1] + (len(self.cubes),))
+        for k, at, index in self._levels:
+            out[..., at] = table[k][..., index]
+        return out
 
 
-def family_forest(cubes, config: GridConfig) -> tuple[list[DyadicCube], np.ndarray]:
-    """The distinct cubes of a finite set in enumeration order, and their forest.
-
-    up[j] is the position in ordered of the minimal strict ancestor of
-    ordered[j] within the set, or len(ordered) for a maximal cube.  Every
-    cube comes after the cubes containing it, so up[j] < j otherwise.
-    """
-    ordered = sorted(set(cubes), key=_SORT_KEY)
-    _, up = _paint(ordered, config)
-    return ordered, up
-
-
-def _flat_index(cubes, config: GridConfig) -> np.ndarray:
-    """Index of each cube in the concatenated per-level arrays of cube_sums."""
-    # level k starts after the 1 + r + ... + r^(k-1) cubes of coarser levels
-    r = config.level_cube_count(1)
-    return np.array(
-        [(r**q.level - 1) // (r - 1) + cube_index(q) for q in cubes], dtype=np.intp
-    )
-
-
-def _cube_sums_at(values: np.ndarray, cubes, config: GridConfig) -> np.ndarray:
-    """Sums of a cell array over the given cubes, gathered from cube_sums."""
-    return np.concatenate(cube_sums(values, config))[_flat_index(cubes, config)]
+def family_forest(S: SparseFamily) -> np.ndarray:
+    """up of S.paint: the positions of the minimal strict ancestors in S."""
+    return S.paint[1]
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -129,32 +148,38 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def _canonical_witness(S: SparseFamily):
+    """verify_sparse's verdict on S, from S's label paint."""
+    labels = S.paint[0]
+    sizes = np.bincount(labels, minlength=len(S) + 1)[:-1]
+    need = np.array([S.config.cells_per_cube(q.level) for q in S.cubes], dtype=np.int64)
+    bad = np.flatnonzero(2 * sizes < need)
+    if bad.size:
+        return False, S.cubes[bad[0]]
+    cells = np.argsort(labels, kind="stable")
+    return True, dict(zip(S.cubes, np.split(cells, np.cumsum(sizes))))
+
+
 def verify_sparse(cubes, config: GridConfig):
     """Check 1/2-sparsity with the canonical maximal-subcube witness.
 
-    Returns (True, witness) where witness maps each cube to the sorted
-    cell indices of its E_Q, or (False, offending_cube) on the first cube
-    in enumeration order whose canonical witness drops below half
-    measure.  E_Q is the set of cells labelled Q, so the witnesses
-    partition the union and are disjoint by construction.
+    Returns (True, witness) where witness maps each cube, in enumeration
+    order, to the sorted cell indices of its E_Q, or (False, offending_cube)
+    on the first cube in enumeration order whose canonical witness drops
+    below half measure.  E_Q is the set of cells labelled Q, so the
+    witnesses partition the union and are disjoint by construction.
     """
-    ordered = sorted(set(cubes), key=_SORT_KEY)
-    labels, _ = _paint(ordered, config)
-    sizes = np.bincount(labels, minlength=len(ordered) + 1)[:-1]
-    need = np.array([config.cells_per_cube(q.level) for q in ordered], dtype=np.int64)
-    bad = np.flatnonzero(2 * sizes < need)
-    if bad.size:
-        return False, ordered[bad[0]]
-    cells = np.argsort(labels, kind="stable")
-    return True, dict(zip(ordered, np.split(cells, np.cumsum(sizes))))
+    return _canonical_witness(SparseFamily(config, cubes))
 
 
 def family_from_cubes(config: GridConfig, cubes) -> SparseFamily:
     """Build a verified SparseFamily or raise if not canonically sparse."""
-    ok, payload = verify_sparse(cubes, config)
+    S = SparseFamily(config, cubes)
+    ok, payload = _canonical_witness(S)
     if not ok:
         raise ValueError(f"not canonically sparse: witness fails at {payload}")
-    return SparseFamily(config, tuple(payload), payload)  # keys in enumeration order
+    S.witness = payload  # the family keeps the paint the check made
+    return S
 
 
 def tower_family(config: GridConfig) -> SparseFamily:
@@ -222,58 +247,29 @@ def sparse_eval(S: SparseFamily, f1: GridFunction, f2: GridFunction) -> GridFunc
 
 @dataclass(frozen=True, eq=False)
 class FamilyAtoms:
-    """The atoms of a cube family S, for exact evaluation of sparse images.
+    """The atoms of a sparse family, for exact evaluation of sparse images.
 
-    labels[c] is the position in S.cubes of the finest cube holding cell
-    c, or len(S) off the union.  members[j] lists the nonempty atoms inside
-    the j-th cube, flat_index[j] is its index in the concatenated per-level
-    arrays of cube_sums, and cells[j] its number of cells.
+    labels is family.paint's: labels[c] is the position in family.cubes of
+    the finest cube holding cell c, or len(family) off the union.
+    members[j] lists the nonempty atoms inside the j-th cube and cells[j]
+    its number of cells.
     """
 
-    config: GridConfig
+    family: SparseFamily
     labels: np.ndarray
     members: tuple[np.ndarray, ...]
-    flat_index: np.ndarray
     cells: np.ndarray
-
-    def sums(self, f: GridFunction | np.ndarray) -> np.ndarray:
-        """Sums of f over the family cubes, in S.cubes order.
-
-        f is a GridFunction or an array of cell values whose last axis is
-        the cells; leading axes are independent rows, as in images.  The
-        sums are gathered from cube_sums one level at a time, so its coarser
-        levels (at most the input's size again) are the only temporary.
-        Divided by cells they are the level_averages values, bit for bit.
-        """
-        values = f.values if isinstance(f, GridFunction) else f
-        table = cube_sums(values, self.config)
-        out = np.empty(values.shape[:-1] + self.flat_index.shape)
-        for k, at, index in self._levels:
-            out[..., at] = table[k][..., index]
-        return out
-
-    @cached_property
-    def _levels(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(k, positions, cube indices) of the family cubes at each level k."""
-        r = self.config.level_cube_count(1)
-        starts = (r ** np.arange(self.config.finest_level + 2) - 1) // (r - 1)
-        level = np.searchsorted(starts, self.flat_index, side="right") - 1
-        out = []
-        for k in _sorted_distinct(level):
-            at = np.flatnonzero(level == k)
-            out.append((int(k), at, self.flat_index[at] - starts[k]))
-        return out
 
     def masses(self, w: GridFunction) -> np.ndarray:
         """w-measure of every atom."""
         size = len(self.members) + 1
         sums = np.bincount(self.labels, weights=w.values, minlength=size)
-        return sums * self.config.cell_volume
+        return sums * self.family.config.cell_volume
 
     def images(self, coef: np.ndarray) -> np.ndarray:
         """Atom values of sum_Q coef[..., Q] 1_Q for every leading index.
 
-        Each atom adds its cubes' terms in S.cubes order, as sparse_eval
+        Each atom adds its cubes' terms in family.cubes order, as sparse_eval
         does on each cell, so the values equal its cell values bit for bit.
         """
         out = np.zeros(coef.shape[:-1] + (len(self.members) + 1,))
@@ -283,12 +279,12 @@ class FamilyAtoms:
 
 
 def family_atoms(S: SparseFamily) -> FamilyAtoms:
-    """Atom labels and cube memberships of any finite family S."""
+    """Atom labels and cube memberships of S, from its label paint."""
     cfg = S.config
-    labels, _ = _paint(S.cubes, cfg)
+    labels = S.paint[0]
     members = tuple(_sorted_distinct(cell_view(labels, q, cfg)) for q in S.cubes)
     cells = np.array([cfg.cells_per_cube(q.level) for q in S.cubes], dtype=np.float64)
-    return FamilyAtoms(cfg, labels, members, _flat_index(S.cubes, cfg), cells)
+    return FamilyAtoms(S, labels, members, cells)
 
 
 def _nested_with(cubes, qt: DyadicCube) -> tuple[list[DyadicCube], list[DyadicCube]]:
@@ -300,8 +296,6 @@ def _nested_with(cubes, qt: DyadicCube) -> tuple[list[DyadicCube], list[DyadicCu
     above: list[DyadicCube] = []
     inside: list[DyadicCube] = []
     for q in cubes:
-        if q.dimension != qt.dimension:
-            raise ValueError("cubes live on grids of different dimension")
         d = q.level - qt.level
         if d <= 0:
             if tuple(c >> -d for c in qt.coords) == q.coords:
@@ -332,7 +326,7 @@ def sparse_split_eval(
         raise ValueError("localization hypothesis violated: supp f2 not inside qt")
     f1m = f1.restricted(qt)
     return tuple(
-        sparse_eval(SparseFamily(cfg, tuple(part)), f1m, f2)
+        sparse_eval(SparseFamily(cfg, part), f1m, f2)
         for part in _nested_with(S.cubes, qt)
     )
 
@@ -341,4 +335,4 @@ def restrict(S: SparseFamily, qt: DyadicCube) -> SparseFamily:
     """Keep the cubes contained in qt; subfamilies stay canonically sparse."""
     check_cube(qt, S.config)
     above, inside = _nested_with(S.cubes, qt)
-    return family_from_cubes(S.config, inside + [q for q in above if q == qt])
+    return family_from_cubes(S.config, [q for q in above if q == qt] + inside)

@@ -7,14 +7,15 @@ whose w-average of f strictly more than doubles the average on F.  On a
 finite grid the recursion terminates because averages strictly increase
 along chains and levels strictly increase with each generation.
 
-The recursion is one pass over the distinct family cubes in enumeration
-order, where every cube comes after the cubes containing it.  Each cube's
-minimal strict ancestor in the family comes from sparse.family_forest;
-the cube is selected when it is maximal or when its average strictly
-more than doubles that of its ancestor's stopping parent, and otherwise
-inherits that stopping parent.  So no family cube is walked through
-parent or relation; only stopping_parent of a cube outside the family
-climbs with parent to the nearest family cube.
+The recursion is one pass over the family cubes in the enumeration order
+they are held in, where every cube comes after the cubes containing it.
+Each cube's minimal strict ancestor comes from sparse.family_forest and
+its average from SparseFamily.sums; the cube is selected when it is
+maximal or when its average strictly more than doubles that of its
+ancestor's stopping parent, and otherwise inherits that stopping parent.
+So no family cube is walked through parent or relation; only
+stopping_parent of a cube outside the family climbs with parent to the
+nearest family cube.
 
 The strict doubling threshold 2 is hard-coded.  Two consequences are
 checked downstream: each generation loses at least half the w-mass of
@@ -31,7 +32,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, GridConfig, parent
 from .measure import GridFunction, Weight, lp_norm
-from .sparse import SparseFamily, _cube_sums_at, family_forest
+from .sparse import SparseFamily, family_forest
 
 
 @dataclass
@@ -53,10 +54,10 @@ class StoppingFamily:
     top: dict[DyadicCube, DyadicCube] = field(repr=False)
 
 
-def _averages(cubes, f: GridFunction, w: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """w-averages of f on the cubes, and their w-sums."""
-    den = _cube_sums_at(w.values, cubes, w.config)
-    return _cube_sums_at((f * w).values, cubes, w.config) / den, den
+def _averages(S: SparseFamily, f: GridFunction, w: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """w-averages of f on the cubes of S, and their w-sums."""
+    den = S.sums(w)
+    return S.sums(f * w) / den, den
 
 
 def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamily:
@@ -67,18 +68,18 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
         raise ValueError("grid mismatch")
     if float(f.values.min()) < 0.0:
         raise ValueError("stopping construction requires nonnegative f")
-    ordered, up = family_forest(S.cubes, S.config)
-    avg = _averages(ordered, f, w)[0].tolist()
-    n = len(ordered)
+    cubes, up = S.cubes, family_forest(S)
+    avg = _averages(S, f, w)[0].tolist()
+    n = len(cubes)
     top = list(range(n))
     generation: dict[DyadicCube, int] = {}
     children: dict[DyadicCube, list[DyadicCube]] = {}
     for j, u in enumerate(up.tolist()):  # u < j, so top[u] is already final
-        q = ordered[j]
+        q = cubes[j]
         if u == n:
             generation[q] = 0
         elif avg[j] > 2.0 * avg[top[u]]:
-            F = ordered[top[u]]
+            F = cubes[top[u]]
             generation[q] = generation[F] + 1
             children[F].append(q)
         else:
@@ -91,8 +92,8 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
         generation=generation,
         children={F: tuple(kids) for F, kids in children.items()},
         maximal=tuple(q for q, g in generation.items() if g == 0),
-        wavg=dict(zip(ordered, avg)),
-        top={q: ordered[t] for q, t in zip(ordered, top)},
+        wavg=dict(zip(cubes, avg)),
+        top={q: cubes[t] for q, t in zip(cubes, top)},
     )
 
 
@@ -129,7 +130,7 @@ def carleson_checks(
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
     cfg = F.config
-    members = sorted(F.members, key=lambda q: (q.level, q.coords))
+    members = SparseFamily(cfg, F.members)
     avg, wsums = _averages(members, f, w)
     mass = dict(zip(members, (wsums * cfg.cell_volume).tolist()))
     child_mass_ok = True
@@ -167,7 +168,7 @@ def bilinear_form_decompose(
     for g in (f2, h, sigma2, v, sigma1):
         if g.config != cfg:
             raise ValueError("grid mismatch")
-    _, up = family_forest(Sprime.cubes, Sprime.config)
+    up = family_forest(Sprime)
     if np.count_nonzero(up == len(up)) != 1:
         raise ValueError("family must have a single maximal cube")
     if float(f2.values.min()) < 0.0 or float(h.values.min()) < 0.0:
@@ -176,9 +177,9 @@ def bilinear_form_decompose(
     famh = build_stopping(Sprime, h, v)
     count = np.array([cfg.cells_per_cube(q.level) for q in Sprime.cubes])
     lam = (
-        (_cube_sums_at(sigma1.values, Sprime.cubes, cfg) / count)
-        * (_cube_sums_at(sigma2.values, Sprime.cubes, cfg) / count)
-        * (_cube_sums_at(v.values, Sprime.cubes, cfg) * cfg.cell_volume)
+        (Sprime.sums(sigma1) / count)
+        * (Sprime.sums(sigma2) / count)
+        * (Sprime.sums(v) * cfg.cell_volume)
     )
     i1 = 0.0
     i2 = 0.0

@@ -10,10 +10,11 @@ global_weak_quantity and local_testing_quantity are the cellwise
 definitions: each evaluates one test-function pair (and one family cube)
 with sparse_eval on the 2^{nK} cells.  testing_sweep returns both for
 every pair of a test set and every family cube at once.  It evaluates
-the images on the family atoms (sparse.FamilyAtoms), where the data
-masked to a cube Q needs no new cube sums, and reduces each quantity
-over the cells in the cellwise functions' order, so its values equal
-theirs bit for bit; the cellwise functions are its test oracle.
+the images on the family atoms (sparse.FamilyAtoms) from the family-cube
+sums (SparseFamily.sums), where the data masked to a cube Q needs no new
+cube sums, and reduces each quantity over the cells in the cellwise
+functions' order, so its values equal theirs bit for bit; the cellwise
+functions are its test oracle.
 """
 
 from __future__ import annotations
@@ -133,12 +134,15 @@ def _slot_sums(
     weights s_k.  The rows go in chunks of _CHUNK_CELLS cells (one row when
     a row is wider).  Each row of a chunk holds |f|^p s, summed as lp_norm
     sums it, and then |f| s; the chunk's products are summed over the
-    family cubes by FamilyAtoms.sums.  Both equal the per-function values
+    family cubes by SparseFamily.sums.  Both equal the per-function values
     bit for bit.  Besides powers, this holds one chunk, its cube-sum
-    pyramid and the three weights.  Raises if a test function vanishes
-    identically, then if a slot product is not finite (as GridFunction
-    would).
+    pyramid and the three weights.  Raises for weights off the family's
+    grid before any work, then if a test function vanishes identically,
+    then if a slot product is not finite (as GridFunction would).
     """
+    family = atoms.family
+    if w1.config != family.config or w2.config != family.config:
+        raise ValueError("grid mismatch")
     s1, s2, v = _dual_data(w1, w2, P)
     count, cells = len(values), s1.config.cell_count
     rows = max(1, _CHUNK_CELLS // cells)
@@ -154,7 +158,7 @@ def _slot_sums(
                 norms[k, a] = (float(row.sum()) * s.config.cell_volume) ** (1.0 / p)
                 np.multiply(np.abs(values[a], out=row), s.values, out=row)
             finite = finite and bool(np.isfinite(part).all())
-            sums[k, lo : lo + rows] = atoms.sums(part)
+            sums[k, lo : lo + rows] = family.sums(part)
     if not norms.all():
         raise ValueError("test functions must not vanish identically")
     if not finite:
@@ -179,9 +183,10 @@ def testing_sweep(
     exact zeros).  A coarser cube disjoint from Q gets a wrong coefficient
     too, but it only reaches atoms outside Q, which are never read.
 
-    Raises the cellwise functions' errors for a vanishing test function and
-    a non-finite image.  Holds len(fns)^2 (len(S) + 1)^2 atom values, and
-    |f|^{p_k} of every test function on the cells (_slot_powers).
+    Raises for weights off S's grid first, then the cellwise functions'
+    errors for a vanishing test function and a non-finite image.  Holds
+    len(fns)^2 (len(S) + 1)^2 atom values, and |f|^{p_k} of every test
+    function on the cells (_slot_powers).
     """
     cfg = S.config
     atoms = family_atoms(S)

@@ -166,13 +166,6 @@ def check_kolmogorov(seed):
     return {"pass": failures == 0, "failures": failures, "max_lhs_over_rhs": worst}
 
 
-def _power_pairs(P, config, deltas):
-    for d in deltas:
-        w1 = wf.power_weight((1.0 - d) * (P.p1 - 1.0), config)
-        w2 = wf.power_weight((1.0 - d) * (P.p2 - 1.0), config)
-        yield d, w1, w2
-
-
 def check_joint_constant_inequalities(seed):
     rng = np.random.default_rng(seed)
     failures = 0
@@ -184,8 +177,8 @@ def check_joint_constant_inequalities(seed):
         suites.append((P, _random_weight(rng, cfg), _random_weight(rng, cfg)))
     cfg_pow = wd.GridConfig(1, 12)
     P_pow = wm.ExponentTuple(6.0, 6.0)
-    deltas = [2.0**-k for k in range(2, 10)]
-    suites.extend((P_pow, w1, w2) for _, w1, w2 in _power_pairs(P_pow, cfg_pow, deltas))
+    spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(2, 10)))
+    suites.extend((P_pow, w1, w2) for _, w1, w2, _ in wf.build_family(spec, P_pow, cfg_pow))
     for P, w1, w2 in suites:
         rep = wc.check_constant_inequalities(w1, w2, P)
         if not rep.passed:
@@ -366,14 +359,14 @@ def check_local_testing_direction(seed):
 def _delta_family_ratios(seed):
     """Shared degeneration family for the localized and aggregate ratio suites.
 
-    Both suites run it with the same seed, so the last result is kept until
-    run_suite returns.
+    Both suites run it with the same seed, so the last result is kept;
+    run_suite clears it when it starts and when it returns.
     """
     rng = np.random.default_rng(seed)
     cfg = wd.GridConfig(1, 10)
     P = wm.ExponentTuple(2.0, 3.0)
     S = ws.tower_family(cfg)
-    deltas = [2.0**-k for k in range(1, 9)]
+    spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(1, 9)))
     f2s = [
         wm.indicator(cfg, wd.cube(cfg.finest_level, 0)),
         wm.indicator(cfg, wd.cube(5, 0)),
@@ -381,8 +374,7 @@ def _delta_family_ratios(seed):
         _random_nonneg(rng, cfg, zeros=0.0),
     ]
     rows = []
-    for d, w1, w2 in _power_pairs(P, cfg, deltas):
-        apv = wc.apvec_constant(w1, w2, P).value
+    for d, w1, w2, apv in wf.build_family(spec, P, cfg):
         local = max(
             wtc.local_sigma_testing_ratio(S, w1, w2, P, f2, wd.cube(0, 0)).ratio
             for f2 in f2s
@@ -565,6 +557,7 @@ def _jsonable(value):
 def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'; choose from {sorted(SUITES)}")
+    _delta_family_ratios.cache_clear()  # shared by the checks of one run only
     checks = []
     for name in SUITES[suite]:
         try:
@@ -573,7 +566,7 @@ def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
             result = {"pass": False, "error": f"{type(e).__name__}: {e}"}
         result["pass"] = bool(result["pass"])
         checks.append({"name": name, **result})
-    _delta_family_ratios.cache_clear()  # shared by the checks of one run only
+    _delta_family_ratios.cache_clear()
     return {
         "suite": suite,
         "seed": seed,

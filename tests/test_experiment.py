@@ -54,7 +54,7 @@ def test_default_test_functions_shape():
 
 
 def _oracle_family(rng, seed):
-    """1D / 2D generated families, towers, and unverified shuffled cube sets."""
+    """1D / 2D generated families, towers, and unverified cube sets."""
     kind = seed % 4
     cfg = GridConfig(1, 6) if seed % 8 < 4 else GridConfig(2, 3)
     if kind == 0:
@@ -63,7 +63,8 @@ def _oracle_family(rng, seed):
         return generate_sparse(cfg, seed=seed, budget=0.2)
     if kind == 2:
         return tower_family(cfg)
-    # witness=None, any cube order, not necessarily sparse, one duplicate
+    # witness=None, not necessarily sparse; the constructor sorts the
+    # shuffled picks and drops the repeat
     pool = list(all_cubes(cfg))
     picks = rng.choice(len(pool), size=8, replace=False)
     cubes = [pool[i] for i in picks]
@@ -100,8 +101,8 @@ def test_pair_sweep_matches_cellwise_oracle(seed):
     s1, s2 = dual_weight(w1, P.p1), dual_weight(w2, P.p2)
     g1 = [abs(f) * s1 for f in fns]
     g2 = [abs(f) * s2 for f in fns]
-    c1 = np.array([atoms.sums(f) for f in g1]) / atoms.cells
-    c2 = np.array([atoms.sums(f) for f in g2]) / atoms.cells
+    c1 = np.array([S.sums(f) for f in g1]) / atoms.cells
+    c2 = np.array([S.sums(f) for f in g2]) / atoms.cells
     images = atoms.images(c1[:, None, :] * c2[None, :, :])
     assert not images[:, :, len(S)].any()  # zero off the union
     for i, a in enumerate(g1):
@@ -119,7 +120,7 @@ def test_pair_sweep_keeps_ties_at_full_mass():
     P = ExponentTuple(3.0, 3.0)
     fns = [constant(cfg, 1.0)]
     atoms = family_atoms(S)
-    c = atoms.sums(fns[0]) / atoms.cells
+    c = S.sums(fns[0]) / atoms.cells
     images = atoms.images(c * c)
     assert images[1] == images[2] == 2.0
     assert atoms.masses(one)[0] == 0.0

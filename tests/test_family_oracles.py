@@ -3,10 +3,11 @@ cube walks it replaced.
 
 The oracles below are the former bodies of build_stopping (a breadth-first
 walk of the containment forest), stopping_parent (a parent climb),
+carleson_checks (sorted members, sums read from the cube-sum pyramid),
 bilinear_form_decompose (routing by relation), restrict, sparse_split_eval
 and sparse_sum_norm_ratios (cell loops routed by relation).  The sweep
-asserts bit-for-bit agreement on generated families and on unverified,
-shuffled families that hold a duplicate cube.
+asserts bit-for-bit agreement on generated families and on their cubes
+listed shuffled and with a repeat, which the constructor normalises.
 """
 
 from collections import deque
@@ -106,6 +107,23 @@ def _stopping_parent_oracle(members, q):
             break
         a = parent(a)
     raise ValueError("cube is not contained in any maximal cube of the family")
+
+
+def _carleson_oracle(fam, f, w, p):
+    members = sorted(fam.members, key=_KEY)
+    avg = _weighted_averages(members, fam.config, f, w)
+    wsums = cube_sums(w.values, fam.config)
+    volume = fam.config.cell_volume
+    mass = {q: float(wsums[q.level][cube_index(q)] * volume) for q in members}
+    child_mass_ok = all(
+        sum(mass[c] for c in fam.children[q]) <= mass[q] / 2.0
+        for q in members
+        if fam.children.get(q)
+    )
+    sum_value = sum(avg[q] ** p * mass[q] for q in members)
+    bound_value = 2.0 * (p / (p - 1.0)) ** p * lp_norm(f, w, p) ** p
+    passed = sum_value <= bound_value
+    return stopping.CarlesonReport(child_mass_ok, sum_value, bound_value, passed)
 
 
 def _bilinear_oracle(Sprime, f2, h, sigma2, v, sigma1):
@@ -224,7 +242,7 @@ def _bits(g):
 
 
 def _unverified(rng, S):
-    """S's cubes shuffled, with one listed twice."""
+    """An unverified family built from S's cubes shuffled, one listed twice."""
     cubes = list(S.cubes) + [S.cubes[int(rng.integers(0, len(S)))]]
     rng.shuffle(cubes)
     return SparseFamily(S.config, tuple(cubes))
@@ -238,6 +256,8 @@ def _check_stopping(S, f, w):
     assert fam.children == want["children"]
     assert fam.maximal == want["maximal"]
     assert fam.wavg == want["wavg"]
+    for p in (1.3, 2.5):
+        assert stopping.carleson_checks(fam, f, w, p) == _carleson_oracle(fam, f, w, p)
     for q in all_cubes(S.config):  # family cubes, cubes outside, and the error case
         assert _outcome(stopping_parent, fam, q) == _outcome(
             _stopping_parent_oracle, want["members"], q
@@ -351,8 +371,11 @@ def test_errors_and_their_precedence_match_the_oracles():
         got = _outcome(restrict, S, qt)
         assert got == _outcome(_restrict_oracle, S, qt)
         assert got[0] == "raised"
-    mixed = SparseFamily(cfg, (cube(1, 0), cube(1, 0, 1)))
-    assert _outcome(restrict, mixed, cube(0, 0)) == _outcome(_restrict_oracle, mixed, cube(0, 0))
+    # a family cannot hold a cube off its grid: construction raises
+    with pytest.raises(ValueError, match="cube dimension does not match grid"):
+        SparseFamily(cfg, (cube(1, 0), cube(1, 0, 1)))
+    with pytest.raises(ValueError, match="cube is finer than the grid"):
+        SparseFamily(cfg, (cube(0, 0), cube(5, 0)))
 
 
 def test_no_relation_or_parent_call_on_family_cubes(monkeypatch, rng):

@@ -3,8 +3,8 @@
 _slot_powers builds |f|^{p_k} of a test set once, and _slot_sums forms the
 slot norms and family-cube sums of every test function in row chunks.
 The oracle below is the per-function form they replace: one lp_norm and
-one validated GridFunction product per function and slot, and the whole
-cube-sum pyramid concatenated before the family cubes are gathered.
+one validated GridFunction product per function and slot, and each family
+cube's sum read from the whole cube-sum pyramid.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ import pytest
 
 from conftest import random_exponents, random_function, random_weight
 from weaksparse import testing_conditions as wtc
-from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube_sums
+from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube_index, cube_sums
 from weaksparse.experiment import (
     ExperimentRow,
     _pair_sweep,
@@ -44,7 +44,8 @@ def _slot_sums_oracle(atoms, w1, w2, P, fns):
         raise ValueError("test functions must not vanish identically")
 
     def family_sums(g):
-        return np.concatenate(cube_sums(g.values, atoms.config))[atoms.flat_index]
+        pyramid = cube_sums(g.values, g.config)
+        return np.array([pyramid[q.level][cube_index(q)] for q in atoms.family.cubes])
 
     sums = np.array([[family_sums(abs(f) * s) for f in fns] for s, _ in slots])
     return v, norms, sums
@@ -79,7 +80,8 @@ def _families(rng, cfg):
     S = generate_sparse(cfg, int(rng.integers(0, 2**31)), float(rng.uniform(0.1, 0.5)))
     yield S if len(S) else tower_family(cfg)
     yield tower_family(cfg)
-    # witness=None, any cube order, not necessarily sparse, one duplicate
+    # witness=None, not necessarily sparse; the constructor sorts the
+    # shuffled picks and drops the repeat
     pool = list(all_cubes(cfg))
     picks = rng.choice(len(pool), size=min(9, len(pool)), replace=False)
     cubes = [pool[i] for i in picks]
@@ -175,9 +177,9 @@ SPEC = WeightFamilySpec("power", (0.5, 0.25, 0.125, 0.0625))
 P66 = ExponentTuple(6.0, 6.0)
 
 
-def _sweeps(fns):
+def _sweeps(fns, S=None):
     """slope_experiment, _pair_sweep and testing_sweep on the same test set."""
-    S = tower_family(CFG)
+    S = tower_family(CFG) if S is None else S
     one = Weight(CFG, np.ones(CFG.cell_count))
     return (
         lambda: slope_experiment(SPEC, P66, CFG, S, fns),
@@ -200,6 +202,15 @@ def test_every_sweep_refuses_a_function_from_another_grid():
     for call in _sweeps([constant(CFG, 1.0), other]):
         with pytest.raises(ValueError, match="grid mismatch"):
             call()
+
+
+def test_every_sweep_refuses_a_family_from_another_grid(monkeypatch):
+    monkeypatch.setattr(wtc, "_dual_data", None)  # the check comes before the sweep
+    # 2D K = 4 has the 256 cells of 1D K = 8; 1D K = 5 has fewer
+    for other in (GridConfig(2, 4), GridConfig(1, 5)):
+        for call in _sweeps([constant(CFG, 1.0)], tower_family(other)):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                call()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -152,7 +152,7 @@ def test_generator_budget_validation():
 # The coarse-to-fine label paint answers every "finest family cube above"
 # question.  These oracles are the scan generator, the parent-walk forest
 # and the cells_of/setdiff1d witness it replaced, plus a per-cell atom
-# label that keeps the finest (then last-listed) cube.
+# label that keeps the finest cube.
 
 _KEY = lambda q: (q.level, q.coords)  # noqa: E731
 
@@ -235,25 +235,26 @@ def _check_against_oracles(cubes, config):
             assert np.array_equal(payload[q], cells)
     else:
         assert payload == want
-    ordered, up = family_forest(cubes, config)
+    S = SparseFamily(config, cubes)
+    ordered, up = S.cubes, family_forest(S)
     roots, children = [], {q: [] for q in ordered}
     for q, u in zip(ordered, up.tolist()):
         (roots if u == len(ordered) else children[ordered[u]]).append(q)
     assert (roots, children) == _forest_oracle(cubes)
-    atoms = family_atoms(SparseFamily(config, tuple(cubes)))
-    labels = _atom_labels_oracle(cubes, config)
+    atoms = family_atoms(S)
+    labels = _atom_labels_oracle(ordered, config)
     assert np.array_equal(atoms.labels, labels)
-    for q, members in zip(cubes, atoms.members):
+    for q, members in zip(ordered, atoms.members):
         assert np.array_equal(members, np.unique(labels[cells_of(q, config)]))
     # family-cube sums, gathered per level, of a batch and of each row alone
     values = np.random.default_rng(len(cubes)).normal(0.0, 1.0, (2, config.cell_count))
-    batched = atoms.sums(values)
-    assert batched.shape == (2, len(cubes))
+    batched = S.sums(values)
+    assert batched.shape == (2, len(ordered))
     for row, x in zip(batched, values):
         pyramid = cube_sums(x, config)
-        want = np.array([pyramid[q.level][cube_index(q)] for q in cubes])
+        want = np.array([pyramid[q.level][cube_index(q)] for q in ordered])
         assert np.array_equal(row, want)
-        assert np.array_equal(atoms.sums(GridFunction(config, x)), want)
+        assert np.array_equal(S.sums(GridFunction(config, x)), want)
     return ok
 
 

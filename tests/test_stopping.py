@@ -32,8 +32,7 @@ def _unverified(cfg):
     # the full tree is not sparse; build the container directly for stress tests
     from weaksparse.sparse import SparseFamily
 
-    cubes = tuple(sorted(all_cubes(cfg), key=lambda q: (q.level, q.coords)))
-    return SparseFamily(cfg, cubes)
+    return SparseFamily(cfg, tuple(all_cubes(cfg)))
 
 
 # --- construction -----------------------------------------------------------

@@ -182,7 +182,8 @@ def test_sweep_matches_cellwise_bit_for_bit(dim, K):
 
 @pytest.mark.parametrize("cfg", [GridConfig(1, 6), GridConfig(2, 3)], ids=["1d", "2d"])
 def test_sweep_on_shuffled_unverified_family_with_duplicate(cfg):
-    # witness=None, any cube order, not necessarily sparse, one duplicate
+    # witness=None, not necessarily sparse; the constructor sorts the
+    # shuffled picks and drops the repeat
     from weaksparse.dyadic import all_cubes
     from weaksparse.sparse import SparseFamily
 

@@ -109,6 +109,7 @@ def test_delta_family_ratios_run_once_per_seed(monkeypatch):
 
 
 def test_delta_family_is_computed_once_per_run(monkeypatch):
+    wv.check_localized_testing_family(5)  # a direct call caches seed 5's family
     calls = []
     real = wtc.sparse_sum_norm_ratios
 
@@ -117,8 +118,8 @@ def test_delta_family_is_computed_once_per_run(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(wtc, "sparse_sum_norm_ratios", counted)
-    wv._delta_family_ratios.cache_clear()  # other tests call the checks directly
     first = run_suite("lemmas", 5)
-    assert len(calls) == 8  # one delta family, shared by the two ratio checks
+    assert len(calls) == 8  # computed afresh, shared by the two ratio checks
     assert run_suite("lemmas", 5) == first
     assert len(calls) == 16  # the same seed again is computed again
+
