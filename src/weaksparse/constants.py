@@ -23,7 +23,7 @@ from .dyadic import (
     level_averages,
     pool_level_sums,
 )
-from .measure import ExponentTuple, Weight, dual_weight, joint_weight
+from .measure import ExponentTuple, Weight, dual_weight, joint_weight, same_slots
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,18 @@ def ainfty_constant(w: Weight) -> ConstantReport:
 
 
 def _joint_per_level(w1: Weight, w2: Weight, P: ExponentTuple) -> list[np.ndarray]:
-    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} for all levels."""
+    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} for all levels.
+
+    When same_slots, slot 1's dual weight and averages are slot 0's.
+    """
     cfg = w1.config
+    shared = same_slots(w1, w2, P)
     v = joint_weight(w1, w2, P)
     s1 = dual_weight(w1, P.p1)
-    s2 = dual_weight(w2, P.p2)
+    s2 = s1 if shared else dual_weight(w2, P.p2)
     av = level_averages(v.values, cfg)
     a1 = level_averages(s1.values, cfg)
-    a2 = level_averages(s2.values, cfg)
+    a2 = a1 if shared else level_averages(s2.values, cfg)
     e1 = P.p / P.p1_prime
     e2 = P.p / P.p2_prime
     return [

@@ -19,12 +19,18 @@ global_strong_quantity, maximized over pairs, are the cellwise oracle.
 The test functions do not change with the weights, so |f|^{p_k} is
 computed once per experiment: one cell array per test function and
 distinct exponent (testing_conditions._slot_powers), the memory that
-grows with the test set.  Each family point then walks the functions in
-row chunks of 2^15 cells, forming the slot norms and the products |f| s_k
-chunk by chunk and gathering the family-cube sums level by level
-(SparseFamily.sums), with the per-function values bit for bit.  A family
-on another grid than the weights raises "grid mismatch" before the first
-sweep, even when the two grids have the same number of cells.
+grows with the test set; an indicator is its own power and adds none.
+Each family point then walks the functions in row chunks of 2^15 cells,
+forming the slot norms and the products |f| s_k chunk by chunk and
+gathering the family-cube sums level by level (SparseFamily.sums), with
+the per-function values bit for bit.  A family on another grid than the
+weights raises "grid mismatch" before the first sweep, even when the two
+grids have the same number of cells.
+
+On the diagonal p1 = p2 the power family gives both slots one weight
+object (families.build_family), and measure.same_slots tells every step
+below that slot 1 is slot 0: one dual weight, one pass of slot sums, and
+only the pairs a <= b, whose maxima are those of all pairs bit for bit.
 
 Slopes use a plain least-squares fit over all points, no point dropping.
 """
@@ -38,7 +44,14 @@ import numpy as np
 from .dyadic import DyadicCube, GridConfig
 from .exponents import alpha
 from .families import WeightFamilySpec, build_family
-from .measure import ExponentTuple, GridFunction, Weight, atom_norms, indicator
+from .measure import (
+    ExponentTuple,
+    GridFunction,
+    Weight,
+    atom_norms,
+    indicator,
+    same_slots,
+)
 from .sparse import FamilyAtoms, SparseFamily, family_atoms
 from .testing_conditions import _slot_powers, _slot_sums
 
@@ -94,20 +107,29 @@ def _pair_sweep(
     values and powers are the test set from _slot_powers, built once per
     experiment; the weights change from call to call.  Gathers each slot's
     family-cube sums once per test function (in row chunks, _slot_sums),
-    forms every pair image on the family atoms, and takes both norms there
+    forms the pair images on the family atoms, and takes both norms there
     with the atom masses of the joint weight.  Equal, up to the order of
     the mass sums, to maximizing global_weak_quantity and
-    global_strong_quantity, which evaluate one pair on the cells.  Holds
-    one chunk of cell values besides powers, and len(values)^2 (len(S) + 1)
-    atom values per image array.
+    global_strong_quantity, which evaluate one pair on the cells.
+
+    When same_slots, the pair (b, a) has the image and the scale of (a, b)
+    bit for bit (c[a] c[b] and c[b] c[a] are one IEEE product, and each
+    image and norm is formed on its own), so only the pairs a <= b are
+    evaluated; otherwise all of them.  Holds one chunk of cell values
+    besides powers, and (len(S) + 1) atom values per evaluated pair.
     """
     v, norms, sums = _slot_sums(atoms, w1, w2, P, values, powers)
+    count = len(values)
+    if same_slots(w1, w2, P):
+        a, b = np.triu_indices(count)
+    else:
+        a, b = np.indices((count, count)).reshape(2, -1)
     c1, c2 = sums / atoms.cells
-    g = atoms.images(c1[:, None, :] * c2[None, :, :])
+    g = atoms.images(c1[a] * c2[b])
     if not np.isfinite(g).all():
         raise ValueError("cell values must be finite")
     strong, weak = atom_norms(g, atoms.masses(v), P.p)
-    scale = norms[0][:, None] * norms[1][None, :]
+    scale = norms[0][a] * norms[1][b]
     return float((weak / scale).max()), float((strong / scale).max())
 
 

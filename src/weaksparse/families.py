@@ -76,7 +76,12 @@ class WeightFamilySpec:
 def build_family(
     spec: WeightFamilySpec, P: ExponentTuple, config: GridConfig
 ) -> list[tuple[float, Weight, Weight, float]]:
-    """Weight pairs with their joint constants, ordered by decreasing delta."""
+    """Weight pairs with their joint constants, ordered by decreasing delta.
+
+    a_i(delta) depends on p_i only, so a power family with p1 == p2 hands
+    out one weight for both slots (w2 is w1), which measure.same_slots
+    lets every later step compute once.
+    """
     rows = []
     if spec.kind == "random_ap":
         g1 = multiscale_field(config, spec.seed)
@@ -84,7 +89,9 @@ def build_family(
     for d in sorted(spec.deltas, reverse=True):
         if spec.kind == "power":
             w1 = power_weight((1.0 - d) * (P.p1 - 1.0), config)
-            w2 = power_weight((1.0 - d) * (P.p2 - 1.0), config)
+            w2 = w1
+            if P.p2 != P.p1:
+                w2 = power_weight((1.0 - d) * (P.p2 - 1.0), config)
         else:
             scale = (1.0 - d) * spec.roughness
             w1 = Weight(config, np.exp(scale * g1))

@@ -165,6 +165,17 @@ def integral(f: GridFunction, w: Weight) -> float:
     return float((f.values * w.values).sum()) * cfg.cell_volume
 
 
+def same_slots(w1: Weight, w2: Weight, P: ExponentTuple) -> bool:
+    """Whether both slots of a weight pair carry the same data.
+
+    True for one weight object at equal exponents, as build_family hands
+    out on the diagonal.  Then s2 = s1 and every per-slot quantity of slot
+    1 is slot 0's, so the callers compute it once.  Two equal but distinct
+    weights give False and take the general path, with the same values.
+    """
+    return w2 is w1 and P.p2 == P.p1
+
+
 def dual_weight(w: Weight, pi: float) -> Weight:
     """Cellwise w^(1 - pi'), the dual weight for the exponent pi."""
     if not (1.0 < pi < np.inf):
@@ -173,11 +184,11 @@ def dual_weight(w: Weight, pi: float) -> Weight:
 
 
 def joint_weight(w1: Weight, w2: Weight, P: ExponentTuple) -> Weight:
-    """Cellwise w1^(p/p1) * w2^(p/p2)."""
+    """Cellwise w1^(p/p1) * w2^(p/p2); one power when same_slots."""
     cfg = _same_grid(w1, w2)
-    return Weight(
-        cfg, w1.values ** (P.p / P.p1) * w2.values ** (P.p / P.p2)
-    )
+    x = w1.values ** (P.p / P.p1)
+    y = x if same_slots(w1, w2, P) else w2.values ** (P.p / P.p2)
+    return Weight(cfg, x * y)
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:

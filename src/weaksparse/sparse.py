@@ -49,7 +49,7 @@ from .dyadic import (
 from .measure import GridFunction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseFamily:
     """A set of dyadic cubes on one grid, held in enumeration order.
 
@@ -57,7 +57,8 @@ class SparseFamily:
     sorts, so listing order never matters.  witness (if verified) maps each
     cube to the cells of its canonical E_Q; it follows from the cubes, so
     it is left out of comparison and repr.  The label paint and per-level
-    positions are computed once, on first use.
+    positions are computed once, on first use; the family is frozen, so
+    they cannot go stale.
     """
 
     config: GridConfig
@@ -68,7 +69,8 @@ class SparseFamily:
 
     def __post_init__(self):
         # enumeration order: level-major, then lexicographic coordinates
-        self.cubes = tuple(sorted(set(self.cubes), key=lambda q: (q.level, q.coords)))
+        cubes = tuple(sorted(set(self.cubes), key=lambda q: (q.level, q.coords)))
+        object.__setattr__(self, "cubes", cubes)
         for q in self.cubes:
             check_cube(q, self.config)
 
@@ -178,7 +180,7 @@ def family_from_cubes(config: GridConfig, cubes) -> SparseFamily:
     ok, payload = _canonical_witness(S)
     if not ok:
         raise ValueError(f"not canonically sparse: witness fails at {payload}")
-    S.witness = payload  # the family keeps the paint the check made
+    object.__setattr__(S, "witness", payload)  # S keeps the paint the check made
     return S
 
 

@@ -39,6 +39,7 @@ from .measure import (
     dual_weight,
     joint_weight,
     lp_norm,
+    same_slots,
     weak_norm,
     weighted_measure,
 )
@@ -65,7 +66,10 @@ def _make_report(lhs: float, rhs: float, context: str) -> TestingReport:
 
 
 def _dual_data(w1: Weight, w2: Weight, P: ExponentTuple):
-    return dual_weight(w1, P.p1), dual_weight(w2, P.p2), joint_weight(w1, w2, P)
+    """s1, s2 and v; s2 is s1 when same_slots."""
+    s1 = dual_weight(w1, P.p1)
+    s2 = s1 if same_slots(w1, w2, P) else dual_weight(w2, P.p2)
+    return s1, s2, joint_weight(w1, w2, P)
 
 
 def _global_image(
@@ -100,19 +104,26 @@ def _slot_powers(fns: list[GridFunction], config: GridConfig, P: ExponentTuple):
     Returns (values, powers): values[a] is fns[a].values (not copied) and
     powers[k][a] = |fns[a]|^{p_k} for the slots k = 0, 1, one cell array per
     function and distinct exponent (the same list when p1 == p2), each
-    allocated on its own for the reason given at _CHUNK_CELLS.  None of it
-    depends on the weights, so a slope experiment builds it once for all
-    of its weight pairs.  Raises for an empty test set and for a function
-    on another grid than config.
+    allocated on its own for the reason given at _CHUNK_CELLS.  A row of
+    0s and 1s is its own |f|^p for every p > 0 (0^p = 0, 1^p = 1), so an
+    indicator keeps values[a] in both slots and costs no array.  None of
+    it depends on the weights, so a slope experiment builds it once for
+    all of its weight pairs.  Raises for an empty test set and for a
+    function on another grid than config.
     """
     if not fns:
         raise ValueError("test set must be nonempty")
     if any(f.config != config for f in fns):
         raise ValueError("grid mismatch")
     values = [f.values for f in fns]
+    ones = [bool(((x == 0.0) | (x == 1.0)).all()) for x in values]
+
+    def power(x: np.ndarray, p: float) -> np.ndarray:
+        a = np.abs(x)
+        return np.power(a, p, out=a)  # lp_norm's |f|^p
 
     def powers(p: float) -> list[np.ndarray]:
-        return [np.power(a, p, out=a) for a in map(np.abs, values)]  # lp_norm's |f|^p
+        return [x if one else power(x, p) for x, one in zip(values, ones)]
 
     first = powers(P.p1)
     return values, (first, first if P.p2 == P.p1 else powers(P.p2))
@@ -135,22 +146,25 @@ def _slot_sums(
     a row is wider).  Each row of a chunk holds |f|^p s, summed as lp_norm
     sums it, and then |f| s; the chunk's products are summed over the
     family cubes by SparseFamily.sums.  Both equal the per-function values
-    bit for bit.  Besides powers, this holds one chunk, its cube-sum
-    pyramid and the three weights.  Raises for weights off the family's
-    grid before any work, then if a test function vanishes identically,
-    then if a slot product is not finite (as GridFunction would).
+    bit for bit.  When same_slots, slot 1 is slot 0 (one dual weight, one
+    pass over the rows) and its norms and sums are copied from slot 0.
+    Besides powers, this holds one chunk, its cube-sum pyramid and the
+    weights.  Raises for weights off the family's grid before any work,
+    then if a test function vanishes identically, then if a slot product
+    is not finite (as GridFunction would).
     """
     family = atoms.family
     if w1.config != family.config or w2.config != family.config:
         raise ValueError("grid mismatch")
     s1, s2, v = _dual_data(w1, w2, P)
+    slots = ((s1, P.p1), (s2, P.p2))[: 1 if same_slots(w1, w2, P) else 2]
     count, cells = len(values), s1.config.cell_count
     rows = max(1, _CHUNK_CELLS // cells)
     chunk = np.empty((min(rows, count), cells))
     norms = np.empty((2, count))
     sums = np.empty((2, count, len(atoms.cells)))
     finite = True
-    for k, (s, p) in enumerate(((s1, P.p1), (s2, P.p2))):
+    for k, (s, p) in enumerate(slots):
         for lo in range(0, count, rows):
             part = chunk[: min(rows, count - lo)]
             for a, row in enumerate(part, lo):
@@ -159,6 +173,8 @@ def _slot_sums(
                 np.multiply(np.abs(values[a], out=row), s.values, out=row)
             finite = finite and bool(np.isfinite(part).all())
             sums[k, lo : lo + rows] = family.sums(part)
+    if len(slots) == 1:
+        norms[1], sums[1] = norms[0], sums[0]
     if not norms.all():
         raise ValueError("test functions must not vanish identically")
     if not finite:

@@ -177,8 +177,9 @@ def check_joint_constant_inequalities(seed):
         suites.append((P, _random_weight(rng, cfg), _random_weight(rng, cfg)))
     cfg_pow = wd.GridConfig(1, 12)
     P_pow = wm.ExponentTuple(6.0, 6.0)
-    spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(2, 10)))
-    suites.extend((P_pow, w1, w2) for _, w1, w2, _ in wf.build_family(spec, P_pow, cfg_pow))
+    for d in (2.0**-k for k in range(2, 10)):
+        w = wf.power_weight((1.0 - d) * (P_pow.p1 - 1.0), cfg_pow)
+        suites.append((P_pow, w, w))
     for P, w1, w2 in suites:
         rep = wc.check_constant_inequalities(w1, w2, P)
         if not rep.passed:

@@ -4,10 +4,11 @@ The SparseFamily constructor checks the cubes against the grid, drops
 repeats and sorts.  These tests pin what that gives: families with equal
 cube sets compare equal and give the same results bit for bit, every
 producer already hands the constructor distinct cubes in enumeration
-order (so that sort changes no output), and a family paints its labels
-at most once.
+order (so that sort changes no output), a family paints its labels at
+most once, and a built family is frozen, so that paint cannot go stale.
 """
 
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import random_exponents, random_function, random_weight
 from weaksparse import testing_conditions as wtc  # a bare testing_sweep is collected
-from weaksparse.dyadic import GridConfig, cube
+from weaksparse.dyadic import GridConfig, cube, cube_sums
 from weaksparse.experiment import _pair_sweep
 from weaksparse.measure import indicator
 from weaksparse.serialize import load_sparse_family, save_sparse_family
@@ -167,3 +168,24 @@ def test_run_suite_paints_each_family_at_most_once(monkeypatch):
     assert run_suite("all", 7)["passed"]
     assert len({id(S) for S in painted}) == len(painted)
     assert len(painted) == 467  # 979 when each layer painted on its own
+
+
+# --- a frozen family -----------------------------------------------------------
+
+
+def test_a_used_family_cannot_be_reassigned(rng):
+    """The paint and level positions are cached on first use, so a family
+    keeps the cubes and the grid it was built with."""
+    cfg = GridConfig(1, 4)
+    S = tower_family(cfg)
+    x = random_function(rng, cfg)
+    pyramid = cube_sums(x.values, cfg)
+    want = [pyramid[k][0] for k in range(5)]
+    assert np.array_equal(S.sums(x), want)
+    for name, value in (("cubes", S.cubes[::-1]), ("config", GridConfig(1, 5)), ("witness", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(S, name, value)
+    assert S.cubes == tuple(cube(k, 0) for k in range(5)) and S.witness is not None
+    assert np.array_equal(S.sums(x), want)
+    assert family_forest(S).tolist() == [5, 0, 1, 2, 3]
+    assert S.paint[0].tolist() == [4, 3, 2, 2] + [1] * 4 + [0] * 8

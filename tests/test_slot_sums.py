@@ -125,6 +125,27 @@ def test_powers_are_built_once_per_distinct_exponent():
         assert np.array_equal(y, np.abs(f.values) ** 3.0)
 
 
+def test_rows_of_zeros_and_ones_are_their_own_powers():
+    """0^p = 0 and 1^p = 1, so such a row keeps its values array in both slots."""
+    cfg = GridConfig(1, 5)
+    rng = np.random.default_rng(1)
+    fns = [
+        indicator(cfg, DyadicCube(2, (1,))),
+        constant(cfg, 1.0),
+        constant(cfg, 0.0),
+        GridFunction(cfg, rng.integers(0, 2, cfg.cell_count)),
+        GridFunction(cfg, -indicator(cfg, DyadicCube(1, (0,))).values),  # a -1 row
+        GridFunction(cfg, 0.5 * indicator(cfg, DyadicCube(1, (0,))).values),
+        random_function(rng, cfg),
+    ]
+    for P in (ExponentTuple(6.0, 6.0), ExponentTuple(1.5, 4.0), ExponentTuple(3.0, 40.0)):
+        values, powers = wtc._slot_powers(fns, cfg, P)
+        for k, p in enumerate((P.p1, P.p2)):
+            assert [x is v for x, v in zip(powers[k], values)] == [True] * 4 + [False] * 3
+            for f, x in zip(fns, powers[k]):
+                assert np.array_equal(x, np.abs(f.values) ** p)
+
+
 def test_slot_sums_over_several_chunks():
     # 1D K = 10 puts 32 rows in a chunk: 75 functions make chunks of 32, 32, 11
     cfg = GridConfig(1, 10)

@@ -93,6 +93,22 @@ def test_local_testing_direction_matches_cellwise_check(seed):
     assert report["max_local_over_global"] > 0.0
 
 
+def test_joint_constant_check_computes_each_constant_once(monkeypatch):
+    """Its 8 diagonal power pairs share one weight and skip build_family's
+    constants, which the check never read."""
+    calls = []
+    real = wv.wc.apvec_constant
+
+    def counted(w1, w2, P):
+        calls.append(w2 is w1)
+        return real(w1, w2, P)
+
+    monkeypatch.setattr(wv.wc, "apvec_constant", counted)
+    monkeypatch.setattr(wv.wf, "apvec_constant", counted)
+    assert wv.check_joint_constant_inequalities(3)["pass"]
+    assert len(calls) == 50 + 8 and calls.count(True) == 8
+
+
 def test_delta_family_ratios_run_once_per_seed(monkeypatch):
     calls = []
     real = wtc.local_sigma_testing_ratio
