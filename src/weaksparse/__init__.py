@@ -63,9 +63,7 @@ from .measure import (
     weighted_measure,
 )
 from .sparse import (
-    FamilyAtoms,
     SparseFamily,
-    family_atoms,
     family_from_cubes,
     generate_sparse,
     restrict,

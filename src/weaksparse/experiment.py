@@ -10,11 +10,12 @@ provides an upper envelope, so only one-sided comparisons against the
 predicted exponents are meaningful.
 
 Every pair image sum_Q <g1>_Q <g2>_Q 1_Q is constant on the atoms of the
-family (sparse.FamilyAtoms), so each family point evaluates all pairs at
-once on those |S| + 1 atoms, with exact atom masses, instead of on the
-2^{nK} cells.  The atom values equal the cellwise sparse_eval values bit
-for bit; testing_conditions.global_weak_quantity and
-global_strong_quantity, maximized over pairs, are the cellwise oracle.
+family, so each family point evaluates all pairs at once on those
+|S| + 1 atoms (SparseFamily.images), with exact atom masses
+(SparseFamily.masses), instead of on the 2^{nK} cells.  The atom values
+are sparse_eval's cell values bit for bit;
+testing_conditions.global_weak_quantity and global_strong_quantity,
+maximized over pairs, are the cellwise oracle.
 
 The test functions do not change with the weights, so |f|^{p_k} is
 computed once per experiment: one cell array per test function and
@@ -52,7 +53,7 @@ from .measure import (
     indicator,
     same_slots,
 )
-from .sparse import FamilyAtoms, SparseFamily, family_atoms
+from .sparse import SparseFamily
 from .testing_conditions import _slot_powers, _slot_sums
 
 
@@ -95,7 +96,7 @@ def default_test_functions(
 
 
 def _pair_sweep(
-    atoms: FamilyAtoms,
+    S: SparseFamily,
     w1: Weight,
     w2: Weight,
     P: ExponentTuple,
@@ -118,17 +119,17 @@ def _pair_sweep(
     evaluated; otherwise all of them.  Holds one chunk of cell values
     besides powers, and (len(S) + 1) atom values per evaluated pair.
     """
-    v, norms, sums = _slot_sums(atoms, w1, w2, P, values, powers)
+    v, norms, sums = _slot_sums(S, w1, w2, P, values, powers)
     count = len(values)
     if same_slots(w1, w2, P):
         a, b = np.triu_indices(count)
     else:
         a, b = np.indices((count, count)).reshape(2, -1)
-    c1, c2 = sums / atoms.cells
-    g = atoms.images(c1[a] * c2[b])
+    c1, c2 = sums / S.cells
+    g = S.images(c1[a] * c2[b])
     if not np.isfinite(g).all():
         raise ValueError("cell values must be finite")
-    strong, weak = atom_norms(g, atoms.masses(v), P.p)
+    strong, weak = atom_norms(g, S.masses(v), P.p)
     scale = norms[0][a] * norms[1][b]
     return float((weak / scale).max()), float((strong / scale).max())
 
@@ -155,11 +156,10 @@ def slope_experiment(
         test_functions = default_test_functions(config, test_seed)
     values, powers = _slot_powers(test_functions, config, P)
     report = alpha(P)
-    atoms = family_atoms(S)
 
     rows = []
     for d, w1, w2, apv in family:
-        weak, strong = _pair_sweep(atoms, w1, w2, P, values, powers)
+        weak, strong = _pair_sweep(S, w1, w2, P, values, powers)
         rows.append(
             ExperimentRow(
                 delta=d,

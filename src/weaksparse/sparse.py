@@ -19,11 +19,12 @@ the finest cube holding it; the label under a cube just before it is
 painted is its minimal strict ancestor.  A family paints once and keeps
 the paint.  The cells labelled Q are the canonical E_Q, and the labels
 are the atoms on which a sparse image sum_Q c_Q 1_Q is constant (one
-more atom off the union, where it vanishes).  FamilyAtoms evaluates many
-images on these |S| + 1 atoms instead of the 2^{nK} cells; sparse_eval
-stays the cellwise reference.  family_forest returns the ancestor
-positions for the stopping-time construction, and SparseFamily.sums
-gathers family-cube sums one level at a time.  restrict and
+more atom off the union, where it vanishes).  SparseFamily.images
+evaluates images on these |S| + 1 atoms with one sweep over the levels,
+coarse to fine: an atom's value is its ancestor atom's value plus its
+own cube's coefficient.  sparse_eval is that sweep on the averages from
+SparseFamily.sums, read back on the cells.  family_forest returns the
+ancestor positions for the stopping-time construction.  restrict and
 sparse_split_eval split the family at a cube qt by shifting coordinates
 to the coarser level, and the split is two sparse_eval calls.
 """
@@ -44,7 +45,6 @@ from .dyadic import (
     cube_from_index,
     cube_index,
     cube_sums,
-    level_averages,
 )
 from .measure import GridFunction
 
@@ -56,9 +56,9 @@ class SparseFamily:
     The constructor checks every cube against the grid, drops repeats and
     sorts, so listing order never matters.  witness (if verified) maps each
     cube to the cells of its canonical E_Q; it follows from the cubes, so
-    it is left out of comparison and repr.  The label paint and per-level
-    positions are computed once, on first use; the family is frozen, so
-    they cannot go stale.
+    it is left out of comparison and repr.  The label paint, the per-level
+    positions and the cells per cube are computed once, on first use; the
+    family is frozen, so they cannot go stale.
     """
 
     config: GridConfig
@@ -108,6 +108,13 @@ class SparseFamily:
         return labels, up
 
     @cached_property
+    def _atom_cells(self) -> np.ndarray:
+        """Cells per atom: those labelled j, then those off the union."""
+        out = np.bincount(self.paint[0], minlength=len(self.cubes) + 1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _levels(self) -> list[tuple[int, slice, np.ndarray]]:
         """(k, positions, cube indices) per level k present; level-major order
         makes the positions of a level one slice."""
@@ -132,33 +139,50 @@ class SparseFamily:
             out[..., at] = table[k][..., index]
         return out
 
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Cells per cube, in cubes order, as float64 (read-only)."""
+        out = np.empty(len(self.cubes))
+        for k, at, _ in self._levels:
+            out[at] = self.config.cells_per_cube(k)
+        out.flags.writeable = False
+        return out
+
+    def masses(self, w: GridFunction) -> np.ndarray:
+        """w-measure of every atom: the cells labelled j, then those off the union."""
+        sums = np.bincount(self.paint[0], weights=w.values, minlength=len(self) + 1)
+        return sums * self.config.cell_volume
+
+    def images(self, coef: np.ndarray) -> np.ndarray:
+        """Atom values of sum_Q coef[..., Q] 1_Q for every leading index.
+
+        Atom j lies in cube j and in the chain of its ancestors, and up[j]
+        < j, so coarse to fine its value is atom up[j]'s plus coef[..., j].
+        Each atom thus adds its cubes' terms to 0.0 in cubes order, as a
+        loop over the cubes adding each term on its cells does, bit for bit.
+        An atom without cells (a cube covered by its subcubes) is 0, as
+        off the union.
+        """
+        up = self.paint[1]
+        out = np.zeros(coef.shape[:-1] + (len(self.cubes) + 1,))
+        for _, at, _ in self._levels:
+            out[..., at] = out[..., up[at]] + coef[..., at]
+        out[..., self._atom_cells == 0] = 0.0
+        return out
+
 
 def family_forest(S: SparseFamily) -> np.ndarray:
     """up of S.paint: the positions of the minimal strict ancestors in S."""
     return S.paint[1]
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a, as np.unique(a) returns them.
-
-    np.unique also tests for a masked array, which imports numpy.ma (about
-    1 MB of module objects) in the middle of the first call that gets here.
-    """
-    s = np.sort(a, axis=None)
-    keep = np.ones(s.size, dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
-
-
 def _canonical_witness(S: SparseFamily):
     """verify_sparse's verdict on S, from S's label paint."""
-    labels = S.paint[0]
-    sizes = np.bincount(labels, minlength=len(S) + 1)[:-1]
-    need = np.array([S.config.cells_per_cube(q.level) for q in S.cubes], dtype=np.int64)
-    bad = np.flatnonzero(2 * sizes < need)
+    sizes = S._atom_cells[:-1]
+    bad = np.flatnonzero(2 * sizes < S.cells)
     if bad.size:
         return False, S.cubes[bad[0]]
-    cells = np.argsort(labels, kind="stable")
+    cells = np.argsort(S.paint[0], kind="stable")
     return True, dict(zip(S.cubes, np.split(cells, np.cumsum(sizes))))
 
 
@@ -235,58 +259,10 @@ def generate_sparse(config: GridConfig, seed: int, budget: float) -> SparseFamil
 
 def sparse_eval(S: SparseFamily, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Pointwise sum over Q in S of <f1>_Q <f2>_Q on Q; exact."""
-    cfg = S.config
-    if f1.config != cfg or f2.config != cfg:
+    if f1.config != S.config or f2.config != S.config:
         raise ValueError("grid mismatch")
-    a1 = level_averages(f1.values, cfg)
-    a2 = level_averages(f2.values, cfg)
-    out = np.zeros(cfg.cell_count)
-    for q in S.cubes:
-        i = cube_index(q)
-        cell_view(out, q, cfg)[...] += a1[q.level][i] * a2[q.level][i]
-    return GridFunction(cfg, out)
-
-
-@dataclass(frozen=True, eq=False)
-class FamilyAtoms:
-    """The atoms of a sparse family, for exact evaluation of sparse images.
-
-    labels is family.paint's: labels[c] is the position in family.cubes of
-    the finest cube holding cell c, or len(family) off the union.
-    members[j] lists the nonempty atoms inside the j-th cube and cells[j]
-    its number of cells.
-    """
-
-    family: SparseFamily
-    labels: np.ndarray
-    members: tuple[np.ndarray, ...]
-    cells: np.ndarray
-
-    def masses(self, w: GridFunction) -> np.ndarray:
-        """w-measure of every atom."""
-        size = len(self.members) + 1
-        sums = np.bincount(self.labels, weights=w.values, minlength=size)
-        return sums * self.family.config.cell_volume
-
-    def images(self, coef: np.ndarray) -> np.ndarray:
-        """Atom values of sum_Q coef[..., Q] 1_Q for every leading index.
-
-        Each atom adds its cubes' terms in family.cubes order, as sparse_eval
-        does on each cell, so the values equal its cell values bit for bit.
-        """
-        out = np.zeros(coef.shape[:-1] + (len(self.members) + 1,))
-        for j, atoms in enumerate(self.members):
-            out[..., atoms] += coef[..., j, None]
-        return out
-
-
-def family_atoms(S: SparseFamily) -> FamilyAtoms:
-    """Atom labels and cube memberships of S, from its label paint."""
-    cfg = S.config
-    labels = S.paint[0]
-    members = tuple(_sorted_distinct(cell_view(labels, q, cfg)) for q in S.cubes)
-    cells = np.array([cfg.cells_per_cube(q.level) for q in S.cubes], dtype=np.float64)
-    return FamilyAtoms(S, labels, members, cells)
+    coef = (S.sums(f1) / S.cells) * (S.sums(f2) / S.cells)
+    return GridFunction(S.config, S.images(coef)[S.paint[0]])
 
 
 def _nested_with(cubes, qt: DyadicCube) -> tuple[list[DyadicCube], list[DyadicCube]]:

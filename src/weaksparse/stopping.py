@@ -125,11 +125,13 @@ def carleson_checks(
     child_mass_ok: for every member, the next generation inside it carries
     at most half its w-mass (exact consequence of strict doubling with
     f >= 0).  passed: sum of (w-average)^p * w(F) over members is at most
-    2 (p')^p ||f||_{L^p(w)}^p.
+    2 (p')^p ||f||_{L^p(w)}^p.  Raises for f or w off F's grid first.
     """
+    cfg = F.config
+    if f.config != cfg or w.config != cfg:
+        raise ValueError("grid mismatch")
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
-    cfg = F.config
     members = SparseFamily(cfg, F.members)
     avg, wsums = _averages(members, f, w)
     mass = dict(zip(members, (wsums * cfg.cell_volume).tolist()))
@@ -175,10 +177,9 @@ def bilinear_form_decompose(
         raise ValueError("decomposition requires nonnegative f2 and h")
     fam2 = build_stopping(Sprime, f2, sigma2)
     famh = build_stopping(Sprime, h, v)
-    count = np.array([cfg.cells_per_cube(q.level) for q in Sprime.cubes])
     lam = (
-        (Sprime.sums(sigma1) / count)
-        * (Sprime.sums(sigma2) / count)
+        (Sprime.sums(sigma1) / Sprime.cells)
+        * (Sprime.sums(sigma2) / Sprime.cells)
         * (Sprime.sums(v) * cfg.cell_volume)
     )
     i1 = 0.0

@@ -6,15 +6,15 @@ explicit in theory.  Ratios are therefore never asserted against a
 theoretical number here; suites pin first-run values and watch for
 growth trends instead.
 
-global_weak_quantity and local_testing_quantity are the cellwise
+global_weak_quantity and local_testing_quantity are the one-pair
 definitions: each evaluates one test-function pair (and one family cube)
-with sparse_eval on the 2^{nK} cells.  testing_sweep returns both for
-every pair of a test set and every family cube at once.  It evaluates
-the images on the family atoms (sparse.FamilyAtoms) from the family-cube
-sums (SparseFamily.sums), where the data masked to a cube Q needs no new
-cube sums, and reduces each quantity over the cells in the cellwise
-functions' order, so its values equal theirs bit for bit; the cellwise
-functions are its test oracle.
+with sparse_eval and reduces on the 2^{nK} cells.  testing_sweep returns
+both for every pair of a test set and every family cube at once.  It
+evaluates the images on the family atoms (SparseFamily.images, the sweep
+inside sparse_eval) from the family-cube sums (SparseFamily.sums), where
+the data masked to a cube Q needs no new cube sums, and reduces each
+quantity over the cells in the one-pair functions' order, so its values
+equal theirs bit for bit; the one-pair functions are its test oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .measure import (
     weak_norm,
     weighted_measure,
 )
-from .sparse import FamilyAtoms, SparseFamily, family_atoms, sparse_eval
+from .sparse import SparseFamily, sparse_eval
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def _slot_powers(fns: list[GridFunction], config: GridConfig, P: ExponentTuple):
 
 
 def _slot_sums(
-    atoms: FamilyAtoms,
+    S: SparseFamily,
     w1: Weight,
     w2: Weight,
     P: ExponentTuple,
@@ -153,8 +153,7 @@ def _slot_sums(
     then if a test function vanishes identically, then if a slot product
     is not finite (as GridFunction would).
     """
-    family = atoms.family
-    if w1.config != family.config or w2.config != family.config:
+    if w1.config != S.config or w2.config != S.config:
         raise ValueError("grid mismatch")
     s1, s2, v = _dual_data(w1, w2, P)
     slots = ((s1, P.p1), (s2, P.p2))[: 1 if same_slots(w1, w2, P) else 2]
@@ -162,7 +161,7 @@ def _slot_sums(
     rows = max(1, _CHUNK_CELLS // cells)
     chunk = np.empty((min(rows, count), cells))
     norms = np.empty((2, count))
-    sums = np.empty((2, count, len(atoms.cells)))
+    sums = np.empty((2, count, len(S)))
     finite = True
     for k, (s, p) in enumerate(slots):
         for lo in range(0, count, rows):
@@ -172,7 +171,7 @@ def _slot_sums(
                 norms[k, a] = (float(row.sum()) * s.config.cell_volume) ** (1.0 / p)
                 np.multiply(np.abs(values[a], out=row), s.values, out=row)
             finite = finite and bool(np.isfinite(part).all())
-            sums[k, lo : lo + rows] = family.sums(part)
+            sums[k, lo : lo + rows] = S.sums(part)
     if len(slots) == 1:
         norms[1], sums[1] = norms[0], sums[0]
     if not norms.all():
@@ -204,24 +203,22 @@ def testing_sweep(
     len(fns)^2 (len(S) + 1)^2 atom values, and |f|^{p_k} of every test
     function on the cells (_slot_powers).
     """
-    cfg = S.config
-    atoms = family_atoms(S)
-    v, norms, sums = _slot_sums(atoms, w1, w2, P, *_slot_powers(fns, w1.config, P))
-    level = np.array([q.level for q in S.cubes])
-    coarser = level[None, :] < level[:, None]  # [i, j]: cube j coarser than cube i
+    cfg, labels = S.config, S.paint[0]
+    v, norms, sums = _slot_sums(S, w1, w2, P, *_slot_powers(fns, w1.config, P))
+    coarser = S.cells[None, :] > S.cells[:, None]  # [i, j]: cube j coarser than cube i
     masked = np.where(coarser, sums[..., :, None], sums[..., None, :])
-    c = np.concatenate([sums[..., None, :], masked], axis=-2) / atoms.cells
+    c = np.concatenate([sums[..., None, :], masked], axis=-2) / S.cells
     # [a, b, 0] are the global images, [a, b, 1 + i] those masked to cube i
-    images = atoms.images(c[0][:, None] * c[1][None, :])
+    images = S.images(c[0][:, None] * c[1][None, :])
     scale = norms[0][:, None] * norms[1][None, :]
     glob = np.empty(scale.shape)
     for a, b in np.ndindex(scale.shape):
-        g = GridFunction(cfg, images[a, b, 0][atoms.labels])  # raises if not finite
+        g = GridFunction(cfg, images[a, b, 0][labels])  # raises if not finite
         glob[a, b] = weak_norm(g, v, P.p) / scale[a, b]
     # each masked image is at most the global one on Q's cells, so it is finite
     loc = np.empty(scale.shape + (len(S),))
     for i, q in enumerate(S.cubes):
-        cells = images[:, :, 1 + i][..., cell_view(atoms.labels, q, cfg)]
+        cells = images[:, :, 1 + i][..., cell_view(labels, q, cfg)]
         cells *= cell_view(v.values, q, cfg)
         denom = weighted_measure(v, q) ** (1.0 / P.p_prime)
         for a, b in np.ndindex(scale.shape):
@@ -297,9 +294,12 @@ def local_sigma_testing_ratio(
 
     lhs: L^p(v) norm over qt of the sparse image of (s1 masked to qt, |f2| s2).
     rhs (constant-free): the A_infty mixed factor times apvec^(1/p) times
-    ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1).
+    ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1).  Raises for f2 or a weight off
+    S's grid first.
     """
     cfg = S.config
+    if f2.config != cfg or w1.config != cfg or w2.config != cfg:
+        raise ValueError("grid mismatch")
     check_cube(qt, cfg)
     s1, s2, v = _dual_data(w1, w2, P)
     if float(f2.values.min()) < 0.0:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_exponents, random_function, random_weight
+from test_family_oracles import _sparse_eval_oracle
+from weaksparse import testing_conditions as wtc
 from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube
 from weaksparse.experiment import (
     _pair_sweep,
@@ -19,9 +21,7 @@ from weaksparse.measure import (
 )
 from weaksparse.sparse import (
     SparseFamily,
-    family_atoms,
     generate_sparse,
-    sparse_eval,
     tower_family,
 )
 from weaksparse.testing_conditions import (
@@ -80,16 +80,17 @@ def _oracle_functions(rng, cfg):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_pair_sweep_matches_cellwise_oracle(seed):
+def test_pair_sweep_matches_cellwise_oracle(monkeypatch, seed):
+    # the cellwise quantities evaluate with the per-cube loop, not the sweep
+    monkeypatch.setattr(wtc, "sparse_eval", _sparse_eval_oracle)
     rng = np.random.default_rng(seed)
     S = _oracle_family(rng, seed)
     cfg = S.config
     w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
     P = random_exponents(rng)
     fns = _oracle_functions(rng, cfg)
-    atoms = family_atoms(S)
 
-    weak, strong = _pair_sweep(atoms, w1, w2, P, *_slot_powers(fns, cfg, P))
+    weak, strong = _pair_sweep(S, w1, w2, P, *_slot_powers(fns, cfg, P))
     pairs = [(a, b) for a in fns for b in fns]
     assert weak == pytest.approx(
         max(global_weak_quantity(S, w1, w2, P, a, b) for a, b in pairs), rel=1e-12
@@ -101,14 +102,14 @@ def test_pair_sweep_matches_cellwise_oracle(seed):
     s1, s2 = dual_weight(w1, P.p1), dual_weight(w2, P.p2)
     g1 = [abs(f) * s1 for f in fns]
     g2 = [abs(f) * s2 for f in fns]
-    c1 = np.array([S.sums(f) for f in g1]) / atoms.cells
-    c2 = np.array([S.sums(f) for f in g2]) / atoms.cells
-    images = atoms.images(c1[:, None, :] * c2[None, :, :])
+    c1 = np.array([S.sums(f) for f in g1]) / S.cells
+    c2 = np.array([S.sums(f) for f in g2]) / S.cells
+    images = S.images(c1[:, None, :] * c2[None, :, :])
     assert not images[:, :, len(S)].any()  # zero off the union
     for i, a in enumerate(g1):
         for j, b in enumerate(g2):
-            cellwise = sparse_eval(S, a, b).values
-            assert np.array_equal(images[i, j][atoms.labels], cellwise)
+            cellwise = _sparse_eval_oracle(S, a, b).values
+            assert np.array_equal(images[i, j][S.paint[0]], cellwise)
 
 
 def test_pair_sweep_keeps_ties_at_full_mass():
@@ -119,14 +120,29 @@ def test_pair_sweep_keeps_ties_at_full_mass():
     one = Weight(cfg, np.ones(cfg.cell_count))
     P = ExponentTuple(3.0, 3.0)
     fns = [constant(cfg, 1.0)]
-    atoms = family_atoms(S)
-    c = S.sums(fns[0]) / atoms.cells
-    images = atoms.images(c * c)
+    c = S.sums(fns[0]) / S.cells
+    images = S.images(c * c)
     assert images[1] == images[2] == 2.0
-    assert atoms.masses(one)[0] == 0.0
-    weak, strong = _pair_sweep(atoms, one, one, P, *_slot_powers(fns, cfg, P))
+    assert S.masses(one)[0] == 0.0
+    weak, strong = _pair_sweep(S, one, one, P, *_slot_powers(fns, cfg, P))
     assert weak == global_weak_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
     assert strong == global_strong_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_pair_sweep_keeps_empty_atoms_out_of_an_overflowing_norm():
+    # the root and [0, 1/2) are covered by their children, so their atoms
+    # have no cells; at p = 40 the image 2 c^2 on [0, 1/2) overflows to
+    # inf, and inf times its zero mass would make the strong norm nan
+    cfg = GridConfig(1, 2)
+    S = SparseFamily(cfg, (cube(0, 0), cube(1, 0), cube(1, 1), cube(2, 0), cube(2, 1)))
+    one = Weight(cfg, np.ones(cfg.cell_count))
+    P = ExponentTuple(80.0, 80.0)
+    f = constant(cfg, 6000.0)  # |f|^80 stays finite
+    assert S.images(np.ones(len(S)))[:2].tolist() == [0.0, 0.0]
+    weak, strong = _pair_sweep(S, one, one, P, *_slot_powers([f], cfg, P))
+    assert strong == global_strong_quantity(S, one, one, P, f, f) == np.inf
+    assert weak == global_weak_quantity(S, one, one, P, f, f)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -135,23 +151,22 @@ def test_pair_sweep_raises_like_the_oracle():
     S = tower_family(cfg)
     one = Weight(cfg, np.ones(cfg.cell_count))
     P = ExponentTuple(3.0, 3.0)
-    atoms = family_atoms(S)
     huge = constant(cfg, 1e200)  # finite slots whose image overflows
     with pytest.raises(ValueError, match="cell values must be finite"):
         global_weak_quantity(S, one, one, P, huge, huge)
     with pytest.raises(ValueError, match="cell values must be finite"):
-        _pair_sweep(atoms, one, one, P, *_slot_powers([huge], cfg, P))
+        _pair_sweep(S, one, one, P, *_slot_powers([huge], cfg, P))
     zero = constant(cfg, 0.0)
     with pytest.raises(ValueError, match="must not vanish identically"):
         _pair_sweep(
-            atoms, one, one, P, *_slot_powers([constant(cfg, 1.0), zero], cfg, P)
+            S, one, one, P, *_slot_powers([constant(cfg, 1.0), zero], cfg, P)
         )
     tiny = Weight(cfg, np.full(cfg.cell_count, 1e-300))  # dual weight 1e150
     with pytest.raises(ValueError, match="cell values must be finite"):
         global_weak_quantity(S, tiny, one, P, huge, huge)
     with pytest.raises(ValueError, match="cell values must be finite"):
         # the slot product overflows
-        _pair_sweep(atoms, tiny, one, P, *_slot_powers([huge], cfg, P))
+        _pair_sweep(S, tiny, one, P, *_slot_powers([huge], cfg, P))
 
 
 def _small_spec(deltas=(0.5, 0.25, 0.125, 0.0625)):

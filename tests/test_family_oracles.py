@@ -1,22 +1,26 @@
-"""The stopping, restriction and split code on family positions, against the
-cube walks it replaced.
+"""The evaluation, stopping, restriction and split code on family positions,
+against the cube walks it replaced.
 
-The oracles below are the former bodies of build_stopping (a breadth-first
-walk of the containment forest), stopping_parent (a parent climb),
-carleson_checks (sorted members, sums read from the cube-sum pyramid),
-bilinear_form_decompose (routing by relation), restrict, sparse_split_eval
-and sparse_sum_norm_ratios (cell loops routed by relation).  The sweep
-asserts bit-for-bit agreement on generated families and on their cubes
-listed shuffled and with a repeat, which the constructor normalises.
+The oracles below are the former bodies of sparse_eval (each cube's term
+added on its cells), SparseFamily.images (each cube's term added on the
+atoms inside it), build_stopping (a breadth-first walk of the containment
+forest), stopping_parent (a parent climb), carleson_checks (sorted
+members, sums read from the cube-sum pyramid), bilinear_form_decompose
+(routing by relation), restrict, sparse_split_eval and
+sparse_sum_norm_ratios (cell loops routed by relation).  The sweeps
+assert bit-for-bit agreement on generated families, towers, restricted
+families, split parts, arbitrary cube sets and on cubes listed shuffled
+and with a repeat, which the constructor normalises.
 """
 
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import random_exponents, random_function, random_weight
-from test_sparse import _forest_oracle
+from test_sparse import _atom_labels_oracle, _forest_oracle
 from weaksparse import sparse, stopping
 from weaksparse import testing_conditions as wtc
 from weaksparse.constants import apvec_constant
@@ -39,7 +43,9 @@ from weaksparse.sparse import (
     family_from_cubes,
     generate_sparse,
     restrict,
+    sparse_eval,
     sparse_split_eval,
+    tower_family,
 )
 from weaksparse.stopping import bilinear_form_decompose, build_stopping, stopping_parent
 
@@ -47,6 +53,29 @@ _KEY = lambda q: (q.level, q.coords)  # noqa: E731
 
 
 # --- the oracles ---------------------------------------------------------------
+
+
+def _sparse_eval_oracle(S, f1, f2):
+    cfg = S.config
+    if f1.config != cfg or f2.config != cfg:
+        raise ValueError("grid mismatch")
+    a1 = level_averages(f1.values, cfg)
+    a2 = level_averages(f2.values, cfg)
+    out = np.zeros(cfg.cell_count)
+    for q in S.cubes:
+        i = cube_index(q)
+        cell_view(out, q, cfg)[...] += a1[q.level][i] * a2[q.level][i]
+    return GridFunction(cfg, out)
+
+
+def _images_oracle(S, coef):
+    """Atom values of sum_Q coef[..., Q] 1_Q, one cube at a time."""
+    labels = _atom_labels_oracle(S.cubes, S.config)
+    out = np.zeros(coef.shape[:-1] + (len(S) + 1,))
+    for j, q in enumerate(S.cubes):
+        atoms = np.unique(cell_view(labels, q, S.config))
+        out[..., atoms] += coef[..., j, None]
+    return out
 
 
 def _weighted_averages(cubes, config, f, w):
@@ -406,3 +435,88 @@ def test_no_relation_or_parent_call_on_family_cubes(monkeypatch, rng):
     outside = next(q for q in all_cubes(cfg) if q not in S)
     stopping_parent(fam, outside)  # the counter sees the climb of a cube outside
     assert calls and set(calls) == {"parent"}
+
+
+# --- one evaluator: the level sweep against the cube loops ---------------------
+
+
+def _eval_families(rng, config):
+    """Generated families, the tower, a restriction and the two split parts
+    at one of its cubes, unverified and arbitrary cube sets, the empty
+    family and every cube of the grid (every atom but the finest empty)."""
+    for seed, budget in ((0, 0.1), (1, 0.3), (2, 0.5)):
+        S = generate_sparse(config, seed, budget)
+        if len(S):
+            yield S
+    yield tower_family(config)
+    S = generate_sparse(config, 3, 0.35)
+    qt = S.cubes[int(rng.integers(0, len(S)))]
+    yield restrict(S, qt)
+    yield from (SparseFamily(config, part) for part in sparse._nested_with(S.cubes, qt))
+    yield _unverified(rng, S)
+    pool = list(all_cubes(config))
+    yield SparseFamily(config, tuple(pool[i] for i in rng.integers(0, len(pool), 9)))
+    yield SparseFamily(config, ())
+    yield SparseFamily(config, tuple(pool))
+
+
+_EVAL_GRIDS = [GridConfig(1, K) for K in range(1, 11)] + [
+    GridConfig(2, K) for K in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("config", _EVAL_GRIDS, ids=lambda c: f"{c.dimension}d-K{c.finest_level}")
+def test_level_sweep_matches_cube_loops(config):
+    rng = np.random.default_rng(1000 + config.dimension * 100 + config.finest_level)
+    for S in _eval_families(rng, config):
+        labels = _atom_labels_oracle(S.cubes, config)
+        want_cells = [config.cells_per_cube(q.level) for q in S.cubes]
+        assert S.cells.dtype == np.float64 and S.cells.tolist() == want_cells
+        for signed in (False, True):
+            f1 = random_function(rng, config, signed)
+            f2 = random_function(rng, config)
+            assert _bits(sparse_eval(S, f1, f2)) == _bits(_sparse_eval_oracle(S, f1, f2))
+        for shape in ((), (3,), (2, 3)):
+            coef = rng.normal(0.0, 1.0, shape + (len(S),))
+            got = S.images(coef)
+            assert got.shape == shape + (len(S) + 1,)
+            assert got.tobytes() == _images_oracle(S, coef).tobytes()
+        w = random_weight(rng, config)
+        want = np.bincount(labels, weights=w.values, minlength=len(S) + 1)
+        assert S.masses(w).tobytes() == (want * config.cell_volume).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sparse_eval_errors_match_the_oracle():
+    cfg, other = GridConfig(1, 4), GridConfig(2, 2)  # both have 16 cells
+    S = tower_family(cfg)
+    one = GridFunction(cfg, np.ones(cfg.cell_count))
+    huge = GridFunction(cfg, np.full(cfg.cell_count, 1e200))  # the image overflows
+    wrong = GridFunction(other, np.ones(other.cell_count))
+    for args in [(S, one, wrong), (S, wrong, one), (S, huge, huge)]:
+        got = _outcome(sparse_eval, *args)
+        assert got == _outcome(_sparse_eval_oracle, *args)
+        assert got[0] == "raised"
+
+
+def test_sparse_eval_on_a_painted_family_walks_no_cube(monkeypatch, rng):
+    """After the paint, sparse_eval reads family positions only: no
+    level-average pyramid and no per-cube view of the cells."""
+    cfg = GridConfig(2, 4)
+    S = generate_sparse(cfg, 3, 0.3)
+    S.paint
+    calls = []
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+
+        return wrapper
+
+    for name in ("level_averages", "cell_view"):
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("weaksparse") and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name))
+        monkeypatch.setattr(sparse, name, counted(name), raising=False)
+    sparse_eval(S, random_function(rng, cfg), random_function(rng, cfg))
+    assert calls == []

@@ -22,7 +22,6 @@ from weaksparse.measure import indicator
 from weaksparse.serialize import load_sparse_family, save_sparse_family
 from weaksparse.sparse import (
     SparseFamily,
-    family_atoms,
     family_forest,
     family_from_cubes,
     generate_sparse,
@@ -79,9 +78,10 @@ def test_shuffled_repeated_cubes_give_the_same_results(config):
         assert T.witness is None and T.cubes == S.cubes
         assert np.array_equal(family_forest(T), family_forest(S))
 
-        got, want = family_atoms(T), family_atoms(S)
-        assert np.array_equal(got.labels, want.labels)
-        assert all(map(np.array_equal, got.members, want.members))
+        assert np.array_equal(T.paint[0], S.paint[0])
+        assert np.array_equal(T.cells, S.cells)
+        coef = rng.normal(0.0, 1.0, (2, len(S)))
+        assert np.array_equal(T.images(coef), S.images(coef))
         values = rng.normal(0.0, 1.0, (2, config.cell_count))
         assert np.array_equal(T.sums(values), S.sums(values))
 
@@ -100,7 +100,7 @@ def test_shuffled_repeated_cubes_give_the_same_results(config):
         for x, y in zip(got_sweep, wtc.testing_sweep(S, w1, w2, P, fns)):
             assert np.array_equal(x, y)
         powers = wtc._slot_powers(fns, config, P)
-        assert _pair_sweep(got, w1, w2, P, *powers) == _pair_sweep(want, w1, w2, P, *powers)
+        assert _pair_sweep(T, w1, w2, P, *powers) == _pair_sweep(S, w1, w2, P, *powers)
 
 
 def test_producers_hand_the_constructor_sorted_distinct_cubes(monkeypatch, tmp_path):
@@ -155,10 +155,10 @@ def test_a_family_paints_once(monkeypatch, rng):
     painted = _count_paints(monkeypatch)
     S = family_from_cubes(cfg, cubes)
     build_stopping(S, f, w)
-    family_atoms(S)
+    sparse_eval(S, f, f)
     Sp = family_from_cubes(cfg, sub)
     build_stopping(Sp, f, w)
-    family_atoms(Sp)
+    sparse_eval(Sp, f, f)
     bilinear_form_decompose(Sp, f, f, w, w, w)
     assert [id(x) for x in painted] == [id(S), id(Sp)]
 

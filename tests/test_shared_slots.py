@@ -27,7 +27,7 @@ from weaksparse.measure import (
     indicator,
     same_slots,
 )
-from weaksparse.sparse import family_atoms, generate_sparse, tower_family
+from weaksparse.sparse import generate_sparse, tower_family
 
 # p1 = p2 = 2p for the joint exponents p = 1.5, 2, 3, 6 and 40
 DIAGONAL = [ExponentTuple(q, q) for q in (3.0, 4.0, 6.0, 12.0, 80.0)]
@@ -84,17 +84,16 @@ def test_slot_sums_and_pair_sweep_match_the_general_path(K):
     # 2^K cells: one chunk holds 2^(15 - K) rows, so K = 11 and 12 take several
     fns = _test_set(rng, cfg, 20)
     for S in _families(cfg):
-        atoms = family_atoms(S)
         w = random_weight(rng, cfg)
         for P in DIAGONAL:
             test_set = wtc._slot_powers(fns, cfg, P)
-            shared = wtc._slot_sums(atoms, w, w, P, *test_set)
-            general = wtc._slot_sums(atoms, w, _copy(w), P, *test_set)
+            shared = wtc._slot_sums(S, w, w, P, *test_set)
+            general = wtc._slot_sums(S, w, _copy(w), P, *test_set)
             assert _hex(shared[0].values) == _hex(general[0].values)
             for got, want in zip(shared[1:], general[1:]):
                 assert got.shape == want.shape and _hex(got) == _hex(want)
-            got = _pair_sweep(atoms, w, w, P, *test_set)
-            want = _pair_sweep(atoms, w, _copy(w), P, *test_set)
+            got = _pair_sweep(S, w, w, P, *test_set)
+            want = _pair_sweep(S, w, _copy(w), P, *test_set)
             assert _hex(got) == _hex(want)
 
 
@@ -151,7 +150,7 @@ def test_slope_rows_match_the_general_path(K, q, monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_shared_path_reports_a_vanishing_function_before_an_overflow():
     cfg = GridConfig(1, 8)
-    atoms = family_atoms(tower_family(cfg))
+    S = tower_family(cfg)
     tiny = Weight(cfg, np.full(cfg.cell_count, 1e-300))  # dual weight 1e150
     P = ExponentTuple(3.0, 3.0)
     huge, zero = constant(cfg, 1e200), constant(cfg, 0.0)
@@ -164,7 +163,7 @@ def test_shared_path_reports_a_vanishing_function_before_an_overflow():
         for w2 in (tiny, _copy(tiny)):
             for sweep in (wtc._slot_sums, _pair_sweep):
                 with pytest.raises(ValueError, match=message):
-                    sweep(atoms, tiny, w2, P, *test_set)
+                    sweep(S, tiny, w2, P, *test_set)
 
 
 def test_shared_path_reports_a_grid_mismatch_first(monkeypatch):
@@ -176,7 +175,7 @@ def test_shared_path_reports_a_grid_mismatch_first(monkeypatch):
     for other in (GridConfig(2, 4), GridConfig(1, 5)):
         S = tower_family(other)
         for call in (
-            lambda: _pair_sweep(family_atoms(S), w, w, P, *wtc._slot_powers(fns, cfg, P)),
+            lambda: _pair_sweep(S, w, w, P, *wtc._slot_powers(fns, cfg, P)),
             lambda: wtc.testing_sweep(S, w, w, P, fns),
         ):
             with pytest.raises(ValueError, match="grid mismatch"):

@@ -32,10 +32,11 @@ from weaksparse.measure import (
     indicator,
     lp_norm,
 )
-from weaksparse.sparse import SparseFamily, family_atoms, generate_sparse, tower_family
+from test_family_oracles import _images_oracle
+from weaksparse.sparse import SparseFamily, generate_sparse, tower_family
 
 
-def _slot_sums_oracle(atoms, w1, w2, P, fns):
+def _slot_sums_oracle(S, w1, w2, P, fns):
     """The per-function slot norms and family-cube sums (the earlier body)."""
     s1, s2, v = wtc._dual_data(w1, w2, P)
     slots = ((s1, P.p1), (s2, P.p2))
@@ -45,31 +46,30 @@ def _slot_sums_oracle(atoms, w1, w2, P, fns):
 
     def family_sums(g):
         pyramid = cube_sums(g.values, g.config)
-        return np.array([pyramid[q.level][cube_index(q)] for q in atoms.family.cubes])
+        return np.array([pyramid[q.level][cube_index(q)] for q in S.cubes])
 
     sums = np.array([[family_sums(abs(f) * s) for f in fns] for s, _ in slots])
     return v, norms, sums
 
 
-def _pair_sweep_oracle(atoms, w1, w2, P, fns):
-    v, norms, sums = _slot_sums_oracle(atoms, w1, w2, P, fns)
-    c1, c2 = sums / atoms.cells
-    g = atoms.images(c1[:, None, :] * c2[None, :, :])
+def _pair_sweep_oracle(S, w1, w2, P, fns):
+    v, norms, sums = _slot_sums_oracle(S, w1, w2, P, fns)
+    c1, c2 = sums / S.cells
+    g = _images_oracle(S, c1[:, None, :] * c2[None, :, :])
     if not np.isfinite(g).all():
         raise ValueError("cell values must be finite")
-    strong, weak = atom_norms(g, atoms.masses(v), P.p)
+    strong, weak = atom_norms(g, S.masses(v), P.p)
     scale = norms[0][:, None] * norms[1][None, :]
     return float((weak / scale).max()), float((strong / scale).max())
 
 
-def _slot_sums(atoms, w1, w2, P, fns):
-    return wtc._slot_sums(atoms, w1, w2, P, *wtc._slot_powers(fns, w1.config, P))
+def _slot_sums(S, w1, w2, P, fns):
+    return wtc._slot_sums(S, w1, w2, P, *wtc._slot_powers(fns, w1.config, P))
 
 
 def _assert_slot_sums_match(S, w1, w2, P, fns):
-    atoms = family_atoms(S)
-    v, norms, sums = _slot_sums(atoms, w1, w2, P, fns)
-    want_v, want_norms, want_sums = _slot_sums_oracle(atoms, w1, w2, P, fns)
+    v, norms, sums = _slot_sums(S, w1, w2, P, fns)
+    want_v, want_norms, want_sums = _slot_sums_oracle(S, w1, w2, P, fns)
     assert np.array_equal(v.values, want_v.values)
     assert norms.shape == (2, len(fns)) and np.array_equal(norms, want_norms)
     assert sums.shape == (2, len(fns), len(S)) and np.array_equal(sums, want_sums)
@@ -169,11 +169,10 @@ def test_slot_sums_on_a_grid_wider_than_one_chunk():
 
 
 def _oracle_slope_rows(spec, P, cfg, S, fns):
-    atoms = family_atoms(S)
     report = alpha(P)
     rows = []
     for d, w1, w2, apv in build_family(spec, P, cfg):
-        weak, strong = _pair_sweep_oracle(atoms, w1, w2, P, fns)
+        weak, strong = _pair_sweep_oracle(S, w1, w2, P, fns)
         ratio_weak, ratio_strong = weak / apv**report.alpha, strong / apv**report.gamma
         rows.append(ExperimentRow(d, apv, weak, strong, ratio_weak, ratio_strong))
     return tuple(rows)
@@ -204,9 +203,7 @@ def _sweeps(fns, S=None):
     one = Weight(CFG, np.ones(CFG.cell_count))
     return (
         lambda: slope_experiment(SPEC, P66, CFG, S, fns),
-        lambda: _pair_sweep(
-            family_atoms(S), one, one, P66, *wtc._slot_powers(fns, CFG, P66)
-        ),
+        lambda: _pair_sweep(S, one, one, P66, *wtc._slot_powers(fns, CFG, P66)),
         lambda: wtc.testing_sweep(S, one, one, P66, fns),
     )
 
@@ -237,7 +234,6 @@ def test_every_sweep_refuses_a_family_from_another_grid(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_vanishing_function_is_reported_before_an_overflowing_product():
     S = tower_family(CFG)
-    atoms = family_atoms(S)
     one = Weight(CFG, np.ones(CFG.cell_count))
     tiny = Weight(CFG, np.full(CFG.cell_count, 1e-300))  # dual weight 1e150
     P = ExponentTuple(3.0, 3.0)
@@ -249,7 +245,7 @@ def test_vanishing_function_is_reported_before_an_overflowing_product():
     ):
         for sweep in (_slot_sums, _slot_sums_oracle):
             with pytest.raises(ValueError, match=message):
-                sweep(atoms, tiny, one, P, fns)
+                sweep(S, tiny, one, P, fns)
 
 
 # --- memory -------------------------------------------------------------------

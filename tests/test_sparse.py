@@ -18,8 +18,6 @@ from weaksparse.dyadic import (
 from weaksparse.measure import GridFunction, constant, indicator
 from weaksparse.sparse import (
     SparseFamily,
-    _sorted_distinct,
-    family_atoms,
     family_forest,
     family_from_cubes,
     generate_sparse,
@@ -68,21 +66,16 @@ def test_witnesses_are_disjoint(rng):
     assert np.unique(cells).size == cells.size
 
 
-def test_sorted_distinct_matches_unique(rng):
-    for n in (0, 1, 2, 50):
-        a = rng.integers(0, 6, n)
-        got, want = _sorted_distinct(a), np.unique(a)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 def test_family_checks_do_not_import_numpy_ma():
     # np.unique imports numpy.ma on first use, which would put about 1 MB
-    # of module objects in the middle of the first call that verifies a family
+    # of module objects in the middle of the first call that verifies a
+    # family or evaluates on a fresh one
     code = (
         "import sys, weaksparse as ws\n"
         "cfg = ws.GridConfig(1, 6)\n"
         "ws.generate_sparse(cfg, 5, 0.3)\n"
-        "ws.family_atoms(ws.tower_family(cfg))\n"
+        "f = ws.constant(cfg, 1.0)\n"
+        "ws.sparse_eval(ws.SparseFamily(cfg, ws.tower_family(cfg).cubes), f, f)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     import weaksparse
@@ -241,11 +234,13 @@ def _check_against_oracles(cubes, config):
     for q, u in zip(ordered, up.tolist()):
         (roots if u == len(ordered) else children[ordered[u]]).append(q)
     assert (roots, children) == _forest_oracle(cubes)
-    atoms = family_atoms(S)
     labels = _atom_labels_oracle(ordered, config)
-    assert np.array_equal(atoms.labels, labels)
-    for q, members in zip(ordered, atoms.members):
-        assert np.array_equal(members, np.unique(labels[cells_of(q, config)]))
+    assert np.array_equal(S.paint[0], labels)
+    # the image of the j-th unit coefficients is 1 exactly on cube j's atoms
+    unit = S.images(np.eye(len(ordered)))
+    for q, row in zip(ordered, unit):
+        inside = np.intersect1d(np.flatnonzero(row), labels)
+        assert np.array_equal(inside, np.unique(labels[cells_of(q, config)]))
     # family-cube sums, gathered per level, of a batch and of each row alone
     values = np.random.default_rng(len(cubes)).normal(0.0, 1.0, (2, config.cell_count))
     batched = S.sums(values)

@@ -133,6 +133,18 @@ def test_carleson_single_generation():
     assert rep.sum_value == pytest.approx(9.0)
 
 
+def test_carleson_checks_refuse_data_from_another_grid():
+    # F lives on 1D K = 6; 1D K = 8 has more cells and 2D K = 3 as many
+    w = Weight(CFG, np.ones(CFG.cell_count))
+    fam = build_stopping(tower_family(CFG), constant(CFG, 3.0), w)
+    for other in (GridConfig(1, 8), GridConfig(2, 3)):
+        f_other, w_other = constant(other, 3.0), Weight(other, np.ones(other.cell_count))
+        for f, ww in ((f_other, w_other), (f_other, w), (constant(CFG, 3.0), w_other)):
+            for p in (2.0, 1.0):  # the grid check comes before the exponent check
+                with pytest.raises(ValueError, match="grid mismatch"):
+                    carleson_checks(fam, f, ww, p)
+
+
 def test_carleson_random_suite(rng):
     for _ in range(200):
         dim = 1 if rng.random() < 0.8 else 2

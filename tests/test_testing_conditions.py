@@ -238,6 +238,17 @@ def test_localized_ratio_rejects_support_violation():
         local_sigma_testing_ratio(S, one, one, P23, constant(CFG, 1.0), cube(1, 0))
 
 
+def test_localized_ratio_refuses_data_from_another_grid():
+    S = tower_family(CFG)
+    one, f2 = _ones(CFG), constant(CFG, 1.0)
+    for other in (GridConfig(1, 8), GridConfig(2, 3)):  # more cells, as many cells
+        w, g = _ones(other), constant(other, 1.0)
+        for w1, w2, h in ((one, one, g), (w, one, f2), (one, w, f2)):
+            for qt in (cube(0, 0), cube(7, 0)):  # before the cube check
+                with pytest.raises(ValueError, match="grid mismatch"):
+                    local_sigma_testing_ratio(S, w1, w2, P23, h, qt)
+
+
 def test_localized_ratio_golden_pin():
     cfg = GridConfig(1, 8)
     w1, w2 = _power_pair(P23, cfg, 0.25)
