@@ -54,10 +54,10 @@ from .measure import (
     constant,
     dual_weight,
     indicator,
-    integral,
     joint_weight,
     kolmogorov_check,
     lp_norm,
+    pair_weights,
     weak_norm,
     weighted_average,
     weighted_measure,

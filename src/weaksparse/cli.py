@@ -18,7 +18,7 @@ from . import verify as wv
 from .dyadic import GridConfig
 from .experiment import slope_experiment
 from .families import WeightFamilySpec
-from .measure import ExponentTuple, dual_weight, joint_weight
+from .measure import ExponentTuple, pair_weights
 from .sparse import tower_family
 
 
@@ -59,11 +59,12 @@ def _cmd_constants(args) -> int:
         raise ValueError("weight files live on different grids")
     P = ExponentTuple(args.p1, args.p2)
     inequalities = wc.check_constant_inequalities(w1, w2, P)
+    s1, s2, v = pair_weights(w1, w2, P)
     report = {
         "apvec": inequalities.apvec,
-        "ainfty_v": wc.ainfty_constant(joint_weight(w1, w2, P)).value,
-        "ainfty_sigma1": wc.ainfty_constant(dual_weight(w1, P.p1)).value,
-        "ainfty_sigma2": wc.ainfty_constant(dual_weight(w2, P.p2)).value,
+        "ainfty_v": wc.ainfty_constant(v).value,
+        "ainfty_sigma1": wc.ainfty_constant(s1).value,
+        "ainfty_sigma2": wc.ainfty_constant(s2).value,
         "inequalities_pass": inequalities.passed,
     }
     _emit(report)

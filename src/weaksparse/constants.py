@@ -6,6 +6,12 @@ A_infty constant uses the dyadic maximal operator restricted to subcubes
 of the outer cube; this is self-consistent with the dyadic A_p constants
 but is a discretization choice, not an equivalence claim about the full
 Hardy-Littlewood operator.
+
+A pair's joint and A_{2p} constants start from its weights s1, s2 and v
+(measure.pair_weights) and their per-level cube averages.  The per-level
+maps read those averages, so a function that needs several constants of
+one pair pools each weight once; ap_constant and apvec_constant pool
+their own inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .dyadic import (
     level_averages,
     pool_level_sums,
 )
-from .measure import ExponentTuple, Weight, dual_weight, joint_weight, same_slots
+from .measure import ExponentTuple, Weight, dual_weight, joint_weight, pair_weights
 
 
 @dataclass(frozen=True)
@@ -48,16 +54,18 @@ def _argmax_over_levels(per_level: list[np.ndarray], config: GridConfig) -> Cons
     return ConstantReport(best, witness)
 
 
+def _ap_report(aw: list[np.ndarray], p: float, config: GridConfig) -> ConstantReport:
+    """[w]_{A_p} from aw, the level averages of w (aw[-1] holds w's cell values)."""
+    ad = level_averages(aw[-1] ** (1.0 - p / (p - 1.0)), config)
+    per_level = [x * y ** (p - 1.0) for x, y in zip(aw, ad)]
+    return _argmax_over_levels(per_level, config)
+
+
 def ap_constant(w: Weight, p: float) -> ConstantReport:
     """[w]_{A_p} = max over cubes of <w>_Q <w^{1-p'}>_Q^{p-1}."""
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
-    cfg = w.config
-    pc = p / (p - 1.0)
-    aw = level_averages(w.values, cfg)
-    ad = level_averages(w.values ** (1.0 - pc), cfg)
-    per_level = [aw[k] * ad[k] ** (p - 1.0) for k in range(cfg.finest_level + 1)]
-    return _argmax_over_levels(per_level, cfg)
+    return _ap_report(level_averages(w.values, w.config), p, w.config)
 
 
 def ainfty_constant(w: Weight) -> ConstantReport:
@@ -81,31 +89,30 @@ def ainfty_constant(w: Weight) -> ConstantReport:
     return _argmax_over_levels(per_level, cfg)
 
 
-def _joint_per_level(w1: Weight, w2: Weight, P: ExponentTuple) -> list[np.ndarray]:
-    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} for all levels.
-
-    When same_slots, slot 1's dual weight and averages are slot 0's.
-    """
-    cfg = w1.config
-    shared = same_slots(w1, w2, P)
-    v = joint_weight(w1, w2, P)
-    s1 = dual_weight(w1, P.p1)
-    s2 = s1 if shared else dual_weight(w2, P.p2)
+def _pair_averages(s1: Weight, s2: Weight, v: Weight) -> tuple[list, list, list]:
+    """Level averages of v, s1 and s2 from pair_weights; a2 is a1 when s2 is s1."""
+    cfg = v.config
     av = level_averages(v.values, cfg)
     a1 = level_averages(s1.values, cfg)
-    a2 = a1 if shared else level_averages(s2.values, cfg)
+    a2 = a1 if s2 is s1 else level_averages(s2.values, cfg)
+    return av, a1, a2
+
+
+def _joint_per_level(av, a1, a2, P: ExponentTuple) -> list[np.ndarray]:
+    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} from the level averages."""
     e1 = P.p / P.p1_prime
     e2 = P.p / P.p2_prime
-    return [
-        av[k] * a1[k] ** e1 * a2[k] ** e2 for k in range(cfg.finest_level + 1)
-    ]
+    return [x * y**e1 * z**e2 for x, y, z in zip(av, a1, a2)]
+
+
+def _apvec_report(av, a1, a2, P: ExponentTuple, config: GridConfig) -> ConstantReport:
+    """apvec_constant from the level averages of v, s1 and s2."""
+    return _argmax_over_levels(_joint_per_level(av, a1, a2, P), config)
 
 
 def apvec_constant(w1: Weight, w2: Weight, P: ExponentTuple) -> ConstantReport:
     """Joint two-weight constant: max over cubes of the product quantity."""
-    if w1.config != w2.config:
-        raise ValueError("grid mismatch")
-    return _argmax_over_levels(_joint_per_level(w1, w2, P), w1.config)
+    return _apvec_report(*_pair_averages(*pair_weights(w1, w2, P)), P, w1.config)
 
 
 @dataclass(frozen=True)
@@ -125,14 +132,18 @@ class InequalityReport:
 def check_constant_inequalities(
     w1: Weight, w2: Weight, P: ExponentTuple, rtol: float = 1e-10
 ) -> InequalityReport:
-    """Check [v]_{A_{2p}} <= [w-pair] and [s_i]_{A_{2p_i'}} <= [w-pair]^{p_i'/p}."""
-    apvec = apvec_constant(w1, w2, P).value
-    v = joint_weight(w1, w2, P)
-    s1 = dual_weight(w1, P.p1)
-    s2 = dual_weight(w2, P.p2)
-    joint_ap = ap_constant(v, 2.0 * P.p).value
-    sigma1_ap = ap_constant(s1, 2.0 * P.p1_prime).value
-    sigma2_ap = ap_constant(s2, 2.0 * P.p2_prime).value
+    """Check [v]_{A_{2p}} <= [w-pair] and [s_i]_{A_{2p_i'}} <= [w-pair]^{p_i'/p}.
+
+    v, s1 and s2 are pooled once, for the joint constant and the three
+    A_{2p} constants, and only their level averages are kept; when
+    same_slots, sigma2_ap is sigma1_ap.
+    """
+    cfg = w1.config
+    av, a1, a2 = _pair_averages(*pair_weights(w1, w2, P))
+    apvec = _apvec_report(av, a1, a2, P, cfg).value
+    joint_ap = _ap_report(av, 2.0 * P.p, cfg).value
+    sigma1_ap = _ap_report(a1, 2.0 * P.p1_prime, cfg).value
+    sigma2_ap = sigma1_ap if a2 is a1 else _ap_report(a2, 2.0 * P.p2_prime, cfg).value
     joint_bound = apvec
     sigma1_bound = apvec ** (P.p1_prime / P.p)
     sigma2_bound = apvec ** (P.p2_prime / P.p)
@@ -162,18 +173,24 @@ def dualize_first_entry(
     cube by cube, joint-quantity(transformed) = joint-quantity(original)
     raised to p1'/p; this is exact algebra, so the returned maximum relative
     deviation across all cubes measures floating-point error only, and the
-    constant identity follows by monotonicity of x -> x^{p1'/p}.
+    constant identity follows by monotonicity of x -> x^{p1'/p}.  The two
+    pairs share s2 = w2^(1-p2') and its level averages.
     """
-    if w1.config != w2.config:
-        raise ValueError("grid mismatch")
-    v = joint_weight(w1, w2, P)
-    w1_new = Weight(w1.config, v.values ** (1.0 - P.p_prime))
+    s1, s2, v = pair_weights(w1, w2, P)
+    av, a1, a2 = _pair_averages(s1, s2, v)
+    cfg = w1.config
+    w1_new = Weight(cfg, v.values ** (1.0 - P.p_prime))
     P_new = ExponentTuple(P.p_prime, P.p2)
     power = P.p1_prime / P.p
-    orig = _joint_per_level(w1, w2, P)
-    new = _joint_per_level(w1_new, w2, P_new)
+    orig = _joint_per_level(av, a1, a2, P)
+    new = _joint_per_level(
+        level_averages(joint_weight(w1_new, w2, P_new).values, cfg),
+        level_averages(dual_weight(w1_new, P_new.p1).values, cfg),
+        a2,
+        P_new,
+    )
     err = 0.0
-    for k in range(w1.config.finest_level + 1):
+    for k in range(cfg.finest_level + 1):
         expected = orig[k] ** power
         err = max(err, float(np.max(np.abs(new[k] - expected) / expected)))
     return w1_new, w2, P_new, err

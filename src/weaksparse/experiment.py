@@ -81,6 +81,10 @@ def fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+#: Seed of slope_experiment's default test set.
+_TEST_SEED = 90210
+
+
 def default_test_functions(
     config: GridConfig, seed: int, random_count: int = 8
 ) -> list[GridFunction]:
@@ -140,7 +144,6 @@ def slope_experiment(
     config: GridConfig,
     S: SparseFamily,
     test_functions: list[GridFunction] | None = None,
-    test_seed: int = 90210,
 ) -> SlopeResult:
     """Measure empirical weak/strong exponents along a weight family."""
     family = build_family(spec, P, config)
@@ -153,7 +156,7 @@ def slope_experiment(
         if not nxt > prev:
             raise ValueError("family constants not strictly increasing")
     if test_functions is None:
-        test_functions = default_test_functions(config, test_seed)
+        test_functions = default_test_functions(config, _TEST_SEED)
     values, powers = _slot_powers(test_functions, config, P)
     report = alpha(P)
 

@@ -17,7 +17,7 @@ the sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class ExponentReport:
     alpha_lt_1: bool
 
     def as_dict(self) -> dict:
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "p": self.p,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "weak_strictly_better": self.weak_strictly_better,
-            "alpha_lt_1": self.alpha_lt_1,
-        }
+        return asdict(self)
 
 
 def alpha(P: ExponentTuple) -> ExponentReport:

@@ -12,6 +12,10 @@ Conventions.
     or 0 to a negative power.
   * ExponentTuple holds a Hoelder pair (p1, p2) with 1 < p1, p2 < inf
     and derived p from 1/p = 1/p1 + 1/p2, restricted to p > 1.
+  * A weight pair (w1, w2) at exponents P enters every estimate through
+    three weights: the duals s_i = w_i^(1-p_i') and the joint weight
+    v = w1^(p/p1) w2^(p/p2).  pair_weights is the one place that derives
+    them; on the diagonal (same_slots) s2 is s1.
   * The weak L^p quasi-norm is computed as an exact maximum: for a step
     function the map t -> t * w({|f| >= t})^(1/p) is increasing between
     jumps of the distribution function, so the supremum is attained at
@@ -160,11 +164,6 @@ def weighted_average(f: GridFunction, w: Weight, q: DyadicCube) -> float:
     return float((fv * wv).sum() / wv.sum())
 
 
-def integral(f: GridFunction, w: Weight) -> float:
-    cfg = _same_grid(f, w)
-    return float((f.values * w.values).sum()) * cfg.cell_volume
-
-
 def same_slots(w1: Weight, w2: Weight, P: ExponentTuple) -> bool:
     """Whether both slots of a weight pair carry the same data.
 
@@ -189,6 +188,18 @@ def joint_weight(w1: Weight, w2: Weight, P: ExponentTuple) -> Weight:
     x = w1.values ** (P.p / P.p1)
     y = x if same_slots(w1, w2, P) else w2.values ** (P.p / P.p2)
     return Weight(cfg, x * y)
+
+
+def pair_weights(w1: Weight, w2: Weight, P: ExponentTuple) -> tuple[Weight, Weight, Weight]:
+    """s1, s2 and v of a weight pair: its dual weights and its joint weight.
+
+    s_i = w_i^(1 - p_i') and v = w1^(p/p1) w2^(p/p2).  Raises "grid
+    mismatch" first; s2 is s1 when same_slots.
+    """
+    _same_grid(w1, w2)
+    s1 = dual_weight(w1, P.p1)
+    s2 = s1 if same_slots(w1, w2, P) else dual_weight(w2, P.p2)
+    return s1, s2, joint_weight(w1, w2, P)
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:

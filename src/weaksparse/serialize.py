@@ -10,10 +10,12 @@ repeated runs are byte identical.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from .dyadic import DyadicCube, GridConfig
+from .experiment import ExperimentRow
 from .exponents import REGION_COLUMNS, RegionTable
 from .measure import GridFunction, Weight
 from .sparse import SparseFamily, family_from_cubes
@@ -117,24 +119,11 @@ def load_sparse_family(path, config: GridConfig) -> SparseFamily:
 
 
 def region_csv_text(table: RegionTable) -> str:
+    columns = [getattr(table, name) for name in REGION_COLUMNS]
+    fmts = [_fmt_bool if c.dtype == bool else _fmt for c in columns]
     lines = [",".join(REGION_COLUMNS)]
     for r in range(len(table)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(table.inv_p1[r]),
-                    _fmt(table.inv_p2[r]),
-                    _fmt(table.p[r]),
-                    _fmt(table.beta[r]),
-                    _fmt(table.gamma[r]),
-                    _fmt(table.alpha[r]),
-                    _fmt_bool(table.weak_strictly_better[r]),
-                    _fmt_bool(table.alpha_lt_1[r]),
-                    _fmt_bool(table.p_ge_golden[r]),
-                    _fmt_bool(table.min_gt_4[r]),
-                )
-            )
-        )
+        lines.append(",".join(fmt(c[r]) for fmt, c in zip(fmts, columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -144,21 +133,10 @@ def write_region_csv(table: RegionTable, path) -> None:
 
 
 def experiment_csv_text(rows) -> str:
-    lines = ["delta,apvec,weak,strong,ratio_weak,ratio_strong"]
+    names = [f.name for f in fields(ExperimentRow)]
+    lines = [",".join(names)]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    r.delta,
-                    r.apvec,
-                    r.weak,
-                    r.strong,
-                    r.ratio_weak,
-                    r.ratio_strong,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 

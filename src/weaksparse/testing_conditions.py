@@ -15,6 +15,11 @@ inside sparse_eval) from the family-cube sums (SparseFamily.sums), where
 the data masked to a cube Q needs no new cube sums, and reduces each
 quantity over the cells in the one-pair functions' order, so its values
 equal theirs bit for bit; the one-pair functions are its test oracle.
+
+Every quantity takes the pair's dual and joint weights from
+measure.pair_weights, once per call.  A function that also needs the
+joint constant apvec forms it from the level averages of those weights,
+so each weight is pooled once per call.
 """
 
 from __future__ import annotations
@@ -23,22 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ainfty_constant, apvec_constant
+from .constants import _apvec_report, _pair_averages, ainfty_constant
 from .dyadic import (
     DyadicCube,
     GridConfig,
     cell_view,
     check_cube,
     cube_index,
-    level_averages,
 )
 from .measure import (
     ExponentTuple,
     GridFunction,
     Weight,
-    dual_weight,
-    joint_weight,
     lp_norm,
+    pair_weights,
     same_slots,
     weak_norm,
     weighted_measure,
@@ -65,13 +68,6 @@ def _make_report(lhs: float, rhs: float, context: str) -> TestingReport:
     return TestingReport(lhs, rhs, ratio, context)
 
 
-def _dual_data(w1: Weight, w2: Weight, P: ExponentTuple):
-    """s1, s2 and v; s2 is s1 when same_slots."""
-    s1 = dual_weight(w1, P.p1)
-    s2 = s1 if same_slots(w1, w2, P) else dual_weight(w2, P.p2)
-    return s1, s2, joint_weight(w1, w2, P)
-
-
 def _global_image(
     S: SparseFamily,
     w1: Weight,
@@ -81,7 +77,7 @@ def _global_image(
     f2: GridFunction,
 ):
     """Sparse image of (|f1| s1, |f2| s2), the joint weight v, and the norm product."""
-    s1, s2, v = _dual_data(w1, w2, P)
+    s1, s2, v = pair_weights(w1, w2, P)
     n1 = lp_norm(f1, s1, P.p1)
     n2 = lp_norm(f2, s2, P.p2)
     if n1 == 0.0 or n2 == 0.0:
@@ -155,7 +151,7 @@ def _slot_sums(
     """
     if w1.config != S.config or w2.config != S.config:
         raise ValueError("grid mismatch")
-    s1, s2, v = _dual_data(w1, w2, P)
+    s1, s2, v = pair_weights(w1, w2, P)
     slots = ((s1, P.p1), (s2, P.p2))[: 1 if same_slots(w1, w2, P) else 2]
     count, cells = len(values), s1.config.cell_count
     rows = max(1, _CHUNK_CELLS // cells)
@@ -269,7 +265,7 @@ def local_testing_quantity(
     """
     if q not in S:
         raise ValueError("testing cube must belong to the family")
-    s1, s2, v = _dual_data(w1, w2, P)
+    s1, s2, v = pair_weights(w1, w2, P)
     n1 = lp_norm(f1, s1, P.p1)
     n2 = lp_norm(f2, s2, P.p2)
     if n1 == 0.0 or n2 == 0.0:
@@ -301,7 +297,7 @@ def local_sigma_testing_ratio(
     if f2.config != cfg or w1.config != cfg or w2.config != cfg:
         raise ValueError("grid mismatch")
     check_cube(qt, cfg)
-    s1, s2, v = _dual_data(w1, w2, P)
+    s1, s2, v = pair_weights(w1, w2, P)
     if float(f2.values.min()) < 0.0:
         raise ValueError("f2 must be nonnegative")
     outside = np.ones(cfg.cell_count, dtype=bool)
@@ -319,7 +315,7 @@ def local_sigma_testing_ratio(
     mixed = max(min(a1, a2) ** (1.0 / P.p), min(a1, av) ** (1.0 / P.p2_prime))
     rhs = (
         mixed
-        * apvec_constant(w1, w2, P).value ** (1.0 / P.p)
+        * _apvec_report(*_pair_averages(s1, s2, v), P, cfg).value ** (1.0 / P.p)
         * n2
         * weighted_measure(s1, qt) ** (1.0 / P.p1)
     )
@@ -338,11 +334,9 @@ def sparse_sum_norm_ratios(
     apvec^(1/p) (sum <s1>_Q^{p2'/p1} <v>_Q^{p2'/p'} |Q|)^{1/p2'}.
     """
     cfg = S.config
-    s1, s2, v = _dual_data(w1, w2, P)
-    a1 = level_averages(s1.values, cfg)
-    a2 = level_averages(s2.values, cfg)
-    av = level_averages(v.values, cfg)
-    apv = apvec_constant(w1, w2, P).value
+    s1, s2, v = pair_weights(w1, w2, P)
+    av, a1, a2 = _pair_averages(s1, s2, v)
+    apv = _apvec_report(av, a1, a2, P, v.config).value
 
     carleson1 = 0.0
     carleson2 = 0.0

@@ -14,8 +14,6 @@ the report.  Suites:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import constants as wc
@@ -317,9 +315,7 @@ def check_bilinear_decomposition(seed):
         P = _random_exponents(rng)
         w1 = _random_weight(rng, cfg)
         w2 = _random_weight(rng, cfg)
-        s1 = wm.dual_weight(w1, P.p1)
-        s2 = wm.dual_weight(w2, P.p2)
-        v = wm.joint_weight(w1, w2, P)
+        s1, s2, v = wm.pair_weights(w1, w2, P)
         f2 = _random_nonneg(rng, cfg)
         h = _random_nonneg(rng, cfg)
         i1, i2, total = wst.bilinear_form_decompose(Sp, f2, h, s2, v, s1)
@@ -356,41 +352,38 @@ def check_local_testing_direction(seed):
     return {"pass": failures == 0, "failures": failures, "max_local_over_global": worst}
 
 
-@functools.lru_cache(maxsize=1)
-def _delta_family_ratios(seed):
-    """Shared degeneration family for the localized and aggregate ratio suites.
+def _delta_family():
+    """Degeneration family of the localized and aggregate ratio checks.
 
-    Both suites run it with the same seed, so the last result is kept;
-    run_suite clears it when it starts and when it returns.
+    The power family at P = (2, 3) on the 1D K = 10 grid, with the
+    corner tower; returns (P, tower, build_family rows).
     """
-    rng = np.random.default_rng(seed)
     cfg = wd.GridConfig(1, 10)
     P = wm.ExponentTuple(2.0, 3.0)
-    S = ws.tower_family(cfg)
     spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(1, 9)))
+    return P, ws.tower_family(cfg), wf.build_family(spec, P, cfg)
+
+
+def check_localized_testing_family(seed):
+    from .experiment import fit_loglog_slope
+
+    rng = np.random.default_rng(seed)
+    P, S, family = _delta_family()
+    cfg = S.config
     f2s = [
         wm.indicator(cfg, wd.cube(cfg.finest_level, 0)),
         wm.indicator(cfg, wd.cube(5, 0)),
         wm.indicator(cfg, wd.cube(0, 0)),
         _random_nonneg(rng, cfg, zeros=0.0),
     ]
-    rows = []
-    for d, w1, w2, apv in wf.build_family(spec, P, cfg):
-        local = max(
+    apv = [row[3] for row in family]
+    loc = [
+        max(
             wtc.local_sigma_testing_ratio(S, w1, w2, P, f2, wd.cube(0, 0)).ratio
             for f2 in f2s
         )
-        r1, r2 = wtc.sparse_sum_norm_ratios(S, w1, w2, P)
-        rows.append((d, apv, local, r1.ratio, r2.ratio))
-    return tuple(rows)
-
-
-def check_localized_testing_family(seed):
-    from .experiment import fit_loglog_slope
-
-    rows = _delta_family_ratios(seed)
-    apv = [r[1] for r in rows]
-    loc = [r[2] for r in rows]
+        for _, w1, w2, _ in family
+    ]
     slope = fit_loglog_slope(apv, loc)
     return {
         "pass": slope <= _RATIO_SLOPE_TOL,
@@ -402,15 +395,19 @@ def check_localized_testing_family(seed):
 def check_sparse_sum_ratio_family(seed):
     from .experiment import fit_loglog_slope
 
-    rows = _delta_family_ratios(seed)
-    apv = [r[1] for r in rows]
-    s1 = fit_loglog_slope(apv, [r[3] for r in rows])
-    s2 = fit_loglog_slope(apv, [r[4] for r in rows])
+    P, S, family = _delta_family()
+    apv = [row[3] for row in family]
+    ratios = [
+        [r.ratio for r in wtc.sparse_sum_norm_ratios(S, w1, w2, P)]
+        for _, w1, w2, _ in family
+    ]
+    s1 = fit_loglog_slope(apv, [r[0] for r in ratios])
+    s2 = fit_loglog_slope(apv, [r[1] for r in ratios])
     return {
         "pass": s1 <= _RATIO_SLOPE_TOL and s2 <= _RATIO_SLOPE_TOL,
         "slope_product_sum": s1,
         "slope_mixed_sum": s2,
-        "max_ratios": [max(r[3] for r in rows), max(r[4] for r in rows)],
+        "max_ratios": [max(r[0] for r in ratios), max(r[1] for r in ratios)],
     }
 
 
@@ -558,7 +555,6 @@ def _jsonable(value):
 def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'; choose from {sorted(SUITES)}")
-    _delta_family_ratios.cache_clear()  # shared by the checks of one run only
     checks = []
     for name in SUITES[suite]:
         try:
@@ -567,7 +563,6 @@ def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
             result = {"pass": False, "error": f"{type(e).__name__}: {e}"}
         result["pass"] = bool(result["pass"])
         checks.append({"name": name, **result})
-    _delta_family_ratios.cache_clear()
     return {
         "suite": suite,
         "seed": seed,

@@ -25,7 +25,6 @@ from weaksparse.stopping import (
 )
 from weaksparse.verify import (
     _DEFAULT_SEED,
-    _delta_family_ratios,
     _random_exponents,
     _random_nonneg,
     _random_weight,
@@ -243,22 +242,24 @@ def test_acceptance_10_slope_experiment():
 
 
 def test_acceptance_11_ratio_guards():
-    from weaksparse.experiment import fit_loglog_slope
+    from weaksparse.verify import (
+        check_localized_testing_family,
+        check_sparse_sum_ratio_family,
+    )
 
-    rows = _delta_family_ratios(_DEFAULT_SEED)
-    apv = [r[1] for r in rows]
-    s_loc = fit_loglog_slope(apv, [r[2] for r in rows])
-    s_r1 = fit_loglog_slope(apv, [r[3] for r in rows])
-    s_r2 = fit_loglog_slope(apv, [r[4] for r in rows])
+    loc = check_localized_testing_family(_DEFAULT_SEED)
+    sums = check_sparse_sum_ratio_family(_DEFAULT_SEED)
+    s_loc = loc["slope"]
+    s_r1, s_r2 = sums["slope_product_sum"], sums["slope_mixed_sum"]
     golden = {
         "localized": 1.9839924789405023,
         "product_sum": 1.1179276942582035,
         "mixed_sum": 1.560053124447643,
     }
     maxima = {
-        "localized": max(r[2] for r in rows),
-        "product_sum": max(r[3] for r in rows),
-        "mixed_sum": max(r[4] for r in rows),
+        "localized": loc["max_ratio"],
+        "product_sum": sums["max_ratios"][0],
+        "mixed_sum": sums["max_ratios"][1],
     }
     slopes_ok = max(s_loc, s_r1, s_r2) <= 0.05
     golden_ok = all(

@@ -7,7 +7,11 @@ atoms inside it), build_stopping (a breadth-first walk of the containment
 forest), stopping_parent (a parent climb), carleson_checks (sorted
 members, sums read from the cube-sum pyramid), bilinear_form_decompose
 (routing by relation), restrict, sparse_split_eval and
-sparse_sum_norm_ratios (cell loops routed by relation).  The sweeps
+sparse_sum_norm_ratios (cell loops routed by relation).  Next to them are
+the derive-and-pool bodies of the joint constant, the constant
+inequalities, the dual transform and the saturated-slot ratio, which
+derived s1, s2 and v and pooled their level averages in each call
+(measure.pair_weights and the averages-based constants replace them).  The sweeps
 assert bit-for-bit agreement on generated families, towers, restricted
 families, split parts, arbitrary cube sets and on cubes listed shuffled
 and with a repeat, which the constructor normalises.
@@ -19,11 +23,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import random_exponents, random_function, random_weight
+from conftest import _random_nonneg, random_exponents, random_function, random_weight
 from test_sparse import _atom_labels_oracle, _forest_oracle
-from weaksparse import sparse, stopping
+from weaksparse import constants as wc
+from weaksparse import dyadic as dyadic_module
+from weaksparse import measure, sparse, stopping
 from weaksparse import testing_conditions as wtc
-from weaksparse.constants import apvec_constant
+from weaksparse.constants import InequalityReport, ainfty_constant
+from weaksparse.families import power_weight
 from weaksparse.dyadic import (
     GridConfig,
     Relation,
@@ -37,7 +44,16 @@ from weaksparse.dyadic import (
     parent,
     relation,
 )
-from weaksparse.measure import GridFunction, Weight, dual_weight, joint_weight, lp_norm
+from weaksparse.measure import (
+    ExponentTuple,
+    GridFunction,
+    Weight,
+    dual_weight,
+    joint_weight,
+    lp_norm,
+    same_slots,
+    weighted_measure,
+)
 from weaksparse.sparse import (
     SparseFamily,
     family_from_cubes,
@@ -234,7 +250,7 @@ def _sparse_sum_norm_ratios_oracle(S, w1, w2, P):
     a1 = level_averages(s1.values, cfg)
     a2 = level_averages(s2.values, cfg)
     av = level_averages(v.values, cfg)
-    apv = apvec_constant(w1, w2, P).value
+    apv = _apvec_oracle(w1, w2, P).value
     sum1 = np.zeros(cfg.cell_count)
     sum2 = np.zeros(cfg.cell_count)
     carleson1 = carleson2 = 0.0
@@ -253,6 +269,91 @@ def _sparse_sum_norm_ratios_oracle(S, w1, w2, P):
     rhs2 = apv ** (1.0 / P.p) * carleson2 ** (1.0 / P.p2_prime)
     ctx = f"S={len(S)} cubes, P=({P.p1:g},{P.p2:g})"
     return wtc._make_report(lhs1, rhs1, ctx), wtc._make_report(lhs2, rhs2, ctx)
+
+
+def _joint_per_level_oracle(w1, w2, P):
+    """Per-cube <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'}, derived and pooled here."""
+    cfg = w1.config
+    shared = same_slots(w1, w2, P)
+    v = joint_weight(w1, w2, P)
+    s1 = dual_weight(w1, P.p1)
+    s2 = s1 if shared else dual_weight(w2, P.p2)
+    av = level_averages(v.values, cfg)
+    a1 = level_averages(s1.values, cfg)
+    a2 = a1 if shared else level_averages(s2.values, cfg)
+    e1 = P.p / P.p1_prime
+    e2 = P.p / P.p2_prime
+    return [av[k] * a1[k] ** e1 * a2[k] ** e2 for k in range(cfg.finest_level + 1)]
+
+
+def _apvec_oracle(w1, w2, P):
+    if w1.config != w2.config:
+        raise ValueError("grid mismatch")
+    return wc._argmax_over_levels(_joint_per_level_oracle(w1, w2, P), w1.config)
+
+
+def _ap_oracle(w, p):
+    cfg = w.config
+    pc = p / (p - 1.0)
+    aw = level_averages(w.values, cfg)
+    ad = level_averages(w.values ** (1.0 - pc), cfg)
+    per_level = [aw[k] * ad[k] ** (p - 1.0) for k in range(cfg.finest_level + 1)]
+    return wc._argmax_over_levels(per_level, cfg)
+
+
+def _check_constant_inequalities_oracle(w1, w2, P, rtol=1e-10):
+    apvec = _apvec_oracle(w1, w2, P).value
+    v = joint_weight(w1, w2, P)
+    s1 = dual_weight(w1, P.p1)
+    s2 = dual_weight(w2, P.p2)
+    joint_ap = _ap_oracle(v, 2.0 * P.p).value
+    sigma1_ap = _ap_oracle(s1, 2.0 * P.p1_prime).value
+    sigma2_ap = _ap_oracle(s2, 2.0 * P.p2_prime).value
+    joint_bound = apvec
+    sigma1_bound = apvec ** (P.p1_prime / P.p)
+    sigma2_bound = apvec ** (P.p2_prime / P.p)
+    ok = (
+        joint_ap <= joint_bound * (1.0 + rtol)
+        and sigma1_ap <= sigma1_bound * (1.0 + rtol)
+        and sigma2_ap <= sigma2_bound * (1.0 + rtol)
+    )
+    return InequalityReport(
+        apvec, joint_ap, sigma1_ap, sigma2_ap, joint_bound, sigma1_bound, sigma2_bound, ok
+    )
+
+
+def _dualize_first_entry_oracle(w1, w2, P):
+    if w1.config != w2.config:
+        raise ValueError("grid mismatch")
+    v = joint_weight(w1, w2, P)
+    w1_new = Weight(w1.config, v.values ** (1.0 - P.p_prime))
+    P_new = ExponentTuple(P.p_prime, P.p2)
+    power = P.p1_prime / P.p
+    orig = _joint_per_level_oracle(w1, w2, P)
+    new = _joint_per_level_oracle(w1_new, w2, P_new)
+    err = 0.0
+    for k in range(w1.config.finest_level + 1):
+        expected = orig[k] ** power
+        err = max(err, float(np.max(np.abs(new[k] - expected) / expected)))
+    return w1_new, w2, P_new, err
+
+
+def _local_sigma_testing_ratio_oracle(S, w1, w2, P, f2, qt):
+    """The ratio with apvec_constant called on the pair again (checks skipped)."""
+    s1, s2, v = dual_weight(w1, P.p1), dual_weight(w2, P.p2), joint_weight(w1, w2, P)
+    n2 = lp_norm(f2, s2, P.p2)
+    g = sparse_eval(S, s1.restricted(qt), abs(f2) * s2)
+    lhs = lp_norm(g.restricted(qt), v, P.p)
+    a1, a2, av = (ainfty_constant(x).value for x in (s1, s2, v))
+    mixed = max(min(a1, a2) ** (1.0 / P.p), min(a1, av) ** (1.0 / P.p2_prime))
+    rhs = (
+        mixed
+        * _apvec_oracle(w1, w2, P).value ** (1.0 / P.p)
+        * n2
+        * weighted_measure(s1, qt) ** (1.0 / P.p1)
+    )
+    ctx = f"S={len(S)} cubes, qt={qt}, P=({P.p1:g},{P.p2:g})"
+    return wtc._make_report(lhs, rhs, ctx)
 
 
 # --- the sweep -----------------------------------------------------------------
@@ -520,3 +621,133 @@ def test_sparse_eval_on_a_painted_family_walks_no_cube(monkeypatch, rng):
         monkeypatch.setattr(sparse, name, counted(name), raising=False)
     sparse_eval(S, random_function(rng, cfg), random_function(rng, cfg))
     assert calls == []
+
+
+# --- one derivation per weight pair ---------------------------------------------
+
+
+def _weight_pairs(rng, cfg):
+    """A random pair, then diagonal pairs (w2 is w1) each with an equal but
+    distinct copy in slot 2: a random weight and, in 1D, a power weight."""
+    yield random_weight(rng, cfg), random_weight(rng, cfg), random_exponents(rng)
+    q = float(rng.uniform(2.5, 12.0))
+    D = ExponentTuple(q, q)
+    diagonal = [random_weight(rng, cfg)]
+    if cfg.dimension == 1:
+        delta = 2.0 ** -int(rng.integers(1, 9))
+        diagonal.append(power_weight((1.0 - delta) * (q - 1.0), cfg))
+    for w in diagonal:
+        yield w, w, D
+        yield w, Weight(cfg, w.values), D
+
+
+_PAIR_GRIDS = [GridConfig(1, K) for K in range(2, 11)] + [
+    GridConfig(2, K) for K in range(1, 6)
+]
+
+
+@pytest.mark.parametrize(
+    "config", _PAIR_GRIDS, ids=lambda c: f"{c.dimension}d-K{c.finest_level}"
+)
+def test_pooled_once_constants_match_the_derive_and_pool_bodies(config):
+    rng = np.random.default_rng(1000 + config.dimension * 100 + config.finest_level)
+    for _ in range(2):
+        S = generate_sparse(config, int(rng.integers(0, 2**31)), 0.3)
+        if len(S) == 0:
+            S = tower_family(config)
+        qt = S.cubes[int(rng.integers(0, len(S)))]
+        f2 = _random_nonneg(rng, config, zeros=0.0)
+        for w1, w2, P in _weight_pairs(rng, config):
+            assert wc.apvec_constant(w1, w2, P) == _apvec_oracle(w1, w2, P)
+            assert wc.check_constant_inequalities(
+                w1, w2, P
+            ) == _check_constant_inequalities_oracle(w1, w2, P)
+            got = wc.dualize_first_entry(w1, w2, P)
+            want = _dualize_first_entry_oracle(w1, w2, P)
+            assert _bits(got[0]) == _bits(want[0]) and got[1] is w2
+            assert got[2:] == want[2:]
+            assert wtc.sparse_sum_norm_ratios(
+                S, w1, w2, P
+            ) == _sparse_sum_norm_ratios_oracle(S, w1, w2, P)
+            for q, f in ((cube(0, *(0,) * config.dimension), f2), (qt, f2.restricted(qt))):
+                assert wtc.local_sigma_testing_ratio(
+                    S, w1, w2, P, f, q
+                ) == _local_sigma_testing_ratio_oracle(S, w1, w2, P, f, q)
+
+
+def _count_derivations(monkeypatch) -> dict:
+    """Calls of level_averages, dual_weight and joint_weight from any module."""
+    counts = {}
+    homes = {"level_averages": dyadic_module, "dual_weight": measure, "joint_weight": measure}
+    for name, home in homes.items():
+        real = getattr(home, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("weaksparse") and getattr(
+                mod, name, None
+            ) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def _unshared_pair():
+    cfg = GridConfig(1, 6)
+    rng = np.random.default_rng(11)
+    S = tower_family(cfg)
+    f2 = _random_nonneg(rng, cfg, zeros=0.0)
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    return S, w1, w2, ExponentTuple(2.0, 3.0), f2
+
+
+@pytest.mark.parametrize(
+    "name, pools, duals, joints",
+    [
+        ("apvec_constant", 3, 2, 1),
+        ("check_constant_inequalities", 6, 2, 1),
+        ("dualize_first_entry", 5, 3, 2),  # s2 and its averages serve both pairs
+        ("sparse_sum_norm_ratios", 3, 2, 1),
+        ("local_sigma_testing_ratio", 3, 2, 1),
+    ],
+)
+def test_one_call_derives_and_pools_each_weight_once(monkeypatch, name, pools, duals, joints):
+    S, w1, w2, P, f2 = _unshared_pair()
+    calls = {
+        "apvec_constant": lambda: wc.apvec_constant(w1, w2, P),
+        "check_constant_inequalities": lambda: wc.check_constant_inequalities(w1, w2, P),
+        "dualize_first_entry": lambda: wc.dualize_first_entry(w1, w2, P),
+        "sparse_sum_norm_ratios": lambda: wtc.sparse_sum_norm_ratios(S, w1, w2, P),
+        "local_sigma_testing_ratio": lambda: wtc.local_sigma_testing_ratio(
+            S, w1, w2, P, f2, S.cubes[0]
+        ),
+    }
+    counts = _count_derivations(monkeypatch)
+    calls[name]()
+    assert counts == {"level_averages": pools, "dual_weight": duals, "joint_weight": joints}
+
+
+def test_a_diagonal_pair_pools_one_dual_weight(monkeypatch):
+    cfg = GridConfig(1, 6)
+    w = power_weight(4.0, cfg)
+    counts = _count_derivations(monkeypatch)
+    wc.check_constant_inequalities(w, w, ExponentTuple(6.0, 6.0))
+    assert counts == {"level_averages": 4, "dual_weight": 1, "joint_weight": 1}
+
+
+def test_constants_command_derives_each_weight_once(monkeypatch, tmp_path, capsys):
+    from weaksparse import cli
+    from weaksparse.serialize import save_grid_function
+
+    _, w1, w2, _, _ = _unshared_pair()
+    save_grid_function(w1, tmp_path / "w1.json")
+    save_grid_function(w2, tmp_path / "w2.json")
+    counts = _count_derivations(monkeypatch)
+    weights = f"{tmp_path / 'w1.json'},{tmp_path / 'w2.json'}"
+    assert cli.main(["constants", "--weights", weights, "--p1", "2", "--p2", "3"]) == 0
+    # the constant inequalities derive the pair once and the A_infty rows once more
+    assert counts == {"level_averages": 6, "dual_weight": 4, "joint_weight": 2}
+    assert '"inequalities_pass": true' in capsys.readouterr().out

@@ -13,6 +13,7 @@ import pytest
 from conftest import random_function, random_weight
 from weaksparse import constants as wc
 from weaksparse import experiment as we
+from weaksparse import measure as wm
 from weaksparse import sparse as ws
 from weaksparse import testing_conditions as wtc
 from weaksparse.constants import apvec_constant
@@ -167,7 +168,7 @@ def test_shared_path_reports_a_vanishing_function_before_an_overflow():
 
 
 def test_shared_path_reports_a_grid_mismatch_first(monkeypatch):
-    monkeypatch.setattr(wtc, "_dual_data", None)  # the check comes before the sweep
+    monkeypatch.setattr(wtc, "pair_weights", None)  # the check comes before the sweep
     cfg = GridConfig(1, 8)
     w = Weight(cfg, np.ones(cfg.cell_count))
     P = ExponentTuple(6.0, 6.0)
@@ -209,7 +210,7 @@ def _slot_sums_work(monkeypatch, shared: bool) -> list[list[str]]:
         return out
 
     with monkeypatch.context() as m:
-        _counted(m, wtc, "dual_weight", log)
+        _counted(m, wm, "dual_weight", log)
         _counted(m, ws, "cube_sums", log)
         m.setattr(we, "_slot_sums", slot_sums)
         if not shared:
@@ -233,7 +234,7 @@ def test_apvec_constant_forms_one_dual_on_the_diagonal(monkeypatch):
     w = random_weight(np.random.default_rng(0), cfg)
     P = ExponentTuple(6.0, 6.0)
     log = []
-    _counted(monkeypatch, wc, "dual_weight", log)
+    _counted(monkeypatch, wm, "dual_weight", log)
     _counted(monkeypatch, wc, "level_averages", log)
     apvec_constant(w, w, P)
     assert sorted(log) == ["dual_weight", "level_averages", "level_averages"]

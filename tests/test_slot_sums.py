@@ -29,7 +29,9 @@ from weaksparse.measure import (
     Weight,
     atom_norms,
     constant,
+    dual_weight,
     indicator,
+    joint_weight,
     lp_norm,
 )
 from test_family_oracles import _images_oracle
@@ -38,7 +40,8 @@ from weaksparse.sparse import SparseFamily, generate_sparse, tower_family
 
 def _slot_sums_oracle(S, w1, w2, P, fns):
     """The per-function slot norms and family-cube sums (the earlier body)."""
-    s1, s2, v = wtc._dual_data(w1, w2, P)
+    s1, s2 = dual_weight(w1, P.p1), dual_weight(w2, P.p2)
+    v = joint_weight(w1, w2, P)
     slots = ((s1, P.p1), (s2, P.p2))
     norms = np.array([[lp_norm(f, s, p) for f in fns] for s, p in slots])
     if not norms.all():
@@ -223,7 +226,7 @@ def test_every_sweep_refuses_a_function_from_another_grid():
 
 
 def test_every_sweep_refuses_a_family_from_another_grid(monkeypatch):
-    monkeypatch.setattr(wtc, "_dual_data", None)  # the check comes before the sweep
+    monkeypatch.setattr(wtc, "pair_weights", None)  # the check comes before the sweep
     # 2D K = 4 has the 256 cells of 1D K = 8; 1D K = 5 has fewer
     for other in (GridConfig(2, 4), GridConfig(1, 5)):
         for call in _sweeps([constant(CFG, 1.0)], tower_family(other)):

@@ -95,16 +95,15 @@ def test_local_testing_direction_matches_cellwise_check(seed):
 
 def test_joint_constant_check_computes_each_constant_once(monkeypatch):
     """Its 8 diagonal power pairs share one weight and skip build_family's
-    constants, which the check never read."""
+    constants, which the check never read: one derivation per pair."""
     calls = []
-    real = wv.wc.apvec_constant
+    real = wv.wc.pair_weights
 
     def counted(w1, w2, P):
         calls.append(w2 is w1)
         return real(w1, w2, P)
 
-    monkeypatch.setattr(wv.wc, "apvec_constant", counted)
-    monkeypatch.setattr(wv.wf, "apvec_constant", counted)
+    monkeypatch.setattr(wv.wc, "pair_weights", counted)
     assert wv.check_joint_constant_inequalities(3)["pass"]
     assert len(calls) == 50 + 8 and calls.count(True) == 8
 
@@ -118,14 +117,14 @@ def test_delta_family_ratios_run_once_per_seed(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(wtc, "local_sigma_testing_ratio", counted)
-    wv._delta_family_ratios.cache_clear()
     wv.check_localized_testing_family(5)
+    assert len(calls) == 8 * 4  # 8 deltas x 4 functions
     wv.check_sparse_sum_ratio_family(5)
-    assert len(calls) == 8 * 4  # 8 deltas x 4 functions, shared by both checks
+    assert len(calls) == 8 * 4  # the aggregate check computes no localized row
 
 
 def test_delta_family_is_computed_once_per_run(monkeypatch):
-    wv.check_localized_testing_family(5)  # a direct call caches seed 5's family
+    wv.check_localized_testing_family(5)  # a direct call leaves nothing behind
     calls = []
     real = wtc.sparse_sum_norm_ratios
 
@@ -135,7 +134,7 @@ def test_delta_family_is_computed_once_per_run(monkeypatch):
 
     monkeypatch.setattr(wtc, "sparse_sum_norm_ratios", counted)
     first = run_suite("lemmas", 5)
-    assert len(calls) == 8  # computed afresh, shared by the two ratio checks
+    assert len(calls) == 8  # computed afresh, by the aggregate check only
     assert run_suite("lemmas", 5) == first
     assert len(calls) == 16  # the same seed again is computed again
 

@@ -1,0 +1,123 @@
+"""Write every user-visible output of the program into one directory.
+
+Usage, from the root of a checkout:
+
+    python3 tools/snapshot.py DIR
+
+Runs the CLI and the demos of this checkout (its src/ on PYTHONPATH) on
+fixed inputs and writes their stdout and result files under DIR.  The
+inputs come from numpy's default_rng and one fixed-seed generate_sparse
+family, so two checkouts give byte-identical directories exactly when
+their outputs agree; compare them with `diff -r DIR1 DIR2`.  Takes about
+half a minute and a few hundred MB (the K = 20 runs dominate).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+VERIFY_SEEDS = (20260809, 1, 7, 12345)
+
+#: (name, slope flags) of the experiment runs.
+SLOPES = (
+    ("power_6_6_K14", ["--p1", "6", "--p2", "6", "--finest-level", "14"]),
+    ("power_6_6_K20", ["--p1", "6", "--p2", "6", "--finest-level", "20"]),
+    ("power_2_3_K12", ["--p1", "2", "--p2", "3", "--finest-level", "12"]),
+    (
+        "random_ap_2_3_K12",
+        ["--p1", "2", "--p2", "3", "--finest-level", "12", "--family", "random_ap"],
+    ),
+)
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + rest if rest else "")
+    return env
+
+
+def _run(argv, out: Path, cwd: Path) -> None:
+    """Run argv, write its stdout to out; stderr and the exit code go in out.err."""
+    proc = subprocess.run(argv, cwd=cwd, env=_env(), capture_output=True)
+    out.write_bytes(proc.stdout)
+    if proc.returncode or proc.stderr:
+        out.with_suffix(out.suffix + ".err").write_bytes(
+            f"exit {proc.returncode}\n".encode() + proc.stderr
+        )
+
+
+def _cli(args, out: Path, cwd: Path) -> None:
+    _run([sys.executable, "-m", "weaksparse", *args], out, cwd)
+
+
+def _write_inputs(d: Path) -> None:
+    """Weights, functions and a family, in this checkout's file formats."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+
+    from weaksparse.dyadic import GridConfig
+    from weaksparse.measure import GridFunction
+    from weaksparse.serialize import save_grid_function, save_sparse_family
+    from weaksparse.sparse import generate_sparse
+
+    rng = np.random.default_rng(20261019)
+    deep = GridConfig(1, 20)
+    for name in ("w1", "w2"):
+        values = np.exp(rng.uniform(-1.5, 1.5, deep.cell_count))
+        save_grid_function(GridFunction(deep, values), d / f"{name}.json")
+    plane = GridConfig(2, 8)
+    for name in ("f1", "f2"):
+        values = rng.uniform(0.0, 2.0, plane.cell_count)
+        save_grid_function(GridFunction(plane, values), d / f"{name}.json")
+    save_sparse_family(generate_sparse(plane, 3, 0.02), d / "family.json")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        sys.stderr.write("usage: snapshot.py DIR\n")
+        return 2
+    out = Path(args[0]).resolve()
+    inputs = out / "inputs"
+    demos = out / "demos"
+    for d in (out, inputs, demos):
+        d.mkdir(parents=True, exist_ok=True)
+    _write_inputs(inputs)
+
+    for seed in VERIFY_SEEDS:
+        verify = ["verify", "--suite", "all", "--seed", str(seed)]
+        _cli(verify, out / f"verify_{seed}.json", out)
+    weights = f"{inputs / 'w1.json'},{inputs / 'w2.json'}"
+    constants = ["constants", "--weights", weights, "--p1", "2", "--p2", "3"]
+    _cli(constants, out / "constants.json", out)
+    for name, flags in SLOPES:
+        slope = ["experiment", "slope", *flags, "--out", str(out / f"slope_{name}.csv")]
+        _cli(slope, out / f"slope_{name}.json", out)
+    region = ["region", "--resolution", "200"]
+    region += ["--csv", str(out / "region.csv"), "--svg", str(out / "region.svg")]
+    _cli(region, out / "region.json", out)
+    _cli(
+        [
+            "sparse-eval",
+            "--family", str(inputs / "family.json"),
+            "--f1", str(inputs / "f1.json"),
+            "--f2", str(inputs / "f2.json"),
+            "--out", str(out / "sparse_eval.json"),
+        ],
+        out / "sparse_eval.stdout",
+        out,
+    )
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        _run([sys.executable, str(demo)], demos / f"{demo.stem}.txt", demos)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
