@@ -2,7 +2,7 @@
 
 Subcommands: exponents, region, constants, sparse-eval, verify, and
 experiment slope.  All outputs are deterministic given flags and seeds.
-A command's ValueError or OSError ends in one "weaksparse: error:" line.
+A ValueError, OSError or OverflowError ends in one "weaksparse: error:" line.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:
-        sys.stderr.write(f"weaksparse: error: {e}\n")
+    except (ValueError, OSError, OverflowError) as e:
+        why = f"a value overflowed: {e}" if isinstance(e, OverflowError) else e
+        sys.stderr.write(f"weaksparse: error: {why}\n")
         return 2
 
 

@@ -27,7 +27,6 @@ from .dyadic import (
     cube_sums,
     expand_level_values,
     level_averages,
-    pool_level_sums,
 )
 from .measure import ExponentTuple, Weight, dual_weight, joint_weight, pair_weights
 
@@ -85,7 +84,7 @@ def ainfty_constant(w: Weight) -> ConstantReport:
     per_level[K] = np.ones_like(sums[K])
     for k in range(K - 1, -1, -1):
         running = np.maximum(running, expand_level_values(averages[k], k, cfg))
-        per_level[k] = pool_level_sums(running, k, cfg) / sums[k]
+        per_level[k] = cube_sums(running, cfg)[k] / sums[k]
     return _argmax_over_levels(per_level, cfg)
 
 
@@ -129,8 +128,12 @@ class InequalityReport:
     passed: bool
 
 
+#: Relative slack of check_constant_inequalities' comparisons.
+_RTOL = 1e-10
+
+
 def check_constant_inequalities(
-    w1: Weight, w2: Weight, P: ExponentTuple, rtol: float = 1e-10
+    w1: Weight, w2: Weight, P: ExponentTuple
 ) -> InequalityReport:
     """Check [v]_{A_{2p}} <= [w-pair] and [s_i]_{A_{2p_i'}} <= [w-pair]^{p_i'/p}.
 
@@ -148,9 +151,9 @@ def check_constant_inequalities(
     sigma1_bound = apvec ** (P.p1_prime / P.p)
     sigma2_bound = apvec ** (P.p2_prime / P.p)
     ok = (
-        joint_ap <= joint_bound * (1.0 + rtol)
-        and sigma1_ap <= sigma1_bound * (1.0 + rtol)
-        and sigma2_ap <= sigma2_bound * (1.0 + rtol)
+        joint_ap <= joint_bound * (1.0 + _RTOL)
+        and sigma1_ap <= sigma1_bound * (1.0 + _RTOL)
+        and sigma2_ap <= sigma2_bound * (1.0 + _RTOL)
     )
     return InequalityReport(
         apvec,

@@ -10,7 +10,9 @@ Conventions used throughout the package:
     i.e. row-major: flat index = c_0 * 2^K + c_1 in 2D, = c_0 in 1D;
   * cube enumeration order is level-major, then lexicographic coords;
   * all cubes are half-open, so fixed-level cubes partition [0,1)^n
-    with no boundary double counting.
+    with no boundary double counting;
+  * cell_view is the one cell-block geometry and cube_sums the one
+    pyramid: every per-level sum or average of cells is one of its levels.
 """
 
 from __future__ import annotations
@@ -174,15 +176,7 @@ def check_cube(q: DyadicCube, config: GridConfig) -> None:
 def cells_of(q: DyadicCube, config: GridConfig) -> np.ndarray:
     """Sorted flat indices of the finest cells forming q (2^{n(K-k)} of them)."""
     check_cube(q, config)
-    m = 1 << (config.finest_level - q.level)
-    if config.dimension == 1:
-        c = q.coords[0]
-        return np.arange(c * m, (c + 1) * m, dtype=np.int64)
-    a, b = q.coords
-    side = config.side_cells
-    rows = np.arange(a * m, (a + 1) * m, dtype=np.int64) * side
-    cols = np.arange(b * m, (b + 1) * m, dtype=np.int64)
-    return (rows[:, None] + cols[None, :]).ravel()
+    return cell_view(np.arange(config.cell_count), q, config).ravel()
 
 
 def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray:
@@ -241,14 +235,6 @@ def level_averages(values: np.ndarray, config: GridConfig) -> list[np.ndarray]:
         sums[k] / config.cells_per_cube(k)
         for k in range(config.finest_level + 1)
     ]
-
-
-def pool_level_sums(cell_values: np.ndarray, level: int, config: GridConfig) -> np.ndarray:
-    """Sums of a cell array over all cubes of one level, flat cube-index order."""
-    cur = np.asarray(cell_values, dtype=np.float64)
-    for _ in range(config.finest_level - level):
-        cur = _halve(cur, config.dimension)
-    return cur
 
 
 def expand_level_values(level_values: np.ndarray, level: int, config: GridConfig) -> np.ndarray:

@@ -85,16 +85,14 @@ def fit_loglog_slope(x, y) -> float:
 _TEST_SEED = 90210
 
 
-def default_test_functions(
-    config: GridConfig, seed: int, random_count: int = 8
-) -> list[GridFunction]:
-    """Left-interval indicators for every level plus seeded random functions."""
+def default_test_functions(config: GridConfig, seed: int) -> list[GridFunction]:
+    """Left-interval indicators for every level plus 8 seeded random functions."""
     fns = [
         indicator(config, DyadicCube(k, (0,) * config.dimension))
         for k in range(config.finest_level + 1)
     ]
     rng = np.random.default_rng(seed)
-    for _ in range(random_count):
+    for _ in range(8):
         fns.append(GridFunction(config, rng.uniform(0.0, 2.0, config.cell_count)))
     return fns
 

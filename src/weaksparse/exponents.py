@@ -66,8 +66,7 @@ class ExponentReport:
 
 
 def alpha(P: ExponentTuple) -> ExponentReport:
-    b = beta(P)
-    g = gamma(P)
+    b, g = (float(x) for x in _beta_gamma(P.p1, P.p2, P.p))
     a = min(b, g)
     return ExponentReport(
         p1=P.p1,

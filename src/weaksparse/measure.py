@@ -19,7 +19,9 @@ Conventions.
   * The weak L^p quasi-norm is computed as an exact maximum: for a step
     function the map t -> t * w({|f| >= t})^(1/p) is increasing between
     jumps of the distribution function, so the supremum is attained at
-    a value of |f|.
+    a value of |f|.  One kernel, _weak_max, takes that maximum; weak_norm
+    (on cells), atom_norms (on atoms) and kolmogorov_check (weak L^1
+    under the normalized counting measure) call it.
 """
 
 from __future__ import annotations
@@ -211,6 +213,21 @@ def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     return s ** (1.0 / p)
 
 
+def _weak_max(a: np.ndarray, w: np.ndarray, p: float, scale: float) -> np.ndarray:
+    """max over t > 0 of t * mass({a >= t})^(1/p) along the last axis, or 0.
+
+    Entry i of a row a >= 0 has mass w[i] * scale.  After a stable descending
+    sort, the last index of a run of equal values carries the run's full mass.
+    """
+    order = np.argsort(-a, axis=-1, kind="stable")
+    av = np.take_along_axis(a, order, axis=-1)
+    mass = np.cumsum(w[order], axis=-1) * scale
+    last = np.ones(av.shape, dtype=bool)
+    last[..., :-1] = av[..., 1:] != av[..., :-1]
+    keep = last & (av > 0.0)  # no 0 * inf product where a mass overflows
+    return np.multiply(av, mass ** (1.0 / p), out=np.zeros(av.shape), where=keep).max(axis=-1)
+
+
 def weak_norm(f: GridFunction, w: Weight, p: float) -> float:
     """sup_t t * w({|f| >= t})^(1/p), evaluated exactly at the jumps.
 
@@ -220,18 +237,7 @@ def weak_norm(f: GridFunction, w: Weight, p: float) -> float:
     cfg = _same_grid(f, w)
     if not 0.0 < p < np.inf:
         raise ValueError("p must be in (0, inf)")
-    a = np.abs(f.values)
-    order = np.argsort(-a, kind="stable")
-    av = a[order]
-    mass = np.cumsum(w.values[order]) * cfg.cell_volume
-    # last index of each run of equal values = full mass of {|f| >= value}
-    last = np.nonzero(np.append(av[1:] != av[:-1], True))[0]
-    t = av[last]
-    m = mass[last]
-    pos = t > 0.0
-    if not pos.any():
-        return 0.0
-    return float(np.max(t[pos] * m[pos] ** (1.0 / p)))
+    return float(_weak_max(np.abs(f.values), w.values, p, cfg.cell_volume))
 
 
 def atom_norms(
@@ -247,13 +253,7 @@ def atom_norms(
         raise ValueError("p must be in (0, inf)")
     a = np.abs(values)
     strong = (a**p * masses).sum(axis=-1) ** (1.0 / p)
-    order = np.argsort(-a, axis=-1, kind="stable")
-    av = np.take_along_axis(a, order, axis=-1)
-    mass = np.cumsum(masses[order], axis=-1)
-    last = np.ones(av.shape, dtype=bool)
-    last[..., :-1] = av[..., 1:] != av[..., :-1]
-    weak = np.where(last & (av > 0.0), av * mass ** (1.0 / p), 0.0).max(axis=-1)
-    return strong, weak
+    return strong, _weak_max(a, masses, p, 1.0)
 
 
 def kolmogorov_check(
@@ -268,12 +268,9 @@ def kolmogorov_check(
         raise ValueError("p must be in (0, 1)")
     check_cube(q, f.config)
     vals = np.abs(cell_view(f.values, q, f.config)).ravel()
-    n = vals.size
+    n = vals.size  # a power of two, so the mass k * (1/n) of the k largest is k/n exactly
     lhs = float(np.mean(vals**p)) ** (1.0 / p)
-    # exact weak-L1 quasi-norm under the normalized counting measure
-    sv = np.sort(vals)[::-1]
-    ranks = np.arange(1, n + 1) / n
-    weak1 = float(np.max(sv * ranks)) if n else 0.0
+    weak1 = float(_weak_max(vals, np.ones(n), 1.0, 1.0 / n))
     const = (1.0 / p + 1.0 / (1.0 - p)) ** (1.0 / p)
     rhs = const * weak1
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)

@@ -17,9 +17,11 @@ One label array answers every "finest family cube above" question.
 Painting the cubes in that order, coarse to fine, labels each cell with
 the finest cube holding it; the label under a cube just before it is
 painted is its minimal strict ancestor.  A family paints once and keeps
-the paint.  The cells labelled Q are the canonical E_Q, and the labels
-are the atoms on which a sparse image sum_Q c_Q 1_Q is constant (one
-more atom off the union, where it vanishes).  SparseFamily.images
+the paint.  The cells labelled Q are the canonical E_Q, which
+SparseFamily.witness reads off the paint (None when some cube keeps
+fewer than half its cells).  The labels are also the atoms on which a
+sparse image sum_Q c_Q 1_Q is constant (one more atom off the union,
+where it vanishes).  SparseFamily.images
 evaluates images on these |S| + 1 atoms with one sweep over the levels,
 coarse to fine: an atom's value is its ancestor atom's value plus its
 own cube's coefficient.  sparse_eval is that sweep on the averages from
@@ -31,7 +33,7 @@ to the coarser level, and the split is two sparse_eval calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
@@ -54,18 +56,14 @@ class SparseFamily:
     """A set of dyadic cubes on one grid, held in enumeration order.
 
     The constructor checks every cube against the grid, drops repeats and
-    sorts, so listing order never matters.  witness (if verified) maps each
-    cube to the cells of its canonical E_Q; it follows from the cubes, so
-    it is left out of comparison and repr.  The label paint, the per-level
-    positions and the cells per cube are computed once, on first use; the
-    family is frozen, so they cannot go stale.
+    sorts, so listing order never matters.  The label paint, the per-level
+    positions, the cells per cube and the witness are computed once, on
+    first use, from the cubes alone; the family is frozen, so they cannot
+    go stale, and they take no part in comparison or repr.
     """
 
     config: GridConfig
     cubes: tuple[DyadicCube, ...]
-    witness: dict[DyadicCube, np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         # enumeration order: level-major, then lexicographic coordinates
@@ -106,6 +104,16 @@ class SparseFamily:
             view[...] = j
         labels.flags.writeable = up.flags.writeable = False
         return labels, up
+
+    @cached_property
+    def witness(self) -> dict[DyadicCube, np.ndarray] | None:
+        """Each cube's canonical E_Q, its labelled cells sorted (read-only),
+        in enumeration order; None when S is not canonically sparse."""
+        if _first_thin_cube(self) is not None:
+            return None
+        cells = np.argsort(self.paint[0], kind="stable")
+        cells.flags.writeable = False
+        return dict(zip(self.cubes, np.split(cells, np.cumsum(self._atom_cells[:-1]))))
 
     @cached_property
     def _atom_cells(self) -> np.ndarray:
@@ -176,14 +184,10 @@ def family_forest(S: SparseFamily) -> np.ndarray:
     return S.paint[1]
 
 
-def _canonical_witness(S: SparseFamily):
-    """verify_sparse's verdict on S, from S's label paint."""
-    sizes = S._atom_cells[:-1]
-    bad = np.flatnonzero(2 * sizes < S.cells)
-    if bad.size:
-        return False, S.cubes[bad[0]]
-    cells = np.argsort(S.paint[0], kind="stable")
-    return True, dict(zip(S.cubes, np.split(cells, np.cumsum(sizes))))
+def _first_thin_cube(S: SparseFamily) -> DyadicCube | None:
+    """The first cube of S labelling fewer than half its cells, or None."""
+    bad = np.flatnonzero(2 * S._atom_cells[:-1] < S.cells)
+    return S.cubes[bad[0]] if bad.size else None
 
 
 def verify_sparse(cubes, config: GridConfig):
@@ -195,16 +199,17 @@ def verify_sparse(cubes, config: GridConfig):
     below half measure.  E_Q is the set of cells labelled Q, so the
     witnesses partition the union and are disjoint by construction.
     """
-    return _canonical_witness(SparseFamily(config, cubes))
+    S = SparseFamily(config, cubes)
+    bad = _first_thin_cube(S)
+    return (True, S.witness) if bad is None else (False, bad)
 
 
 def family_from_cubes(config: GridConfig, cubes) -> SparseFamily:
     """Build a verified SparseFamily or raise if not canonically sparse."""
     S = SparseFamily(config, cubes)
-    ok, payload = _canonical_witness(S)
-    if not ok:
-        raise ValueError(f"not canonically sparse: witness fails at {payload}")
-    object.__setattr__(S, "witness", payload)  # S keeps the paint the check made
+    bad = _first_thin_cube(S)
+    if bad is not None:
+        raise ValueError(f"not canonically sparse: witness fails at {bad}")
     return S
 
 
@@ -283,6 +288,14 @@ def _nested_with(cubes, qt: DyadicCube) -> tuple[list[DyadicCube], list[DyadicCu
     return above, inside
 
 
+def _check_localized(f2: GridFunction, qt: DyadicCube) -> None:
+    """Raise unless f2 vanishes off qt, a cube already checked against its grid."""
+    outside = f2.values.copy()
+    cell_view(outside, qt, f2.config)[...] = 0.0
+    if outside.any():
+        raise ValueError("localization hypothesis violated: supp f2 not inside qt")
+
+
 def sparse_split_eval(
     S: SparseFamily, qt: DyadicCube, f1: GridFunction, f2: GridFunction
 ) -> tuple[GridFunction, GridFunction]:
@@ -298,10 +311,7 @@ def sparse_split_eval(
     if f1.config != cfg or f2.config != cfg:
         raise ValueError("grid mismatch")
     check_cube(qt, cfg)
-    outside = np.ones(cfg.cell_count, dtype=bool)
-    cell_view(outside, qt, cfg)[...] = False
-    if np.any(f2.values[outside] != 0.0):
-        raise ValueError("localization hypothesis violated: supp f2 not inside qt")
+    _check_localized(f2, qt)
     f1m = f1.restricted(qt)
     return tuple(
         sparse_eval(SparseFamily(cfg, part), f1m, f2)

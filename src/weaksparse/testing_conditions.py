@@ -46,7 +46,7 @@ from .measure import (
     weak_norm,
     weighted_measure,
 )
-from .sparse import SparseFamily, sparse_eval
+from .sparse import SparseFamily, _check_localized, sparse_eval
 
 
 @dataclass(frozen=True)
@@ -300,10 +300,7 @@ def local_sigma_testing_ratio(
     s1, s2, v = pair_weights(w1, w2, P)
     if float(f2.values.min()) < 0.0:
         raise ValueError("f2 must be nonnegative")
-    outside = np.ones(cfg.cell_count, dtype=bool)
-    cell_view(outside, qt, cfg)[...] = False
-    if np.any(f2.values[outside] != 0.0):
-        raise ValueError("localization hypothesis violated: supp f2 not inside qt")
+    _check_localized(f2, qt)
     n2 = lp_norm(f2, s2, P.p2)
     if n2 == 0.0:
         raise ValueError("f2 must not vanish identically")

@@ -5,8 +5,9 @@ import pytest
 
 from weaksparse import verify as wv
 from weaksparse.cli import main
+from weaksparse.constants import check_constant_inequalities
 from weaksparse.dyadic import GridConfig
-from weaksparse.measure import Weight
+from weaksparse.measure import ExponentTuple, Weight
 from weaksparse.serialize import (
     load_grid_function,
     save_grid_function,
@@ -186,6 +187,30 @@ def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, doc, message)
     assert captured.out == ""
     assert captured.err.startswith("weaksparse: error: ")
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_overflow_ends_in_one_line_error(tmp_path, capsys):
+    """A float that overflows inside a command is one error line, exit 2;
+    the library call itself still raises OverflowError."""
+    cfg = GridConfig(1, 2)
+    w = Weight(cfg, [1e-150, 1e150, 1e-150, 1e150])
+    for name in ("a", "b"):
+        save_grid_function(w, tmp_path / f"{name}.json")
+    with pytest.raises(OverflowError):
+        check_constant_inequalities(w, Weight(cfg, w.values), ExponentTuple(2, 3))
+    pair = f"{tmp_path}/a.json,{tmp_path}/b.json"
+    for argv in (
+        ["constants", "--weights", pair, "--p1", "2", "--p2", "3"],
+        [
+            "experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "8",
+            "--family", "random_ap", "--roughness", "250",
+        ],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("weaksparse: error: a value overflowed")
+        assert captured.err.count("\n") == 1
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

@@ -63,7 +63,7 @@ def _oracle_family(rng, seed):
         return generate_sparse(cfg, seed=seed, budget=0.2)
     if kind == 2:
         return tower_family(cfg)
-    # witness=None, not necessarily sparse; the constructor sorts the
+    # not necessarily sparse; the constructor sorts the
     # shuffled picks and drops the repeat
     pool = list(all_cubes(cfg))
     picks = rng.choice(len(pool), size=8, replace=False)

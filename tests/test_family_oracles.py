@@ -17,6 +17,7 @@ families, split parts, arbitrary cube sets and on cubes listed shuffled
 and with a repeat, which the constructor normalises.
 """
 
+import re
 import sys
 from collections import deque
 
@@ -751,3 +752,204 @@ def test_constants_command_derives_each_weight_once(monkeypatch, tmp_path, capsy
     # the constant inequalities derive the pair once and the A_infty rows once more
     assert counts == {"level_averages": 6, "dual_weight": 4, "joint_weight": 2}
     assert '"inequalities_pass": true' in capsys.readouterr().out
+
+
+# --- one body per quantity ---------------------------------------------------------
+#
+# The former bodies of weak_norm, atom_norms, kolmogorov_check, ainfty_constant
+# (over its own one-level pyramid), cells_of and the sparsity verdict, which
+# now share the weak kernel, cube_sums, cell_view and the family's witness.
+
+
+def _weak_norm_oracle(f, w, p):
+    a = np.abs(f.values)
+    order = np.argsort(-a, kind="stable")
+    av = a[order]
+    mass = np.cumsum(w.values[order]) * f.config.cell_volume
+    last = np.nonzero(np.append(av[1:] != av[:-1], True))[0]
+    t = av[last]
+    m = mass[last]
+    pos = t > 0.0
+    if not pos.any():
+        return 0.0
+    return float(np.max(t[pos] * m[pos] ** (1.0 / p)))
+
+
+def _atom_norms_oracle(values, masses, p):
+    a = np.abs(values)
+    strong = (a**p * masses).sum(axis=-1) ** (1.0 / p)
+    order = np.argsort(-a, axis=-1, kind="stable")
+    av = np.take_along_axis(a, order, axis=-1)
+    mass = np.cumsum(masses[order], axis=-1)
+    last = np.ones(av.shape, dtype=bool)
+    last[..., :-1] = av[..., 1:] != av[..., :-1]
+    weak = np.where(last & (av > 0.0), av * mass ** (1.0 / p), 0.0).max(axis=-1)
+    return strong, weak
+
+
+def _kolmogorov_oracle(f, q, p):
+    vals = np.abs(cell_view(f.values, q, f.config)).ravel()
+    n = vals.size
+    lhs = float(np.mean(vals**p)) ** (1.0 / p)
+    sv = np.sort(vals)[::-1]
+    ranks = np.arange(1, n + 1) / n
+    weak1 = float(np.max(sv * ranks)) if n else 0.0
+    const = (1.0 / p + 1.0 / (1.0 - p)) ** (1.0 / p)
+    rhs = const * weak1
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
+
+
+def _pool_level_sums_oracle(cell_values, level, config):
+    cur = np.asarray(cell_values, dtype=np.float64)
+    for _ in range(config.finest_level - level):
+        cur = dyadic_module._halve(cur, config.dimension)
+    return cur
+
+
+def _ainfty_oracle(w):
+    cfg = w.config
+    K = cfg.finest_level
+    sums = cube_sums(w.values, cfg)
+    averages = [sums[k] / cfg.cells_per_cube(k) for k in range(K + 1)]
+    running = w.values.copy()
+    per_level = [None] * (K + 1)
+    per_level[K] = np.ones_like(sums[K])
+    for k in range(K - 1, -1, -1):
+        running = np.maximum(running, dyadic_module.expand_level_values(averages[k], k, cfg))
+        per_level[k] = _pool_level_sums_oracle(running, k, cfg) / sums[k]
+    return wc._argmax_over_levels(per_level, cfg)
+
+
+def _cells_of_oracle(q, config):
+    m = 1 << (config.finest_level - q.level)
+    if config.dimension == 1:
+        c = q.coords[0]
+        return np.arange(c * m, (c + 1) * m, dtype=np.int64)
+    a, b = q.coords
+    side = config.side_cells
+    rows = np.arange(a * m, (a + 1) * m, dtype=np.int64) * side
+    cols = np.arange(b * m, (b + 1) * m, dtype=np.int64)
+    return (rows[:, None] + cols[None, :]).ravel()
+
+
+def _canonical_witness_oracle(S):
+    sizes = S._atom_cells[:-1]
+    bad = np.flatnonzero(2 * sizes < S.cells)
+    if bad.size:
+        return False, S.cubes[bad[0]]
+    cells = np.argsort(S.paint[0], kind="stable")
+    return True, dict(zip(S.cubes, np.split(cells, np.cumsum(sizes))))
+
+
+_IDS = lambda c: f"{c.dimension}d-K{c.finest_level}"  # noqa: E731
+
+
+def _hard_values(rng, shape):
+    """Rows with ties, zeros, an all-zero row and magnitudes 1e-150 to 1e150."""
+    n = shape[-1]
+    rows = [
+        rng.normal(0.0, 2.0, shape),
+        rng.integers(-2, 3, shape).astype(np.float64),  # ties and zeros
+        10.0 ** rng.uniform(-150.0, 150.0, shape) * rng.choice([-1.0, 0.0, 1.0], shape),
+        np.zeros(shape),
+        np.full(shape, 1e-150),
+        np.where(rng.random(shape) < 0.5, 1e150, 1e-150),
+    ]
+    if n > 1:
+        one = np.zeros(shape)
+        one[..., int(rng.integers(0, n))] = 3.0
+        rows.append(one)
+    return rows
+
+
+def _hard_weights(rng, n):
+    return [
+        np.exp(rng.uniform(-1.5, 1.5, n)),
+        np.ones(n),
+        10.0 ** rng.uniform(-150.0, 150.0, n),
+    ]
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf at 1e150
+@pytest.mark.parametrize("config", _EVAL_GRIDS, ids=_IDS)
+def test_weak_kernel_matches_the_three_former_bodies(config):
+    rng = np.random.default_rng(2000 + 100 * config.dimension + config.finest_level)
+    n = config.cell_count
+    ps = (0.3, 1.0, float(rng.uniform(1.1, 12.0)), 40.0)
+    for vals in _hard_values(rng, (n,)):
+        f = GridFunction(config, vals)
+        for wv in _hard_weights(rng, n):
+            w = Weight(config, wv)
+            for p in ps:
+                assert _same_bits(measure.weak_norm(f, w, p), _weak_norm_oracle(f, w, p))
+    atoms = int(rng.integers(1, n + 2))
+    for vals in _hard_values(rng, (3, 2, atoms)):
+        for masses in _hard_weights(rng, atoms):
+            for p in ps:
+                got = measure.atom_norms(vals, masses, p)
+                want = _atom_norms_oracle(vals, masses, p)
+                assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    corner = (0,) * config.dimension
+    cubes = [cube(k, *corner) for k in range(config.finest_level + 1)]
+    cubes.append(list(all_cubes(config))[-1])
+    for vals in _hard_values(rng, (n,)):
+        f = GridFunction(config, vals)
+        for q in cubes:
+            for p in (0.1, 0.5, float(rng.uniform(0.01, 0.99))):
+                assert measure.kolmogorov_check(f, q, p) == _kolmogorov_oracle(f, q, p)
+
+
+@pytest.mark.parametrize("config", _EVAL_GRIDS, ids=_IDS)
+def test_ainfty_over_cube_sums_matches_the_one_level_pyramid(config):
+    rng = np.random.default_rng(3000 + 100 * config.dimension + config.finest_level)
+    weights = [random_weight(rng, config) for _ in range(3)]
+    weights.append(Weight(config, 10.0 ** rng.uniform(-150.0, 150.0, config.cell_count)))
+    if config.dimension == 1:
+        weights += [power_weight(a, config) for a in (-0.9, -0.5, 0.5, 5.0)]
+    for w in weights:
+        got, want = ainfty_constant(w), _ainfty_oracle(w)
+        assert _same_bits(got.value, want.value) and got.argmax_cube == want.argmax_cube
+
+
+@pytest.mark.parametrize("config", _GRIDS, ids=_IDS)
+def test_cells_of_matches_its_block_arithmetic(config):
+    for q in all_cubes(config):
+        got, want = dyadic_module.cells_of(q, config), _cells_of_oracle(q, config)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _same_verdict(got, want):
+    if got[0] != want[0]:
+        return False
+    if not want[0]:
+        return got[1] == want[1]
+    a, b = got[1], want[1]
+    return list(a) == list(b) and all(np.array_equal(a[q], b[q]) for q in a)
+
+
+@pytest.mark.parametrize("config", _GRIDS, ids=_IDS)
+def test_witness_and_verdict_match_the_former_body(config):
+    rng = np.random.default_rng(4000 + 100 * config.dimension + config.finest_level)
+    every = list(all_cubes(config))
+    sets = [S.cubes for S in _eval_families(rng, config)]
+    sets += [every, every[1:]]
+    sets += [[every[i] for i in rng.choice(len(every), 3)] for _ in range(8)]
+    kinds = set()
+    for cubes in sets:
+        listed = list(cubes) + list(cubes[:1])
+        rng.shuffle(listed)
+        want = _canonical_witness_oracle(SparseFamily(config, cubes))
+        kinds.add(want[0])
+        assert _same_verdict(sparse.verify_sparse(listed, config), want)
+        S = SparseFamily(config, listed)
+        assert _same_verdict((S.witness is not None, S.witness), want if want[0] else (False, None))
+        if want[0]:
+            assert family_from_cubes(config, listed) == S
+        else:
+            with pytest.raises(ValueError, match=f"witness fails at {re.escape(str(want[1]))}"):
+                family_from_cubes(config, listed)
+    assert kinds == {True, False}

@@ -5,7 +5,8 @@ repeats and sorts.  These tests pin what that gives: families with equal
 cube sets compare equal and give the same results bit for bit, every
 producer already hands the constructor distinct cubes in enumeration
 order (so that sort changes no output), a family paints its labels at
-most once, and a built family is frozen, so that paint cannot go stale.
+most once and reads its witness from them, and a built family is frozen,
+so that paint cannot go stale.
 """
 
 from dataclasses import FrozenInstanceError
@@ -16,7 +17,7 @@ import pytest
 
 from conftest import random_exponents, random_function, random_weight
 from weaksparse import testing_conditions as wtc  # a bare testing_sweep is collected
-from weaksparse.dyadic import GridConfig, cube, cube_sums
+from weaksparse.dyadic import GridConfig, all_cubes, cube, cube_sums
 from weaksparse.experiment import _pair_sweep
 from weaksparse.measure import indicator
 from weaksparse.serialize import load_sparse_family, save_sparse_family
@@ -52,6 +53,14 @@ def _shuffled_with_repeats(rng, S):
     return tuple(cubes)
 
 
+def _same_witness(T, S):
+    """Both witnesses are None, or they map the same cubes to equal cells."""
+    a, b = T.witness, S.witness
+    if a is None or b is None:
+        return a is b
+    return list(a) == list(b) and all(np.array_equal(a[q], b[q]) for q in a)
+
+
 # --- comparison ----------------------------------------------------------------
 
 
@@ -69,13 +78,26 @@ def test_equal_cube_sets_give_equal_families(rng):
 
 
 @pytest.mark.parametrize("config", _GRIDS, ids=_IDS)
+def test_the_witness_is_read_from_the_cube_set(config):
+    """Shuffled, repeated copies get the original's witness; a set that is
+    not canonically sparse gets None; reading it never changes ==."""
+    rng = np.random.default_rng(config.finest_level + 100 * config.dimension)
+    for S in _families(config):
+        T = SparseFamily(config, _shuffled_with_repeats(rng, S))
+        assert T == S and S.witness is not None
+        assert _same_witness(T, S) and T == S and T.witness is T.witness
+    dense = SparseFamily(config, all_cubes(config))
+    assert dense.witness is None and dense == SparseFamily(config, all_cubes(config))
+
+
+@pytest.mark.parametrize("config", _GRIDS, ids=_IDS)
 def test_shuffled_repeated_cubes_give_the_same_results(config):
     rng = np.random.default_rng(10 * config.finest_level + config.dimension)
     corner = (0,) * config.dimension
     fns = [indicator(config, cube(0, *corner)), random_function(rng, config)]
     for S in _families(config):
         T = SparseFamily(config, _shuffled_with_repeats(rng, S))
-        assert T.witness is None and T.cubes == S.cubes
+        assert _same_witness(T, S) and T.cubes == S.cubes
         assert np.array_equal(family_forest(T), family_forest(S))
 
         assert np.array_equal(T.paint[0], S.paint[0])

@@ -83,7 +83,7 @@ def _families(rng, cfg):
     S = generate_sparse(cfg, int(rng.integers(0, 2**31)), float(rng.uniform(0.1, 0.5)))
     yield S if len(S) else tower_family(cfg)
     yield tower_family(cfg)
-    # witness=None, not necessarily sparse; the constructor sorts the
+    # not necessarily sparse; the constructor sorts the
     # shuffled picks and drops the repeat
     pool = list(all_cubes(cfg))
     picks = rng.choice(len(pool), size=min(9, len(pool)), replace=False)
@@ -264,7 +264,9 @@ def test_slope_experiment_holds_no_stacked_temporaries():
     """
     cfg = GridConfig(1, 12)
     F, N = 64, cfg.cell_count
-    fns = default_test_functions(cfg, 1, random_count=F - cfg.finest_level - 1)
+    rng = np.random.default_rng(1)
+    fns = [indicator(cfg, DyadicCube(k, (0,))) for k in range(cfg.finest_level + 1)]
+    fns += [GridFunction(cfg, rng.uniform(0.0, 2.0, N)) for _ in range(F - len(fns))]
     spec = WeightFamilySpec("power", (0.25, 0.125, 0.0625, 0.03125, 0.015625))
     D = len(spec.deltas)
     S = SparseFamily(cfg, (DyadicCube(0, (0,)), DyadicCube(1, (0,))))
