@@ -8,8 +8,8 @@ strictly better) and where alpha < 1 (impossible in the linear theory).
 
 import numpy as np
 
-from weaksparse import ExponentTuple, P_THRESHOLD, alpha, region_map, region_svg
-from weaksparse.serialize import write_region_csv
+from weaksparse import ExponentTuple, P_THRESHOLD, alpha, region_map
+from weaksparse.serialize import write_region_csv, write_region_svg
 
 for p1, p2 in ((2.0, 3.0), (4.0, 4.0), (6.0, 6.0), (10.0, 2.2)):
     rep = alpha(ExponentTuple(p1, p2))
@@ -37,5 +37,5 @@ print(f"  min(p1,p2) > 4: "
       f"{int(minp.sum())} samples, all have alpha < 1: {not np.any(minp & ~table.alpha_lt_1)}")
 
 write_region_csv(table, "region.csv")
-region_svg(table, "region.svg")
+write_region_svg(table, "region.svg")
 print("\nwrote region.csv and region.svg (light: weak better, dark: alpha < 1)")

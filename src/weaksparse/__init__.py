@@ -34,8 +34,6 @@ from .exponents import (
     P_THRESHOLD,
     RegionTable,
     alpha,
-    beta,
-    gamma,
     region_map,
     region_svg,
 )
@@ -88,6 +86,6 @@ from .testing_conditions import (
     local_testing_quantity,
     sparse_sum_norm_ratios,
 )
-from .verify import run_suite, verify_all
+from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Subcommands: exponents, region, constants, sparse-eval, verify, and
 experiment slope.  All outputs are deterministic given flags and seeds.
-A ValueError, OSError or OverflowError ends in one "weaksparse: error:" line.
+A ValueError, OSError, OverflowError or MemoryError ends in one
+"weaksparse: error:" line and exit code 2.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _cmd_region(args) -> int:
     if args.csv:
         wio.write_region_csv(table, args.csv)
     if args.svg:
-        we.region_svg(table, args.svg)
+        wio.write_region_svg(table, args.svg)
     _emit(
         {
             "resolution": args.resolution,
@@ -88,8 +89,7 @@ def _cmd_verify(args) -> int:
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        wio._write_text(args.out, text)
     return 0 if report["passed"] else 1
 
 
@@ -179,8 +179,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, OverflowError) as e:
-        why = f"a value overflowed: {e}" if isinstance(e, OverflowError) else e
+    except (ValueError, OSError, OverflowError, MemoryError) as e:
+        if isinstance(e, OverflowError):
+            why = f"a value overflowed: {e}"
+        elif isinstance(e, MemoryError):
+            why = f"out of memory: {e}"
+        else:
+            why = e
         sys.stderr.write(f"weaksparse: error: {why}\n")
         return 2
 

@@ -12,6 +12,10 @@ grid offset by half a step, so every sampled tuple satisfies the strict
 hypotheses; in particular the two sufficient conditions for alpha < 1
 (p at least (3+sqrt 5)/2, or min(p1,p2) > 4) can be checked exactly on
 the sample.
+
+alpha(P) is the one entry point: its report holds beta, gamma and alpha.
+region_svg renders the region table and returns the document; this module
+writes no file (serialize.write_region_svg does).
 """
 
 from __future__ import annotations
@@ -38,16 +42,6 @@ def _beta_gamma(p1, p2, p):
     )
     g = np.maximum(1.0, np.maximum(c1 / p, c2 / p))
     return b, g
-
-
-def beta(P: ExponentTuple) -> float:
-    b, _ = _beta_gamma(P.p1, P.p2, P.p)
-    return float(b)
-
-
-def gamma(P: ExponentTuple) -> float:
-    _, g = _beta_gamma(P.p1, P.p2, P.p)
-    return float(g)
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,7 @@ _FILL_WEAK = "#b8cfe8"  # weak-type exponent strictly below strong-type
 _FILL_LT1 = "#2f6db3"  # weak-type exponent below 1
 
 
-def region_svg(table: RegionTable, out_path=None) -> str:
+def region_svg(table: RegionTable) -> str:
     """Render the region table as a standalone SVG; byte-deterministic.
 
     Cells where the weak-type exponent beats the strong-type one are
@@ -237,8 +231,4 @@ def region_svg(table: RegionTable, out_path=None) -> str:
         f'transform="rotate(-90 16 {_SVG_MT + _SVG_PLOT / 2:.1f})">1/p2</text>'
     )
     parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc)
-    return doc
+    return "\n".join(parts) + "\n"

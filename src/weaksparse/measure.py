@@ -5,6 +5,10 @@ integral is a plain sum times the cell volume and every norm below is
 exact up to float rounding; no quadrature error enters any check.
 
 Conventions.
+  * Every object on a grid (GridFunction, Weight, SparseFamily,
+    StoppingFamily) names it in .config.  _same_grid is the one grid
+    check: it returns the shared grid or raises "grid mismatch" at the
+    first argument on another one.
   * A GridFunction stores one float per finest cell in lexicographic
     cell order; values are finite.
   * A Weight is a GridFunction with strictly positive values, so dual
@@ -52,9 +56,7 @@ class GridFunction:
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
-            if other.config != self.config:
-                raise ValueError("grid mismatch")
-            return GridFunction(self.config, self.values * other.values)
+            return GridFunction(_same_grid(self, other), self.values * other.values)
         return GridFunction(self.config, self.values * float(other))
 
     __rmul__ = __mul__
@@ -137,10 +139,12 @@ class ExponentTuple:
         return ExponentTuple(self.p2, self.p1)
 
 
-def _same_grid(*fns: GridFunction) -> GridConfig:
-    cfg = fns[0].config
-    for f in fns[1:]:
-        if f.config != cfg:
+def _same_grid(*objs) -> GridConfig:
+    """The grid every argument's .config names; raise "grid mismatch" at the
+    first that differs from the first argument's."""
+    cfg = objs[0].config
+    for obj in objs[1:]:
+        if obj.config != cfg:
             raise ValueError("grid mismatch")
     return cfg
 

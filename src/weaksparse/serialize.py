@@ -1,10 +1,12 @@
-"""File formats: grid-function JSON, sparse-family JSON, CSV tables.
+"""File formats: grid-function JSON, sparse-family JSON, CSV tables, SVG.
 
 Grid functions serialize as {"dimension", "finest_level", "values"} with
 values in lexicographic cell order; json float repr is the shortest
 round-tripping decimal, so the round trip is bit exact for doubles.
-CSV output uses 17 significant digits, '.' decimals, and LF endings so
-repeated runs are byte identical.
+CSV output uses 17 significant digits and '.' decimals.  Every file the
+package writes (these formats, the region SVG that exponents.region_svg
+renders, and the CLI's verify report) goes through _write_text: UTF-8
+with LF endings, so repeated runs are byte identical.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, GridConfig
 from .experiment import ExperimentRow
-from .exponents import REGION_COLUMNS, RegionTable
+from .exponents import REGION_COLUMNS, RegionTable, region_svg
 from .measure import GridFunction, Weight
 from .sparse import SparseFamily, family_from_cubes
 
@@ -27,6 +29,11 @@ def _fmt(x: float) -> str:
 
 def _fmt_bool(b) -> str:
     return "true" if b else "false"
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _read_json(path):
@@ -47,9 +54,7 @@ def save_grid_function(f: GridFunction, path) -> None:
         "finest_level": f.config.finest_level,
         "values": f.values.tolist(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc))  # json.dump's bytes, but from the C encoder
-        fh.write("\n")
+    _write_text(path, json.dumps(doc) + "\n")  # json.dump's bytes, but from the C encoder
 
 
 def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
@@ -93,9 +98,7 @@ def load_weight(path) -> Weight:
 
 def save_sparse_family(S: SparseFamily, path) -> None:
     doc = [{"level": q.level, "coords": list(q.coords)} for q in S.cubes]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc))  # json.dump's bytes, but from the C encoder
-        fh.write("\n")
+    _write_text(path, json.dumps(doc) + "\n")  # json.dump's bytes, but from the C encoder
 
 
 def load_sparse_family(path, config: GridConfig) -> SparseFamily:
@@ -128,8 +131,11 @@ def region_csv_text(table: RegionTable) -> str:
 
 
 def write_region_csv(table: RegionTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(region_csv_text(table))
+    _write_text(path, region_csv_text(table))
+
+
+def write_region_svg(table: RegionTable, path) -> None:
+    _write_text(path, region_svg(table))
 
 
 def experiment_csv_text(rows) -> str:
@@ -141,5 +147,4 @@ def experiment_csv_text(rows) -> str:
 
 
 def write_experiment_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(experiment_csv_text(rows))
+    _write_text(path, experiment_csv_text(rows))

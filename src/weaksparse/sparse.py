@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .dyadic import (
     cube_index,
     cube_sums,
 )
-from .measure import GridFunction
+from .measure import GridFunction, _same_grid
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,16 @@ class SparseFamily:
         return labels, up
 
     @cached_property
-    def witness(self) -> dict[DyadicCube, np.ndarray] | None:
-        """Each cube's canonical E_Q, its labelled cells sorted (read-only),
-        in enumeration order; None when S is not canonically sparse."""
+    def witness(self) -> MappingProxyType | None:
+        """Each cube's canonical E_Q, its labelled cells sorted (read-only), in
+        enumeration order, in a read-only mapping; None when S is not
+        canonically sparse."""
         if _first_thin_cube(self) is not None:
             return None
         cells = np.argsort(self.paint[0], kind="stable")
         cells.flags.writeable = False
-        return dict(zip(self.cubes, np.split(cells, np.cumsum(self._atom_cells[:-1]))))
+        split = np.split(cells, np.cumsum(self._atom_cells[:-1]))
+        return MappingProxyType(dict(zip(self.cubes, split)))
 
     @cached_property
     def _atom_cells(self) -> np.ndarray:
@@ -193,11 +196,12 @@ def _first_thin_cube(S: SparseFamily) -> DyadicCube | None:
 def verify_sparse(cubes, config: GridConfig):
     """Check 1/2-sparsity with the canonical maximal-subcube witness.
 
-    Returns (True, witness) where witness maps each cube, in enumeration
-    order, to the sorted cell indices of its E_Q, or (False, offending_cube)
-    on the first cube in enumeration order whose canonical witness drops
-    below half measure.  E_Q is the set of cells labelled Q, so the
-    witnesses partition the union and are disjoint by construction.
+    Returns (True, witness) where witness is the family's read-only
+    mapping of each cube, in enumeration order, to the sorted cell indices
+    of its E_Q, or (False, offending_cube) on the first cube in enumeration
+    order whose canonical witness drops below half measure.  E_Q is the set
+    of cells labelled Q, so the witnesses partition the union and are
+    disjoint by construction.
     """
     S = SparseFamily(config, cubes)
     bad = _first_thin_cube(S)
@@ -264,8 +268,7 @@ def generate_sparse(config: GridConfig, seed: int, budget: float) -> SparseFamil
 
 def sparse_eval(S: SparseFamily, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Pointwise sum over Q in S of <f1>_Q <f2>_Q on Q; exact."""
-    if f1.config != S.config or f2.config != S.config:
-        raise ValueError("grid mismatch")
+    _same_grid(S, f1, f2)
     coef = (S.sums(f1) / S.cells) * (S.sums(f2) / S.cells)
     return GridFunction(S.config, S.images(coef)[S.paint[0]])
 
@@ -307,9 +310,7 @@ def sparse_split_eval(
     from qt carry a zero f2-average, so A1 + A2 equals the full evaluation
     of (f1 restricted to qt, f2).  Each part is sparse_eval on its cubes.
     """
-    cfg = S.config
-    if f1.config != cfg or f2.config != cfg:
-        raise ValueError("grid mismatch")
+    cfg = _same_grid(S, f1, f2)
     check_cube(qt, cfg)
     _check_localized(f2, qt)
     f1m = f1.restricted(qt)

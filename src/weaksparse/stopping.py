@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicCube, GridConfig, parent
-from .measure import GridFunction, Weight, lp_norm
+from .measure import GridFunction, Weight, _same_grid, lp_norm
 from .sparse import SparseFamily, family_forest
 
 
@@ -64,8 +64,7 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
     """Construct the stopping family of (f, w) over S; f must be nonnegative."""
     if len(S) == 0:
         raise ValueError("sparse family is empty")
-    if f.config != S.config or w.config != S.config:
-        raise ValueError("grid mismatch")
+    _same_grid(S, f, w)
     if float(f.values.min()) < 0.0:
         raise ValueError("stopping construction requires nonnegative f")
     cubes, up = S.cubes, family_forest(S)
@@ -127,9 +126,7 @@ def carleson_checks(
     f >= 0).  passed: sum of (w-average)^p * w(F) over members is at most
     2 (p')^p ||f||_{L^p(w)}^p.  Raises for f or w off F's grid first.
     """
-    cfg = F.config
-    if f.config != cfg or w.config != cfg:
-        raise ValueError("grid mismatch")
+    cfg = _same_grid(F, f, w)
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
     members = SparseFamily(cfg, F.members)
@@ -166,10 +163,7 @@ def bilinear_form_decompose(
     parts partition the sum exactly.  Both parents contain the term's cube,
     so they are nested, and H lies inside F2 exactly when it is not coarser.
     """
-    cfg = Sprime.config
-    for g in (f2, h, sigma2, v, sigma1):
-        if g.config != cfg:
-            raise ValueError("grid mismatch")
+    cfg = _same_grid(Sprime, f2, h, sigma2, v, sigma1)
     up = family_forest(Sprime)
     if np.count_nonzero(up == len(up)) != 1:
         raise ValueError("family must have a single maximal cube")

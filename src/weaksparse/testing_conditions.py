@@ -40,6 +40,7 @@ from .measure import (
     ExponentTuple,
     GridFunction,
     Weight,
+    _same_grid,
     lp_norm,
     pair_weights,
     same_slots,
@@ -68,6 +69,19 @@ def _make_report(lhs: float, rhs: float, context: str) -> TestingReport:
     return TestingReport(lhs, rhs, ratio, context)
 
 
+def _slot_norms(
+    w1: Weight, w2: Weight, P: ExponentTuple, f1: GridFunction, f2: GridFunction
+):
+    """s1, s2 and v of the pair, and the norm product
+    ||f1||_{L^{p1}(s1)} ||f2||_{L^{p2}(s2)}; raises if either norm is 0."""
+    s1, s2, v = pair_weights(w1, w2, P)
+    n1 = lp_norm(f1, s1, P.p1)
+    n2 = lp_norm(f2, s2, P.p2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ValueError("test functions must not vanish identically")
+    return s1, s2, v, n1 * n2
+
+
 def _global_image(
     S: SparseFamily,
     w1: Weight,
@@ -77,12 +91,8 @@ def _global_image(
     f2: GridFunction,
 ):
     """Sparse image of (|f1| s1, |f2| s2), the joint weight v, and the norm product."""
-    s1, s2, v = pair_weights(w1, w2, P)
-    n1 = lp_norm(f1, s1, P.p1)
-    n2 = lp_norm(f2, s2, P.p2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("test functions must not vanish identically")
-    return sparse_eval(S, abs(f1) * s1, abs(f2) * s2), v, n1 * n2
+    s1, s2, v, scale = _slot_norms(w1, w2, P, f1, f2)
+    return sparse_eval(S, abs(f1) * s1, abs(f2) * s2), v, scale
 
 
 #: Cells per chunk of test-function rows in _slot_sums (at least one row).
@@ -149,8 +159,7 @@ def _slot_sums(
     then if a test function vanishes identically, then if a slot product
     is not finite (as GridFunction would).
     """
-    if w1.config != S.config or w2.config != S.config:
-        raise ValueError("grid mismatch")
+    _same_grid(S, w1, w2)
     s1, s2, v = pair_weights(w1, w2, P)
     slots = ((s1, P.p1), (s2, P.p2))[: 1 if same_slots(w1, w2, P) else 2]
     count, cells = len(values), s1.config.cell_count
@@ -265,17 +274,13 @@ def local_testing_quantity(
     """
     if q not in S:
         raise ValueError("testing cube must belong to the family")
-    s1, s2, v = pair_weights(w1, w2, P)
-    n1 = lp_norm(f1, s1, P.p1)
-    n2 = lp_norm(f2, s2, P.p2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("test functions must not vanish identically")
+    s1, s2, v, scale = _slot_norms(w1, w2, P, f1, f2)
     g = sparse_eval(S, (abs(f1) * s1).restricted(q), (abs(f2) * s2).restricted(q))
     cfg = S.config
     num = float(
         (cell_view(g.values, q, cfg) * cell_view(v.values, q, cfg)).sum()
     ) * cfg.cell_volume
-    return num / (n1 * n2 * weighted_measure(v, q) ** (1.0 / P.p_prime))
+    return num / (scale * weighted_measure(v, q) ** (1.0 / P.p_prime))
 
 
 def local_sigma_testing_ratio(
@@ -293,9 +298,7 @@ def local_sigma_testing_ratio(
     ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1).  Raises for f2 or a weight off
     S's grid first.
     """
-    cfg = S.config
-    if f2.config != cfg or w1.config != cfg or w2.config != cfg:
-        raise ValueError("grid mismatch")
+    cfg = _same_grid(S, f2, w1, w2)
     check_cube(qt, cfg)
     s1, s2, v = pair_weights(w1, w2, P)
     if float(f2.values.min()) < 0.0:

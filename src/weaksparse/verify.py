@@ -1,6 +1,6 @@
 """Verification driver: every module's property suite behind one entry point.
 
-verify_all (or run_suite for a named subset) returns a JSON-serializable
+run_suite (suite "all", or a named subset) returns a JSON-serializable
 report with one entry per check, including measured extremes, and never
 raises on a failing property; unexpected exceptions are also folded into
 the report.  Suites:
@@ -569,7 +569,3 @@ def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
         "passed": all(c["pass"] for c in checks),
         "checks": checks,
     }
-
-
-def verify_all(seed: int = _DEFAULT_SEED) -> dict:
-    return run_suite("all", seed)

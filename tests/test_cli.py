@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from weaksparse import exponents as we
 from weaksparse import verify as wv
 from weaksparse.cli import main
 from weaksparse.constants import check_constant_inequalities
@@ -217,3 +218,20 @@ def test_failed_suite_still_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(wv, "run_suite", lambda suite, seed: {"passed": False})
     code, _ = run_cli(capsys, "verify", "--suite", "dyadic")
     assert code == 1
+
+
+def test_out_of_memory_ends_in_one_line_error(monkeypatch, capsys):
+    """A request too large for memory is one error line, exit 2.  region_map
+    is replaced by one that raises, so nothing is allocated."""
+
+    def too_large(resolution):
+        raise MemoryError(f"Unable to allocate 7.28 TiB at resolution {resolution}")
+
+    monkeypatch.setattr(we, "region_map", too_large)
+    code = main(["region", "--resolution", "1000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "weaksparse: error: out of memory: "
+        "Unable to allocate 7.28 TiB at resolution 1000000\n"
+    )

@@ -30,6 +30,7 @@ from weaksparse.sparse import (
     sparse_eval,
     sparse_split_eval,
     tower_family,
+    verify_sparse,
 )
 from weaksparse.stopping import bilinear_form_decompose, build_stopping
 from weaksparse.verify import run_suite
@@ -213,3 +214,21 @@ def test_a_used_family_cannot_be_reassigned(rng):
     assert np.array_equal(S.sums(x), want)
     assert family_forest(S).tolist() == [5, 0, 1, 2, 3]
     assert S.paint[0].tolist() == [4, 3, 2, 2] + [1] * 4 + [0] * 8
+
+
+def test_the_witness_is_a_read_only_mapping():
+    """Deleting or assigning a witness entry raises, so every later read
+    sees the cells the paint gives; verify_sparse hands out the same kind of
+    mapping, and an equal family has an equal witness."""
+    cfg = GridConfig(1, 4)
+    S = tower_family(cfg)
+    q = S.cubes[0]
+    for witness in (S.witness, verify_sparse(S.cubes, cfg)[1]):
+        assert not hasattr(witness, "pop")
+        with pytest.raises(TypeError):
+            del witness[q]
+        with pytest.raises(TypeError):
+            witness[q] = np.arange(cfg.cell_count)
+    assert q in S.witness and S.witness[q].tolist() == list(range(8, 16))
+    assert _same_witness(tower_family(cfg), S)
+    assert SparseFamily(cfg, all_cubes(cfg)).witness is None

@@ -20,6 +20,9 @@ from weaksparse.measure import (
     weighted_average,
     weighted_measure,
 )
+from weaksparse.sparse import SparseFamily, sparse_eval, sparse_split_eval, tower_family
+from weaksparse.stopping import bilinear_form_decompose, build_stopping, carleson_checks
+from weaksparse.testing_conditions import _slot_sums, local_sigma_testing_ratio
 
 
 # --- construction -----------------------------------------------------------
@@ -222,3 +225,92 @@ def test_kolmogorov_random_suite(rng):
         for p in (0.3, 0.5, 0.8):
             _, _, ok = kolmogorov_check(f, cube(0, 0), p)
             assert ok
+
+
+# --- the one grid check -----------------------------------------------------
+
+
+def _grid_check_sites():
+    """(name, function, make, positions) of every function that checks its
+    arguments' grids with measure._same_grid.
+
+    make(cfg) gives arguments on cfg that would fail every later check of
+    the function too (a negative f, a cube of the other dimension, p < 1, a
+    vanishing test function, two maximal cubes), so the grid mismatch must
+    be raised before any other error.
+    """
+    P = ExponentTuple(3.0, 3.0)
+
+    def fns(cfg):
+        n = cfg.cell_count
+        S = tower_family(cfg)
+        w = Weight(cfg, np.linspace(1.0, 2.0, n))
+        neg = GridFunction(cfg, -np.ones(n))
+        other_dim = cube(0, *(0,) * (3 - cfg.dimension))
+        return S, w, neg, other_dim
+
+    def two_tops(cfg):
+        tail = (0,) * (cfg.dimension - 1)
+        return SparseFamily(cfg, [cube(1, 0, *tail), cube(1, 1, *tail)])
+
+    def mul(cfg):
+        return [GridFunction(cfg, np.ones(cfg.cell_count))] * 2
+
+    def image(cfg):
+        S, _, neg, _ = fns(cfg)
+        return [S, neg, neg]
+
+    def split(cfg):
+        S, _, neg, qt = fns(cfg)
+        return [S, qt, neg, neg]
+
+    def stop(cfg):
+        S, w, neg, _ = fns(cfg)
+        return [S, neg, w]
+
+    def carleson(cfg):
+        S, w, neg, _ = fns(cfg)
+        return [build_stopping(S, abs(neg), w), neg, w, 0.5]
+
+    def bilinear(cfg):
+        _, w, neg, _ = fns(cfg)
+        return [two_tops(cfg), neg, neg, w, w, w]
+
+    def slot_sums(cfg):
+        S, w, _, _ = fns(cfg)
+        zero = np.zeros(cfg.cell_count)
+        return [S, w, w, P, [zero], ([zero], [zero])]
+
+    def sigma_ratio(cfg):
+        S, w, neg, qt = fns(cfg)
+        return [S, w, w, P, neg, qt]
+
+    return [
+        ("GridFunction.__mul__", lambda a, b: a * b, mul, (0, 1)),
+        ("sparse_eval", sparse_eval, image, (0, 1, 2)),
+        ("sparse_split_eval", sparse_split_eval, split, (0, 2, 3)),
+        ("build_stopping", build_stopping, stop, (0, 1, 2)),
+        ("carleson_checks", carleson_checks, carleson, (0, 1, 2)),
+        ("bilinear_form_decompose", bilinear_form_decompose, bilinear, range(6)),
+        ("_slot_sums", _slot_sums, slot_sums, (0, 1, 2)),
+        ("local_sigma_testing_ratio", local_sigma_testing_ratio, sigma_ratio, (0, 1, 2, 4)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, fn, make, position",
+    [
+        pytest.param(name, fn, make, i, id=f"{name}-arg{i}")
+        for name, fn, make, positions in _grid_check_sites()
+        for i in positions
+    ],
+)
+def test_grid_mismatch_comes_before_every_other_error(name, fn, make, position):
+    """One argument on a grid with the same cell count but another shape
+    (1D K = 4 against 2D K = 2) raises "grid mismatch" first."""
+    line, plane = GridConfig(1, 4), GridConfig(2, 2)
+    for home, away in ((line, plane), (plane, line)):
+        args = make(home)
+        args[position] = make(away)[position]
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            fn(*args)

@@ -7,7 +7,7 @@ from weaksparse import dyadic as wd
 from weaksparse import measure as wm
 from weaksparse import testing_conditions as wtc
 from weaksparse import verify as wv
-from weaksparse.verify import SUITES, run_suite, verify_all
+from weaksparse.verify import SUITES, run_suite
 
 
 def test_suite_names_cover_cli_choices():
@@ -22,14 +22,14 @@ def test_unknown_suite_rejected():
 
 @pytest.mark.parametrize("seed", [1, 2026, 777])
 def test_verdict_is_seed_independent(seed):
-    report = verify_all(seed=seed)
+    report = run_suite("all", seed)
     assert report["passed"] is True
     assert report["seed"] == seed
 
 
 def test_report_structure_and_runtime():
     start = time.perf_counter()
-    report = verify_all()
+    report = run_suite("all")
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     assert set(report) == {"suite", "seed", "passed", "checks"}

@@ -8,8 +8,11 @@ Runs the CLI and the demos of this checkout (its src/ on PYTHONPATH) on
 fixed inputs and writes their stdout and result files under DIR.  The
 inputs come from numpy's default_rng and one fixed-seed generate_sparse
 family, so two checkouts give byte-identical directories exactly when
-their outputs agree; compare them with `diff -r DIR1 DIR2`.  Takes about
-half a minute and a few hundred MB (the K = 20 runs dominate).
+their outputs agree; compare them with `diff -r DIR1 DIR2`.  Commands that
+fail on purpose (ERRORS) leave their error line and exit code in a .err
+file; they name their inputs by paths relative to DIR, so the messages do
+not depend on where DIR is.  Takes about half a minute and a few hundred
+MB (the K = 20 runs dominate).
 """
 
 from __future__ import annotations
@@ -32,6 +35,30 @@ SLOPES = (
     (
         "random_ap_2_3_K12",
         ["--p1", "2", "--p2", "3", "--finest-level", "12", "--family", "random_ap"],
+    ),
+)
+
+#: (name, CLI arguments run from DIR) of the commands that end in an error.
+ERRORS = (
+    (
+        "constants_overflow",
+        ["constants", "--weights", "inputs/huge.json,inputs/huge.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
+        "slope_overflow",
+        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "8",
+         "--family", "random_ap", "--roughness", "250"],
+    ),
+    (
+        "constants_two_grids",
+        ["constants", "--weights", "inputs/line.json,inputs/plane.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
+        "constants_malformed",
+        ["constants", "--weights", "inputs/malformed.json,inputs/line.json",
+         "--p1", "2", "--p2", "3"],
     ),
 )
 
@@ -63,7 +90,7 @@ def _write_inputs(d: Path) -> None:
     import numpy as np
 
     from weaksparse.dyadic import GridConfig
-    from weaksparse.measure import GridFunction
+    from weaksparse.measure import GridFunction, Weight
     from weaksparse.serialize import save_grid_function, save_sparse_family
     from weaksparse.sparse import generate_sparse
 
@@ -77,6 +104,12 @@ def _write_inputs(d: Path) -> None:
         values = rng.uniform(0.0, 2.0, plane.cell_count)
         save_grid_function(GridFunction(plane, values), d / f"{name}.json")
     save_sparse_family(generate_sparse(plane, 3, 0.02), d / "family.json")
+    # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a cut-off file
+    huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
+    save_grid_function(huge, d / "huge.json")
+    for name, cfg in (("line", GridConfig(1, 4)), ("plane", GridConfig(2, 2))):
+        save_grid_function(Weight(cfg, rng.uniform(0.5, 2.0, 16)), d / f"{name}.json")
+    (d / "malformed.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [1.0,')
 
 
 def main(argv=None) -> int:
@@ -94,6 +127,9 @@ def main(argv=None) -> int:
     for seed in VERIFY_SEEDS:
         verify = ["verify", "--suite", "all", "--seed", str(seed)]
         _cli(verify, out / f"verify_{seed}.json", out)
+    _cli(["verify", "--suite", "all", "--out", "verify_out.json"], out / "verify_out.stdout", out)
+    for name, args in ERRORS:
+        _cli(args, out / f"error_{name}.stdout", out)
     weights = f"{inputs / 'w1.json'},{inputs / 'w2.json'}"
     constants = ["constants", "--weights", weights, "--p1", "2", "--p2", "3"]
     _cli(constants, out / "constants.json", out)
