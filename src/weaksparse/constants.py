@@ -114,6 +114,16 @@ def apvec_constant(w1: Weight, w2: Weight, P: ExponentTuple) -> ConstantReport:
     return _apvec_report(*_pair_averages(*pair_weights(w1, w2, P)), P, w1.config)
 
 
+def _apvec_power(apvec: float, exponent: float, name: str) -> float:
+    """apvec ** exponent; an overflow names the joint constant and the exponent."""
+    try:
+        return apvec**exponent
+    except OverflowError as e:
+        raise OverflowError(
+            f"the joint constant {apvec:.6g} raised to {name} = {exponent:.6g}"
+        ) from e
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     """Both sides of the dual/joint constant inequalities, with verdict."""
@@ -148,8 +158,8 @@ def check_constant_inequalities(
     sigma1_ap = _ap_report(a1, 2.0 * P.p1_prime, cfg).value
     sigma2_ap = sigma1_ap if a2 is a1 else _ap_report(a2, 2.0 * P.p2_prime, cfg).value
     joint_bound = apvec
-    sigma1_bound = apvec ** (P.p1_prime / P.p)
-    sigma2_bound = apvec ** (P.p2_prime / P.p)
+    sigma1_bound = _apvec_power(apvec, P.p1_prime / P.p, "p1'/p")
+    sigma2_bound = _apvec_power(apvec, P.p2_prime / P.p, "p2'/p")
     ok = (
         joint_ap <= joint_bound * (1.0 + _RTOL)
         and sigma1_ap <= sigma1_bound * (1.0 + _RTOL)

@@ -12,11 +12,15 @@ Conventions used throughout the package:
   * all cubes are half-open, so fixed-level cubes partition [0,1)^n
     with no boundary double counting;
   * cell_view is the one cell-block geometry and cube_sums the one
-    pyramid: every per-level sum or average of cells is one of its levels.
+    pyramid: every per-level sum or average of cells is one of its levels;
+  * each geometry fact has one body over the coordinate tuple for every n
+    in _MAX_LEVEL; the one dimension branch is _halve's measured 1D add;
+  * cell_view expects a cube already checked against its grid (check_cube).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-# Cell count 2^{nK} stays at desk scale.
+# Supported dimensions and their deepest level: 2^{nK} cells stay at desk scale.
 _MAX_LEVEL = {1: 24, 2: 12}
 
 
@@ -36,7 +40,7 @@ class GridConfig:
     finest_level: int
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
+        if self.dimension not in _MAX_LEVEL:
             raise ValueError("dimension must be 1 or 2")
         if not 1 <= self.finest_level <= _MAX_LEVEL[self.dimension]:
             raise ValueError(
@@ -73,7 +77,7 @@ class DyadicCube:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-        if len(self.coords) not in (1, 2):
+        if len(self.coords) not in _MAX_LEVEL:
             raise ValueError("coords must have length 1 or 2")
         top = 1 << self.level
         if any(not 0 <= c < top for c in self.coords):
@@ -111,12 +115,9 @@ def children(q: DyadicCube, config: GridConfig) -> list[DyadicCube]:
     if q.level >= config.finest_level:
         raise ValueError("cube at finest level has no children on this grid")
     k = q.level + 1
-    if q.dimension == 1:
-        (c,) = q.coords
-        return [DyadicCube(k, (2 * c,)), DyadicCube(k, (2 * c + 1,))]
-    a, b = q.coords
     return [
-        DyadicCube(k, (2 * a + i, 2 * b + j)) for i in (0, 1) for j in (0, 1)
+        DyadicCube(k, tuple(2 * c + b for c, b in zip(q.coords, bits)))
+        for bits in itertools.product((0, 1), repeat=q.dimension)
     ]
 
 
@@ -142,28 +143,27 @@ def relation(q: DyadicCube, r: DyadicCube) -> Relation:
 def all_cubes(config: GridConfig) -> Iterator[DyadicCube]:
     """Every cube with level in [0, K], level-major then lexicographic."""
     for k in range(config.finest_level + 1):
-        side = 1 << k
-        if config.dimension == 1:
-            for c in range(side):
-                yield DyadicCube(k, (c,))
-        else:
-            for a in range(side):
-                for b in range(side):
-                    yield DyadicCube(k, (a, b))
+        for coords in itertools.product(range(1 << k), repeat=config.dimension):
+            yield DyadicCube(k, coords)
 
 
 def cube_index(q: DyadicCube) -> int:
     """Flat lexicographic index of q within its level."""
-    if q.dimension == 1:
-        return q.coords[0]
-    return (q.coords[0] << q.level) | q.coords[1]
+    index = 0
+    for c in q.coords:
+        index = (index << q.level) | c
+    return index
 
 
 def cube_from_index(level: int, index: int, dimension: int) -> DyadicCube:
-    if dimension == 1:
-        return DyadicCube(level, (index,))
-    side = 1 << level
-    return DyadicCube(level, (index >> level, index & (side - 1)))
+    """Inverse of cube_index.  The leading coordinate is left unmasked, so an
+    index out of range fails DyadicCube's check instead of wrapping."""
+    mask = (1 << level) - 1
+    trailing = []
+    for _ in range(dimension - 1):
+        trailing.append(index & mask)
+        index >>= level
+    return DyadicCube(level, (index, *reversed(trailing)))
 
 
 def check_cube(q: DyadicCube, config: GridConfig) -> None:
@@ -183,14 +183,11 @@ def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray
     """Numpy view of a flat cell array covering exactly the cells of q.
 
     Returns a 1D slice in 1D and a 2D block view in 2D; writes through.
+    Slices only the axes q has, so check q against config first (check_cube).
     """
     m = 1 << (config.finest_level - q.level)
-    if config.dimension == 1:
-        c = q.coords[0]
-        return flat[c * m : (c + 1) * m]
-    a, b = q.coords
-    side = config.side_cells
-    return flat.reshape(side, side)[a * m : (a + 1) * m, b * m : (b + 1) * m]
+    block = tuple([slice(c * m, (c + 1) * m) for c in q.coords])
+    return flat.reshape((config.side_cells,) * len(block))[block]
 
 
 # Even and odd cells of the last axis, built once: building the index per
@@ -240,8 +237,8 @@ def level_averages(values: np.ndarray, config: GridConfig) -> list[np.ndarray]:
 def expand_level_values(level_values: np.ndarray, level: int, config: GridConfig) -> np.ndarray:
     """Broadcast one value per level-`level` cube to every cell it contains."""
     m = 1 << (config.finest_level - level)
-    if config.dimension == 1:
-        return np.repeat(level_values, m)
-    side = 1 << level
-    grid = np.asarray(level_values, dtype=np.float64).reshape(side, side)
-    return np.repeat(np.repeat(grid, m, axis=0), m, axis=1).ravel()
+    grid = np.asarray(level_values, dtype=np.float64)
+    grid = grid.reshape((1 << level,) * config.dimension)
+    for axis in range(config.dimension):
+        grid = np.repeat(grid, m, axis=axis)
+    return grid.ravel()

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import _apvec_power
 from .dyadic import DyadicCube, GridConfig
 from .exponents import alpha
 from .families import WeightFamilySpec, build_family
@@ -167,8 +168,8 @@ def slope_experiment(
                 apvec=apv,
                 weak=weak,
                 strong=strong,
-                ratio_weak=weak / apv**report.alpha,
-                ratio_strong=strong / apv**report.gamma,
+                ratio_weak=weak / _apvec_power(apv, report.alpha, "alpha"),
+                ratio_strong=strong / _apvec_power(apv, report.gamma, "gamma"),
             )
         )
     weak_slope = fit_loglog_slope([r.apvec for r in rows], [r.weak for r in rows])

@@ -96,6 +96,7 @@ def constant(config: GridConfig, value: float) -> GridFunction:
 
 
 def indicator(config: GridConfig, q: DyadicCube) -> GridFunction:
+    check_cube(q, config)
     out = np.zeros(config.cell_count)
     cell_view(out, q, config)[...] = 1.0
     return GridFunction(config, out)

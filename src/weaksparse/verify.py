@@ -555,6 +555,8 @@ def _jsonable(value):
 def run_suite(suite: str = "all", seed: int = _DEFAULT_SEED) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'; choose from {sorted(SUITES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     checks = []
     for name in SUITES[suite]:
         try:

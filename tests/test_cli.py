@@ -127,6 +127,16 @@ def test_unknown_suite_rejected(capsys):
         main(["verify", "--suite", "bogus"])
 
 
+def test_negative_seed_is_one_line_error(capsys):
+    """A negative seed is bad input, exit 2, not a report of failed checks."""
+    code = main(["verify", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "weaksparse: error: seed must be a non-negative integer, got -1\n"
+    )
+
+
 SPARSE_EVAL = (
     "sparse-eval", "--family", "{tmp}/doc.json", "--f1", "{tmp}/f.json",
     "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json",
@@ -191,27 +201,33 @@ def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, doc, message)
 
 
 def test_overflow_ends_in_one_line_error(tmp_path, capsys):
-    """A float that overflows inside a command is one error line, exit 2;
-    the library call itself still raises OverflowError."""
+    """A float that overflows inside a command is one error line, exit 2,
+    that names the quantity; the library call itself still raises
+    OverflowError."""
     cfg = GridConfig(1, 2)
     w = Weight(cfg, [1e-150, 1e150, 1e-150, 1e150])
     for name in ("a", "b"):
         save_grid_function(w, tmp_path / f"{name}.json")
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="joint constant .* raised to p1'/p"):
         check_constant_inequalities(w, Weight(cfg, w.values), ExponentTuple(2, 3))
     pair = f"{tmp_path}/a.json,{tmp_path}/b.json"
-    for argv in (
-        ["constants", "--weights", pair, "--p1", "2", "--p2", "3"],
-        [
-            "experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "8",
-            "--family", "random_ap", "--roughness", "250",
-        ],
+    for argv, quantity in (
+        (["constants", "--weights", pair, "--p1", "2", "--p2", "3"], "p1'/p = 1.66667"),
+        (
+            [
+                "experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "8",
+                "--family", "random_ap", "--roughness", "250",
+            ],
+            "gamma = 1.66667",
+        ),
     ):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("weaksparse: error: a value overflowed")
         assert captured.err.count("\n") == 1
+        assert "a value overflowed: the joint constant " in captured.err
+        assert captured.err.endswith(f" raised to {quantity}\n")
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

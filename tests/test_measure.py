@@ -38,6 +38,19 @@ def test_gridfunction_validation():
         Weight(cfg, [1.0, 0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "cfg,q,message",
+    [
+        (GridConfig(1, 3), cube(1, 0, 1), "cube dimension does not match grid"),
+        (GridConfig(2, 3), cube(1, 1), "cube dimension does not match grid"),
+        (GridConfig(1, 3), cube(4, 0), "cube is finer than the grid"),
+    ],
+)
+def test_indicator_rejects_cube_from_another_grid(cfg, q, message):
+    with pytest.raises(ValueError, match=message):
+        indicator(cfg, q)
+
+
 def test_gridfunction_values_frozen():
     f = constant(GridConfig(1, 1), 2.0)
     with pytest.raises(ValueError):

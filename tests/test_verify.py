@@ -20,6 +20,11 @@ def test_unknown_suite_rejected():
         run_suite("bogus")
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_suite("all", -1)
+
+
 @pytest.mark.parametrize("seed", [1, 2026, 777])
 def test_verdict_is_seed_independent(seed):
     report = run_suite("all", seed)

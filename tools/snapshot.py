@@ -60,6 +60,7 @@ ERRORS = (
         ["constants", "--weights", "inputs/malformed.json,inputs/line.json",
          "--p1", "2", "--p2", "3"],
     ),
+    ("verify_negative_seed", ["verify", "--seed", "-1"]),
 )
 
 
