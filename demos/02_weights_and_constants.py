@@ -5,7 +5,9 @@ exponent approaches its integrability limit, every constant blows up.
 This script computes single-weight A_p and Fujii-Wilson A_infty
 constants, the joint two-weight constant, and shows the two structural
 facts the rest of the package leans on: the dual/joint constant
-inequalities, and the exact first-slot duality transform.
+inequalities, and the exact first-slot duality transform.  A weight pair
+enters as one WeightPair (pair_weights), which derives the dual weights
+sigma_i and the joint weight v once for every constant of the pair.
 """
 
 from weaksparse import (
@@ -17,6 +19,7 @@ from weaksparse import (
     check_constant_inequalities,
     dual_weight,
     dualize_first_entry,
+    pair_weights,
     power_weight,
     reverse_holder_check,
     reverse_holder_epsilon,
@@ -39,19 +42,20 @@ print("\njoint constant along the degenerating pair family:")
 for delta in (0.5, 0.25, 0.125, 0.0625):
     w1 = power_weight((1 - delta) * (P.p1 - 1), cfg)
     w2 = power_weight((1 - delta) * (P.p2 - 1), cfg)
-    apv = apvec_constant(w1, w2, P)
-    rep = check_constant_inequalities(w1, w2, P)
+    pair = pair_weights(w1, w2, P)
+    apv = apvec_constant(pair)
+    rep = check_constant_inequalities(pair)
     print(
         f"  delta={delta:7}:  joint = {apv.value:9.3f},"
         f"  dual/joint inequalities pass: {rep.passed}"
     )
 
 print("\nthe first-slot duality transform is exact per cube:")
-w1 = power_weight(0.6, cfg)
-w2 = power_weight(1.4, cfg)
-w1n, w2n, Pn, err = dualize_first_entry(w1, w2, P)
-orig = apvec_constant(w1, w2, P).value
-new = apvec_constant(w1n, w2n, Pn).value
+pair = pair_weights(power_weight(0.6, cfg), power_weight(1.4, cfg), P)
+dual, err = dualize_first_entry(pair)
+orig = apvec_constant(pair).value
+new = apvec_constant(dual).value
+Pn = dual.P
 print(f"  new tuple ({Pn.p1:.3f}, {Pn.p2:.3f}) with derived exponent {Pn.p:.3f}")
 print(f"  max per-cube deviation from the power identity: {err:.2e}")
 print(f"  constants: {new:.6f} vs {orig:.6f}^(p1'/p) = {orig ** (P.p1_prime / P.p):.6f}")

@@ -3,11 +3,13 @@
 from .constants import (
     ConstantReport,
     InequalityReport,
+    WeightPair,
     ainfty_constant,
     ap_constant,
     apvec_constant,
     check_constant_inequalities,
     dualize_first_entry,
+    pair_weights,
     reverse_holder_check,
     reverse_holder_epsilon,
 )
@@ -55,7 +57,6 @@ from .measure import (
     joint_weight,
     kolmogorov_check,
     lp_norm,
-    pair_weights,
     weak_norm,
     weighted_average,
     weighted_measure,

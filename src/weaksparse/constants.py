@@ -8,15 +8,17 @@ but is a discretization choice, not an equivalence claim about the full
 Hardy-Littlewood operator.
 
 A pair's joint and A_{2p} constants start from its weights s1, s2 and v
-(measure.pair_weights) and their per-level cube averages.  The per-level
-maps read those averages, so a function that needs several constants of
-one pair pools each weight once; ap_constant and apvec_constant pool
-their own inputs.
+and their per-level cube averages.  pair_weights derives the three once,
+into a WeightPair that every constant and testing quantity takes, and
+each weight pools its averages once (measure.Weight.averages).  So all
+constants of one pair, and of the dual pair of dualize_first_entry,
+which shares s2, pool each weight once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .dyadic import (
     expand_level_values,
     level_averages,
 )
-from .measure import ExponentTuple, Weight, dual_weight, joint_weight, pair_weights
+from .measure import ExponentTuple, Weight, dual_weight, joint_weight, same_slots
 
 
 @dataclass(frozen=True)
@@ -53,18 +55,14 @@ def _argmax_over_levels(per_level: list[np.ndarray], config: GridConfig) -> Cons
     return ConstantReport(best, witness)
 
 
-def _ap_report(aw: list[np.ndarray], p: float, config: GridConfig) -> ConstantReport:
-    """[w]_{A_p} from aw, the level averages of w (aw[-1] holds w's cell values)."""
-    ad = level_averages(aw[-1] ** (1.0 - p / (p - 1.0)), config)
-    per_level = [x * y ** (p - 1.0) for x, y in zip(aw, ad)]
-    return _argmax_over_levels(per_level, config)
-
-
 def ap_constant(w: Weight, p: float) -> ConstantReport:
-    """[w]_{A_p} = max over cubes of <w>_Q <w^{1-p'}>_Q^{p-1}."""
+    """[w]_{A_p} = max over cubes of <w>_Q <w^{1-p'}>_Q^{p-1}, from w's kept
+    level averages and those of w^{1-p'}."""
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
-    return _ap_report(level_averages(w.values, w.config), p, w.config)
+    ad = level_averages(w.values ** (1.0 - p / (p - 1.0)), w.config)
+    per_level = [x * y ** (p - 1.0) for x, y in zip(w.averages, ad)]
+    return _argmax_over_levels(per_level, w.config)
 
 
 def ainfty_constant(w: Weight) -> ConstantReport:
@@ -78,7 +76,7 @@ def ainfty_constant(w: Weight) -> ConstantReport:
     cfg = w.config
     K = cfg.finest_level
     sums = cube_sums(w.values, cfg)
-    averages = [sums[k] / cfg.cells_per_cube(k) for k in range(K + 1)]
+    averages = [sums[k] / cfg.cells_per_cube(k) for k in range(K)]
     running = w.values.copy()  # level-K averages are the cell values
     per_level: list[np.ndarray] = [None] * (K + 1)
     per_level[K] = np.ones_like(sums[K])
@@ -88,30 +86,54 @@ def ainfty_constant(w: Weight) -> ConstantReport:
     return _argmax_over_levels(per_level, cfg)
 
 
-def _pair_averages(s1: Weight, s2: Weight, v: Weight) -> tuple[list, list, list]:
-    """Level averages of v, s1 and s2 from pair_weights; a2 is a1 when s2 is s1."""
-    cfg = v.config
-    av = level_averages(v.values, cfg)
-    a1 = level_averages(s1.values, cfg)
-    a2 = a1 if s2 is s1 else level_averages(s2.values, cfg)
-    return av, a1, a2
+@dataclass(frozen=True, eq=False)
+class WeightPair:
+    """A weight pair (w1, w2) at exponents P with the weights it enters
+    every estimate through: the duals s_i = w_i^(1-p_i') and the joint
+    weight v = w1^(p/p1) w2^(p/p2).  s2 is s1 on the diagonal (same_slots).
+    """
+
+    w1: Weight
+    w2: Weight
+    P: ExponentTuple
+    s1: Weight
+    s2: Weight
+    v: Weight
+
+    @property
+    def config(self) -> GridConfig:
+        return self.w1.config
+
+    @cached_property
+    def ainfty(self) -> tuple[ConstantReport, ConstantReport, ConstantReport]:
+        """ainfty_constant of s1, s2 and v; the s2 report is s1's when s2 is s1."""
+        a1 = ainfty_constant(self.s1)
+        a2 = a1 if self.s2 is self.s1 else ainfty_constant(self.s2)
+        return a1, a2, ainfty_constant(self.v)
 
 
-def _joint_per_level(av, a1, a2, P: ExponentTuple) -> list[np.ndarray]:
+def pair_weights(w1: Weight, w2: Weight, P: ExponentTuple) -> WeightPair:
+    """The WeightPair of (w1, w2) at P, the one derivation of s1, s2 and v.
+
+    Raises "grid mismatch" first, from joint_weight; s2 is s1 when same_slots.
+    """
+    v = joint_weight(w1, w2, P)
+    s1 = dual_weight(w1, P.p1)
+    s2 = s1 if same_slots(w1, w2, P) else dual_weight(w2, P.p2)
+    return WeightPair(w1, w2, P, s1, s2, v)
+
+
+def _joint_per_level(pair: WeightPair) -> list[np.ndarray]:
     """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} from the level averages."""
-    e1 = P.p / P.p1_prime
-    e2 = P.p / P.p2_prime
-    return [x * y**e1 * z**e2 for x, y, z in zip(av, a1, a2)]
+    e1 = pair.P.p / pair.P.p1_prime
+    e2 = pair.P.p / pair.P.p2_prime
+    levels = zip(pair.v.averages, pair.s1.averages, pair.s2.averages)
+    return [x * y**e1 * z**e2 for x, y, z in levels]
 
 
-def _apvec_report(av, a1, a2, P: ExponentTuple, config: GridConfig) -> ConstantReport:
-    """apvec_constant from the level averages of v, s1 and s2."""
-    return _argmax_over_levels(_joint_per_level(av, a1, a2, P), config)
-
-
-def apvec_constant(w1: Weight, w2: Weight, P: ExponentTuple) -> ConstantReport:
+def apvec_constant(pair: WeightPair) -> ConstantReport:
     """Joint two-weight constant: max over cubes of the product quantity."""
-    return _apvec_report(*_pair_averages(*pair_weights(w1, w2, P)), P, w1.config)
+    return _argmax_over_levels(_joint_per_level(pair), pair.config)
 
 
 def _apvec_power(apvec: float, exponent: float, name: str) -> float:
@@ -142,21 +164,17 @@ class InequalityReport:
 _RTOL = 1e-10
 
 
-def check_constant_inequalities(
-    w1: Weight, w2: Weight, P: ExponentTuple
-) -> InequalityReport:
+def check_constant_inequalities(pair: WeightPair) -> InequalityReport:
     """Check [v]_{A_{2p}} <= [w-pair] and [s_i]_{A_{2p_i'}} <= [w-pair]^{p_i'/p}.
 
-    v, s1 and s2 are pooled once, for the joint constant and the three
-    A_{2p} constants, and only their level averages are kept; when
-    same_slots, sigma2_ap is sigma1_ap.
+    The joint constant and the three A_{2p} constants read the level
+    averages of v, s1 and s2; when s2 is s1, sigma2_ap is sigma1_ap.
     """
-    cfg = w1.config
-    av, a1, a2 = _pair_averages(*pair_weights(w1, w2, P))
-    apvec = _apvec_report(av, a1, a2, P, cfg).value
-    joint_ap = _ap_report(av, 2.0 * P.p, cfg).value
-    sigma1_ap = _ap_report(a1, 2.0 * P.p1_prime, cfg).value
-    sigma2_ap = sigma1_ap if a2 is a1 else _ap_report(a2, 2.0 * P.p2_prime, cfg).value
+    P, s1, s2 = pair.P, pair.s1, pair.s2
+    apvec = apvec_constant(pair).value
+    joint_ap = ap_constant(pair.v, 2.0 * P.p).value
+    sigma1_ap = ap_constant(s1, 2.0 * P.p1_prime).value
+    sigma2_ap = sigma1_ap if s2 is s1 else ap_constant(s2, 2.0 * P.p2_prime).value
     joint_bound = apvec
     sigma1_bound = _apvec_power(apvec, P.p1_prime / P.p, "p1'/p")
     sigma2_bound = _apvec_power(apvec, P.p2_prime / P.p, "p2'/p")
@@ -177,36 +195,30 @@ def check_constant_inequalities(
     )
 
 
-def dualize_first_entry(
-    w1: Weight, w2: Weight, P: ExponentTuple
-) -> tuple[Weight, Weight, ExponentTuple, float]:
+def dualize_first_entry(pair: WeightPair) -> tuple[WeightPair, float]:
     """Replace the first weight by the joint weight's dual v^(1-p').
 
     The transformed pair (v^(1-p'), w2) with exponents (p', p2) satisfies,
     cube by cube, joint-quantity(transformed) = joint-quantity(original)
     raised to p1'/p; this is exact algebra, so the returned maximum relative
     deviation across all cubes measures floating-point error only, and the
-    constant identity follows by monotonicity of x -> x^{p1'/p}.  The two
-    pairs share s2 = w2^(1-p2') and its level averages.
+    constant identity follows by monotonicity of x -> x^{p1'/p}.  The
+    transformed pair holds the original's s2 = w2^(1-p2'), the same object,
+    so s2 and its level averages serve both pairs.
     """
-    s1, s2, v = pair_weights(w1, w2, P)
-    av, a1, a2 = _pair_averages(s1, s2, v)
-    cfg = w1.config
-    w1_new = Weight(cfg, v.values ** (1.0 - P.p_prime))
+    P, cfg, w2 = pair.P, pair.config, pair.w2
+    w1_new = Weight(cfg, pair.v.values ** (1.0 - P.p_prime))
     P_new = ExponentTuple(P.p_prime, P.p2)
+    v_new = joint_weight(w1_new, w2, P_new)
+    dual = WeightPair(w1_new, w2, P_new, dual_weight(w1_new, P_new.p1), pair.s2, v_new)
     power = P.p1_prime / P.p
-    orig = _joint_per_level(av, a1, a2, P)
-    new = _joint_per_level(
-        level_averages(joint_weight(w1_new, w2, P_new).values, cfg),
-        level_averages(dual_weight(w1_new, P_new.p1).values, cfg),
-        a2,
-        P_new,
-    )
+    orig = _joint_per_level(pair)
+    new = _joint_per_level(dual)
     err = 0.0
     for k in range(cfg.finest_level + 1):
         expected = orig[k] ** power
         err = max(err, float(np.max(np.abs(new[k] - expected) / expected)))
-    return w1_new, w2, P_new, err
+    return dual, err
 
 
 def reverse_holder_epsilon(sigma: Weight) -> float:
@@ -219,7 +231,7 @@ def reverse_holder_check(sigma: Weight) -> tuple[float, bool]:
     """Worst cube ratio <sigma^(1+eps)>_Q / <sigma>_Q^(1+eps); pass iff <= 2."""
     cfg = sigma.config
     eps = reverse_holder_epsilon(sigma)
-    a1 = level_averages(sigma.values, cfg)
+    a1 = sigma.averages
     a2 = level_averages(sigma.values ** (1.0 + eps), cfg)
     worst = 0.0
     for k in range(cfg.finest_level + 1):

@@ -226,12 +226,11 @@ def cube_sums(values: np.ndarray, config: GridConfig) -> list[np.ndarray]:
 
 
 def level_averages(values: np.ndarray, config: GridConfig) -> list[np.ndarray]:
-    """Per-level cube means: cube_sums divided by cells per cube."""
+    """Per-level cube means: cube_sums divided by cells per cube.  The finest
+    level is cube_sums' own (`values` itself for a float64 array), no copy."""
     sums = cube_sums(values, config)
-    return [
-        sums[k] / config.cells_per_cube(k)
-        for k in range(config.finest_level + 1)
-    ]
+    K = config.finest_level
+    return [sums[k] / config.cells_per_cube(k) for k in range(K)] + [sums[K]]
 
 
 def expand_level_values(level_values: np.ndarray, level: int, config: GridConfig) -> np.ndarray:

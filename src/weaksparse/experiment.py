@@ -28,10 +28,12 @@ the per-function values bit for bit.  A family on another grid than the
 weights raises "grid mismatch" before the first sweep, even when the two
 grids have the same number of cells.
 
-On the diagonal p1 = p2 the power family gives both slots one weight
-object (families.build_family), and measure.same_slots tells every step
-below that slot 1 is slot 0: one dual weight, one pass of slot sums, and
-only the pairs a <= b, whose maxima are those of all pairs bit for bit.
+Each family point's weights enter as one constants.WeightPair, built
+for that point and dropped after it.  On the diagonal p1 = p2 the power
+family gives both slots one weight object (families.build_family), so
+its pair has s2 is s1, which tells every step below that slot 1 is slot
+0: one dual weight, one pass of slot sums, and only the pairs a <= b,
+whose maxima are those of all pairs bit for bit.
 
 Slopes use a plain least-squares fit over all points, no point dropping.
 """
@@ -42,18 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _apvec_power
+from .constants import WeightPair, _apvec_power, pair_weights
 from .dyadic import DyadicCube, GridConfig
 from .exponents import alpha
 from .families import WeightFamilySpec, build_family
-from .measure import (
-    ExponentTuple,
-    GridFunction,
-    Weight,
-    atom_norms,
-    indicator,
-    same_slots,
-)
+from .measure import ExponentTuple, GridFunction, atom_norms, indicator
 from .sparse import SparseFamily
 from .testing_conditions import _slot_powers, _slot_sums
 
@@ -100,9 +95,7 @@ def default_test_functions(config: GridConfig, seed: int) -> list[GridFunction]:
 
 def _pair_sweep(
     S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
+    pair: WeightPair,
     values: list[np.ndarray],
     powers: tuple[list[np.ndarray], list[np.ndarray]],
 ) -> tuple[float, float]:
@@ -116,15 +109,15 @@ def _pair_sweep(
     the mass sums, to maximizing global_weak_quantity and
     global_strong_quantity, which evaluate one pair on the cells.
 
-    When same_slots, the pair (b, a) has the image and the scale of (a, b)
+    When s2 is s1, the pair (b, a) has the image and the scale of (a, b)
     bit for bit (c[a] c[b] and c[b] c[a] are one IEEE product, and each
     image and norm is formed on its own), so only the pairs a <= b are
     evaluated; otherwise all of them.  Holds one chunk of cell values
     besides powers, and (len(S) + 1) atom values per evaluated pair.
     """
-    v, norms, sums = _slot_sums(S, w1, w2, P, values, powers)
+    norms, sums = _slot_sums(S, pair, values, powers)
     count = len(values)
-    if same_slots(w1, w2, P):
+    if pair.s2 is pair.s1:
         a, b = np.triu_indices(count)
     else:
         a, b = np.indices((count, count)).reshape(2, -1)
@@ -132,7 +125,7 @@ def _pair_sweep(
     g = S.images(c1[a] * c2[b])
     if not np.isfinite(g).all():
         raise ValueError("cell values must be finite")
-    strong, weak = atom_norms(g, S.masses(v), P.p)
+    strong, weak = atom_norms(g, S.masses(pair.v), pair.P.p)
     scale = norms[0][a] * norms[1][b]
     return float((weak / scale).max()), float((strong / scale).max())
 
@@ -161,7 +154,7 @@ def slope_experiment(
 
     rows = []
     for d, w1, w2, apv in family:
-        weak, strong = _pair_sweep(S, w1, w2, P, values, powers)
+        weak, strong = _pair_sweep(S, pair_weights(w1, w2, P), values, powers)
         rows.append(
             ExperimentRow(
                 delta=d,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import apvec_constant
+from .constants import apvec_constant, pair_weights
 from .dyadic import GridConfig, expand_level_values
 from .measure import ExponentTuple, Weight
 
@@ -71,6 +71,10 @@ class WeightFamilySpec:
             raise ValueError("delta list must be nonempty")
         if any(not 0.0 < d <= 1.0 for d in self.deltas):
             raise ValueError("deltas must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not np.isfinite(self.roughness):
+            raise ValueError("roughness must be finite")
 
 
 def build_family(
@@ -80,7 +84,8 @@ def build_family(
 
     a_i(delta) depends on p_i only, so a power family with p1 == p2 hands
     out one weight for both slots (w2 is w1), which measure.same_slots
-    lets every later step compute once.
+    lets every later step compute once.  Rows keep the weights, not their
+    WeightPair, whose dual and joint weights would multiply a sweep's memory.
     """
     rows = []
     if spec.kind == "random_ap":
@@ -96,5 +101,5 @@ def build_family(
             scale = (1.0 - d) * spec.roughness
             w1 = Weight(config, np.exp(scale * g1))
             w2 = Weight(config, np.exp(scale * g2))
-        rows.append((d, w1, w2, apvec_constant(w1, w2, P).value))
+        rows.append((d, w1, w2, apvec_constant(pair_weights(w1, w2, P)).value))
     return rows

@@ -18,8 +18,9 @@ Conventions.
     and derived p from 1/p = 1/p1 + 1/p2, restricted to p > 1.
   * A weight pair (w1, w2) at exponents P enters every estimate through
     three weights: the duals s_i = w_i^(1-p_i') and the joint weight
-    v = w1^(p/p1) w2^(p/p2).  pair_weights is the one place that derives
-    them; on the diagonal (same_slots) s2 is s1.
+    v = w1^(p/p1) w2^(p/p2).  constants.pair_weights derives them once,
+    into a WeightPair; on the diagonal (same_slots) s2 is s1.  Each
+    Weight pools its per-level cube averages once and keeps them.
   * The weak L^p quasi-norm is computed as an exact maximum: for a step
     function the map t -> t * w({|f| >= t})^(1/p) is increasing between
     jumps of the distribution function, so the supremum is attained at
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, GridConfig, cell_view, check_cube
+from .dyadic import DyadicCube, GridConfig, cell_view, check_cube, level_averages
 
 
 class GridFunction:
@@ -83,12 +84,24 @@ class GridFunction:
 class Weight(GridFunction):
     """Strictly positive GridFunction, used as the density of a measure w dx."""
 
-    __slots__ = ()
+    __slots__ = ("_averages",)
 
     def __init__(self, config: GridConfig, values):
         super().__init__(config, values)
         if self.values.min() <= 0.0:
             raise ValueError("weights must be strictly positive")
+        self._averages = None
+
+    @property
+    def averages(self) -> tuple[np.ndarray, ...]:
+        """level_averages of the cell values, pooled on first use and kept;
+        read-only, as the weight is (the finest level is .values itself)."""
+        if self._averages is None:
+            levels = level_averages(self.values, self.config)
+            for arr in levels:
+                arr.flags.writeable = False
+            self._averages = tuple(levels)
+        return self._averages
 
 
 def constant(config: GridConfig, value: float) -> GridFunction:
@@ -176,7 +189,8 @@ def same_slots(w1: Weight, w2: Weight, P: ExponentTuple) -> bool:
 
     True for one weight object at equal exponents, as build_family hands
     out on the diagonal.  Then s2 = s1 and every per-slot quantity of slot
-    1 is slot 0's, so the callers compute it once.  Two equal but distinct
+    1 is slot 0's, so it is computed once: pair_weights makes s2 the
+    object s1, which the later steps test.  Two equal but distinct
     weights give False and take the general path, with the same values.
     """
     return w2 is w1 and P.p2 == P.p1
@@ -195,18 +209,6 @@ def joint_weight(w1: Weight, w2: Weight, P: ExponentTuple) -> Weight:
     x = w1.values ** (P.p / P.p1)
     y = x if same_slots(w1, w2, P) else w2.values ** (P.p / P.p2)
     return Weight(cfg, x * y)
-
-
-def pair_weights(w1: Weight, w2: Weight, P: ExponentTuple) -> tuple[Weight, Weight, Weight]:
-    """s1, s2 and v of a weight pair: its dual weights and its joint weight.
-
-    s_i = w_i^(1 - p_i') and v = w1^(p/p1) w2^(p/p2).  Raises "grid
-    mismatch" first; s2 is s1 when same_slots.
-    """
-    _same_grid(w1, w2)
-    s1 = dual_weight(w1, P.p1)
-    s2 = s1 if same_slots(w1, w2, P) else dual_weight(w2, P.p2)
-    return s1, s2, joint_weight(w1, w2, P)
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:

@@ -16,10 +16,10 @@ the data masked to a cube Q needs no new cube sums, and reduces each
 quantity over the cells in the one-pair functions' order, so its values
 equal theirs bit for bit; the one-pair functions are its test oracle.
 
-Every quantity takes the pair's dual and joint weights from
-measure.pair_weights, once per call.  A function that also needs the
-joint constant apvec forms it from the level averages of those weights,
-so each weight is pooled once per call.
+Every quantity takes one constants.WeightPair, so s1, s2 and v are
+derived once per pair, not per call.  The joint constant reads the
+weights' kept level averages and the A_infty constants the pair's kept
+reports, so calls on one pair, as for several f2, pool nothing again.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _apvec_report, _pair_averages, ainfty_constant
+from .constants import WeightPair, apvec_constant
 from .dyadic import (
     DyadicCube,
     GridConfig,
@@ -39,11 +39,8 @@ from .dyadic import (
 from .measure import (
     ExponentTuple,
     GridFunction,
-    Weight,
     _same_grid,
     lp_norm,
-    pair_weights,
-    same_slots,
     weak_norm,
     weighted_measure,
 )
@@ -69,30 +66,22 @@ def _make_report(lhs: float, rhs: float, context: str) -> TestingReport:
     return TestingReport(lhs, rhs, ratio, context)
 
 
-def _slot_norms(
-    w1: Weight, w2: Weight, P: ExponentTuple, f1: GridFunction, f2: GridFunction
-):
-    """s1, s2 and v of the pair, and the norm product
-    ||f1||_{L^{p1}(s1)} ||f2||_{L^{p2}(s2)}; raises if either norm is 0."""
-    s1, s2, v = pair_weights(w1, w2, P)
-    n1 = lp_norm(f1, s1, P.p1)
-    n2 = lp_norm(f2, s2, P.p2)
+def _slot_norms(pair: WeightPair, f1: GridFunction, f2: GridFunction) -> float:
+    """The norm product ||f1||_{L^{p1}(s1)} ||f2||_{L^{p2}(s2)}; raises if
+    either norm is 0."""
+    n1 = lp_norm(f1, pair.s1, pair.P.p1)
+    n2 = lp_norm(f2, pair.s2, pair.P.p2)
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("test functions must not vanish identically")
-    return s1, s2, v, n1 * n2
+    return n1 * n2
 
 
 def _global_image(
-    S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
-    f1: GridFunction,
-    f2: GridFunction,
+    S: SparseFamily, pair: WeightPair, f1: GridFunction, f2: GridFunction
 ):
-    """Sparse image of (|f1| s1, |f2| s2), the joint weight v, and the norm product."""
-    s1, s2, v, scale = _slot_norms(w1, w2, P, f1, f2)
-    return sparse_eval(S, abs(f1) * s1, abs(f2) * s2), v, scale
+    """Sparse image of (|f1| s1, |f2| s2) and the norm product."""
+    scale = _slot_norms(pair, f1, f2)
+    return sparse_eval(S, abs(f1) * pair.s1, abs(f2) * pair.s2), scale
 
 
 #: Cells per chunk of test-function rows in _slot_sums (at least one row).
@@ -137,13 +126,11 @@ def _slot_powers(fns: list[GridFunction], config: GridConfig, P: ExponentTuple):
 
 def _slot_sums(
     S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
+    pair: WeightPair,
     values: list[np.ndarray],
     powers: tuple[list[np.ndarray], list[np.ndarray]],
 ):
-    """Joint weight v, slot norms and family-cube sums of every test function.
+    """Slot norms and family-cube sums of every test function.
 
     values and powers come from _slot_powers.  norms[k, a] is the
     L^{p_k}(s_k) norm of test function a and sums[k, a] the sums of
@@ -152,16 +139,16 @@ def _slot_sums(
     a row is wider).  Each row of a chunk holds |f|^p s, summed as lp_norm
     sums it, and then |f| s; the chunk's products are summed over the
     family cubes by SparseFamily.sums.  Both equal the per-function values
-    bit for bit.  When same_slots, slot 1 is slot 0 (one dual weight, one
+    bit for bit.  When s2 is s1, slot 1 is slot 0 (one dual weight, one
     pass over the rows) and its norms and sums are copied from slot 0.
     Besides powers, this holds one chunk, its cube-sum pyramid and the
-    weights.  Raises for weights off the family's grid before any work,
+    weights.  Raises for a pair off the family's grid before any work,
     then if a test function vanishes identically, then if a slot product
     is not finite (as GridFunction would).
     """
-    _same_grid(S, w1, w2)
-    s1, s2, v = pair_weights(w1, w2, P)
-    slots = ((s1, P.p1), (s2, P.p2))[: 1 if same_slots(w1, w2, P) else 2]
+    _same_grid(S, pair)
+    s1, s2, P = pair.s1, pair.s2, pair.P
+    slots = ((s1, P.p1), (s2, P.p2))[: 1 if s2 is s1 else 2]
     count, cells = len(values), s1.config.cell_count
     rows = max(1, _CHUNK_CELLS // cells)
     chunk = np.empty((min(rows, count), cells))
@@ -183,33 +170,30 @@ def _slot_sums(
         raise ValueError("test functions must not vanish identically")
     if not finite:
         raise ValueError("cell values must be finite")
-    return v, norms, sums
+    return norms, sums
 
 
 def testing_sweep(
-    S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
-    fns: list[GridFunction],
+    S: SparseFamily, pair: WeightPair, fns: list[GridFunction]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Global weak and local testing quantities of every test-function pair.
 
-    glob[a, b] == global_weak_quantity(S, w1, w2, P, fns[a], fns[b]) and
-    loc[a, b, i] == local_testing_quantity(S, w1, w2, P, fns[a], fns[b],
+    glob[a, b] == global_weak_quantity(S, pair, fns[a], fns[b]) and
+    loc[a, b, i] == local_testing_quantity(S, pair, fns[a], fns[b],
     S.cubes[i]), bit for bit.  The data masked to Q = S.cubes[i] keeps the
     cube sums of the cubes inside Q, and every coarser cube that meets Q
     contains it, so its halving-tree sum is Q's own (the other terms are
     exact zeros).  A coarser cube disjoint from Q gets a wrong coefficient
     too, but it only reaches atoms outside Q, which are never read.
 
-    Raises for weights off S's grid first, then the cellwise functions'
+    Raises for a pair off S's grid first, then the cellwise functions'
     errors for a vanishing test function and a non-finite image.  Holds
     len(fns)^2 (len(S) + 1)^2 atom values, and |f|^{p_k} of every test
     function on the cells (_slot_powers).
     """
     cfg, labels = S.config, S.paint[0]
-    v, norms, sums = _slot_sums(S, w1, w2, P, *_slot_powers(fns, w1.config, P))
+    P, v = pair.P, pair.v
+    norms, sums = _slot_sums(S, pair, *_slot_powers(fns, pair.config, P))
     coarser = S.cells[None, :] > S.cells[:, None]  # [i, j]: cube j coarser than cube i
     masked = np.where(coarser, sums[..., :, None], sums[..., None, :])
     c = np.concatenate([sums[..., None, :], masked], axis=-2) / S.cells
@@ -233,36 +217,24 @@ def testing_sweep(
 
 
 def global_weak_quantity(
-    S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
-    f1: GridFunction,
-    f2: GridFunction,
+    S: SparseFamily, pair: WeightPair, f1: GridFunction, f2: GridFunction
 ) -> float:
     """Weak norm of the sparse image of (|f1| s1, |f2| s2) over the product norms."""
-    g, v, scale = _global_image(S, w1, w2, P, f1, f2)
-    return weak_norm(g, v, P.p) / scale
+    g, scale = _global_image(S, pair, f1, f2)
+    return weak_norm(g, pair.v, pair.P.p) / scale
 
 
 def global_strong_quantity(
-    S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
-    f1: GridFunction,
-    f2: GridFunction,
+    S: SparseFamily, pair: WeightPair, f1: GridFunction, f2: GridFunction
 ) -> float:
     """Same normalization with the strong L^p(v) norm on top."""
-    g, v, scale = _global_image(S, w1, w2, P, f1, f2)
-    return lp_norm(g, v, P.p) / scale
+    g, scale = _global_image(S, pair, f1, f2)
+    return lp_norm(g, pair.v, pair.P.p) / scale
 
 
 def local_testing_quantity(
     S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
+    pair: WeightPair,
     f1: GridFunction,
     f2: GridFunction,
     q: DyadicCube,
@@ -274,33 +246,30 @@ def local_testing_quantity(
     """
     if q not in S:
         raise ValueError("testing cube must belong to the family")
-    s1, s2, v, scale = _slot_norms(w1, w2, P, f1, f2)
+    scale = _slot_norms(pair, f1, f2)
+    s1, s2, v = pair.s1, pair.s2, pair.v
     g = sparse_eval(S, (abs(f1) * s1).restricted(q), (abs(f2) * s2).restricted(q))
     cfg = S.config
     num = float(
         (cell_view(g.values, q, cfg) * cell_view(v.values, q, cfg)).sum()
     ) * cfg.cell_volume
-    return num / (scale * weighted_measure(v, q) ** (1.0 / P.p_prime))
+    return num / (scale * weighted_measure(v, q) ** (1.0 / pair.P.p_prime))
 
 
 def local_sigma_testing_ratio(
-    S: SparseFamily,
-    w1: Weight,
-    w2: Weight,
-    P: ExponentTuple,
-    f2: GridFunction,
-    qt: DyadicCube,
+    S: SparseFamily, pair: WeightPair, f2: GridFunction, qt: DyadicCube
 ) -> TestingReport:
     """Localized bound with the first slot saturated by the dual weight.
 
     lhs: L^p(v) norm over qt of the sparse image of (s1 masked to qt, |f2| s2).
     rhs (constant-free): the A_infty mixed factor times apvec^(1/p) times
-    ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1).  Raises for f2 or a weight off
-    S's grid first.
+    ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1).  The A_infty constants are
+    the pair's kept reports (WeightPair.ainfty).  Raises for f2 or the pair
+    off S's grid first.
     """
-    cfg = _same_grid(S, f2, w1, w2)
+    cfg = _same_grid(S, f2, pair)
     check_cube(qt, cfg)
-    s1, s2, v = pair_weights(w1, w2, P)
+    P, s1, s2, v = pair.P, pair.s1, pair.s2, pair.v
     if float(f2.values.min()) < 0.0:
         raise ValueError("f2 must be nonnegative")
     _check_localized(f2, qt)
@@ -309,13 +278,11 @@ def local_sigma_testing_ratio(
         raise ValueError("f2 must not vanish identically")
     g = sparse_eval(S, s1.restricted(qt), abs(f2) * s2)
     lhs = lp_norm(g.restricted(qt), v, P.p)
-    a1 = ainfty_constant(s1).value
-    a2 = ainfty_constant(s2).value
-    av = ainfty_constant(v).value
+    a1, a2, av = (report.value for report in pair.ainfty)
     mixed = max(min(a1, a2) ** (1.0 / P.p), min(a1, av) ** (1.0 / P.p2_prime))
     rhs = (
         mixed
-        * _apvec_report(*_pair_averages(s1, s2, v), P, cfg).value ** (1.0 / P.p)
+        * apvec_constant(pair).value ** (1.0 / P.p)
         * n2
         * weighted_measure(s1, qt) ** (1.0 / P.p1)
     )
@@ -324,7 +291,7 @@ def local_sigma_testing_ratio(
 
 
 def sparse_sum_norm_ratios(
-    S: SparseFamily, w1: Weight, w2: Weight, P: ExponentTuple
+    S: SparseFamily, pair: WeightPair
 ) -> tuple[TestingReport, TestingReport]:
     """Norms of the two aggregate sparse sums against their Carleson bounds.
 
@@ -333,10 +300,9 @@ def sparse_sum_norm_ratios(
     Second: L^{p2'}(s2) norm of sum <s1>_Q <v>_Q chi_Q versus
     apvec^(1/p) (sum <s1>_Q^{p2'/p1} <v>_Q^{p2'/p'} |Q|)^{1/p2'}.
     """
-    cfg = S.config
-    s1, s2, v = pair_weights(w1, w2, P)
-    av, a1, a2 = _pair_averages(s1, s2, v)
-    apv = _apvec_report(av, a1, a2, P, v.config).value
+    P, s1, s2, v = pair.P, pair.s1, pair.s2, pair.v
+    av, a1, a2 = v.averages, s1.averages, s2.averages
+    apv = apvec_constant(pair).value
 
     carleson1 = 0.0
     carleson2 = 0.0

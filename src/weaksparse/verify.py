@@ -179,7 +179,7 @@ def check_joint_constant_inequalities(seed):
         w = wf.power_weight((1.0 - d) * (P_pow.p1 - 1.0), cfg_pow)
         suites.append((P_pow, w, w))
     for P, w1, w2 in suites:
-        rep = wc.check_constant_inequalities(w1, w2, P)
+        rep = wc.check_constant_inequalities(wc.pair_weights(w1, w2, P))
         if not rep.passed:
             failures += 1
         worst_margin = min(
@@ -201,10 +201,11 @@ def check_dual_transform_identity(seed):
         P = _random_exponents(rng)
         w1 = _random_weight(rng, cfg)
         w2 = _random_weight(rng, cfg)
-        w1n, w2n, Pn, err = wc.dualize_first_entry(w1, w2, P)
+        pair = wc.pair_weights(w1, w2, P)
+        dual, err = wc.dualize_first_entry(pair)
         worst_percube = max(worst_percube, err)
-        orig = wc.apvec_constant(w1, w2, P).value
-        new = wc.apvec_constant(w1n, w2n, Pn).value
+        orig = wc.apvec_constant(pair).value
+        new = wc.apvec_constant(dual).value
         dev = abs(new - orig ** (P.p1_prime / P.p)) / new
         worst_constant = max(worst_constant, dev)
         if err > 1e-10 or dev > 1e-9:
@@ -315,10 +316,10 @@ def check_bilinear_decomposition(seed):
         P = _random_exponents(rng)
         w1 = _random_weight(rng, cfg)
         w2 = _random_weight(rng, cfg)
-        s1, s2, v = wm.pair_weights(w1, w2, P)
+        pair = wc.pair_weights(w1, w2, P)
         f2 = _random_nonneg(rng, cfg)
         h = _random_nonneg(rng, cfg)
-        i1, i2, total = wst.bilinear_form_decompose(Sp, f2, h, s2, v, s1)
+        i1, i2, total = wst.bilinear_form_decompose(Sp, f2, h, pair.s2, pair.v, pair.s1)
         scale = max(abs(total), 1e-300)
         dev = abs(i1 + i2 - total) / scale
         worst = max(worst, dev)
@@ -344,7 +345,7 @@ def check_local_testing_direction(seed):
             wm.indicator(cfg, wd.cube(k, 0)) for k in range(0, cfg.finest_level, 2)
         ]
         fns.append(_random_nonneg(rng, cfg, zeros=0.0))
-        glob, loc = wtc.testing_sweep(S, w1, w2, P, fns)
+        glob, loc = wtc.testing_sweep(S, wc.pair_weights(w1, w2, P), fns)
         glob, loc = float(glob.max()), float(loc.max())
         worst = max(worst, loc / glob)
         if loc > LOCAL_GLOBAL_FACTOR * glob:
@@ -377,12 +378,13 @@ def check_localized_testing_family(seed):
         _random_nonneg(rng, cfg, zeros=0.0),
     ]
     apv = [row[3] for row in family]
+    pairs = (wc.pair_weights(w1, w2, P) for _, w1, w2, _ in family)
     loc = [
         max(
-            wtc.local_sigma_testing_ratio(S, w1, w2, P, f2, wd.cube(0, 0)).ratio
+            wtc.local_sigma_testing_ratio(S, pair, f2, wd.cube(0, 0)).ratio
             for f2 in f2s
         )
-        for _, w1, w2, _ in family
+        for pair in pairs
     ]
     slope = fit_loglog_slope(apv, loc)
     return {
@@ -398,7 +400,7 @@ def check_sparse_sum_ratio_family(seed):
     P, S, family = _delta_family()
     apv = [row[3] for row in family]
     ratios = [
-        [r.ratio for r in wtc.sparse_sum_norm_ratios(S, w1, w2, P)]
+        [r.ratio for r in wtc.sparse_sum_norm_ratios(S, wc.pair_weights(w1, w2, P))]
         for _, w1, w2, _ in family
     ]
     s1 = fit_loglog_slope(apv, [r[0] for r in ratios])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import weaksparse as wsl
+from weaksparse import pair_weights
 from weaksparse.cli import main as cli_main
 from weaksparse.dyadic import GridConfig, all_cubes, cube
 from weaksparse.exponents import region_map
@@ -80,10 +81,11 @@ def test_acceptance_03_dual_transform_exactness():
         P = _random_exponents(rng)
         w1 = _random_weight(rng, cfg)
         w2 = _random_weight(rng, cfg)
-        w1n, w2n, Pn, err = wsl.dualize_first_entry(w1, w2, P)
+        pair = pair_weights(w1, w2, P)
+        dual, err = wsl.dualize_first_entry(pair)
         worst_cube = max(worst_cube, err)
-        a = wsl.apvec_constant(w1, w2, P).value
-        b = wsl.apvec_constant(w1n, w2n, Pn).value
+        a = wsl.apvec_constant(pair).value
+        b = wsl.apvec_constant(dual).value
         worst_const = max(worst_const, abs(b - a ** (P.p1_prime / P.p)) / b)
     elapsed = time.perf_counter() - start
     _report(
@@ -100,7 +102,7 @@ def test_acceptance_04_constant_inequalities():
     for _ in range(50):
         P = _random_exponents(rng)
         rep = wsl.check_constant_inequalities(
-            _random_weight(rng, cfg), _random_weight(rng, cfg), P
+            pair_weights(_random_weight(rng, cfg), _random_weight(rng, cfg), P)
         )
         all_pass &= rep.passed
     cfg_pow = GridConfig(1, 12)
@@ -108,7 +110,7 @@ def test_acceptance_04_constant_inequalities():
     for delta in [2.0**-k for k in range(2, 10)]:
         w1 = power_weight((1 - delta) * 5.0, cfg_pow)
         w2 = power_weight((1 - delta) * 5.0, cfg_pow)
-        all_pass &= wsl.check_constant_inequalities(w1, w2, P66).passed
+        all_pass &= wsl.check_constant_inequalities(pair_weights(w1, w2, P66)).passed
     _report(4, all_pass, "random suite + power family to delta=2^-9")
 
 

@@ -6,7 +6,7 @@ import pytest
 from weaksparse import exponents as we
 from weaksparse import verify as wv
 from weaksparse.cli import main
-from weaksparse.constants import check_constant_inequalities
+from weaksparse.constants import check_constant_inequalities, pair_weights
 from weaksparse.dyadic import GridConfig
 from weaksparse.measure import ExponentTuple, Weight
 from weaksparse.serialize import (
@@ -137,6 +137,25 @@ def test_negative_seed_is_one_line_error(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["--roughness", "nan"], "roughness must be finite"),
+    ],
+    ids=["seed", "roughness"],
+)
+@pytest.mark.parametrize("family", ["power", "random_ap"])
+def test_bad_family_input_is_one_line_error(capsys, family, flags, message):
+    """A bad --seed or --roughness of experiment slope names its option,
+    whichever family reads it, in one error line with exit 2."""
+    argv = ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6"]
+    code = main(argv + ["--family", family] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"weaksparse: error: {message}\n"
+
+
 SPARSE_EVAL = (
     "sparse-eval", "--family", "{tmp}/doc.json", "--f1", "{tmp}/f.json",
     "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json",
@@ -209,7 +228,9 @@ def test_overflow_ends_in_one_line_error(tmp_path, capsys):
     for name in ("a", "b"):
         save_grid_function(w, tmp_path / f"{name}.json")
     with pytest.raises(OverflowError, match="joint constant .* raised to p1'/p"):
-        check_constant_inequalities(w, Weight(cfg, w.values), ExponentTuple(2, 3))
+        check_constant_inequalities(
+            pair_weights(w, Weight(cfg, w.values), ExponentTuple(2, 3))
+        )
     pair = f"{tmp_path}/a.json,{tmp_path}/b.json"
     for argv, quantity in (
         (["constants", "--weights", pair, "--p1", "2", "--p2", "3"], "p1'/p = 1.66667"),

@@ -8,6 +8,7 @@ from weaksparse.constants import (
     apvec_constant,
     check_constant_inequalities,
     dualize_first_entry,
+    pair_weights,
     reverse_holder_check,
     reverse_holder_epsilon,
 )
@@ -155,7 +156,8 @@ def test_ainfty_below_ap(rng):
 def test_apvec_trivial():
     cfg = GridConfig(1, 3)
     one = Weight(cfg, np.ones(cfg.cell_count))
-    assert apvec_constant(one, one, ExponentTuple(2, 3)).value == pytest.approx(1.0)
+    pair = pair_weights(one, one, ExponentTuple(2, 3))
+    assert apvec_constant(pair).value == pytest.approx(1.0)
 
 
 def test_apvec_matches_brute_force(rng):
@@ -164,7 +166,7 @@ def test_apvec_matches_brute_force(rng):
         P = random_exponents(rng)
         w1 = random_weight(rng, cfg)
         w2 = random_weight(rng, cfg)
-        assert apvec_constant(w1, w2, P).value == pytest.approx(
+        assert apvec_constant(pair_weights(w1, w2, P)).value == pytest.approx(
             apvec_brute(w1, w2, P), rel=1e-12
         )
 
@@ -175,8 +177,8 @@ def test_apvec_symmetric_under_swap(rng):
         P = random_exponents(rng)
         w1 = random_weight(rng, cfg)
         w2 = random_weight(rng, cfg)
-        a = apvec_constant(w1, w2, P).value
-        b = apvec_constant(w2, w1, P.swapped()).value
+        a = apvec_constant(pair_weights(w1, w2, P)).value
+        b = apvec_constant(pair_weights(w2, w1, P.swapped())).value
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -186,7 +188,7 @@ def test_all_constants_at_least_one(rng):
         P = random_exponents(rng)
         w1 = random_weight(rng, cfg)
         w2 = random_weight(rng, cfg)
-        assert apvec_constant(w1, w2, P).value >= 1.0 - 1e-12
+        assert apvec_constant(pair_weights(w1, w2, P)).value >= 1.0 - 1e-12
         assert ainfty_constant(w1).value >= 1.0 - 1e-12
         assert ap_constant(w1, P.p1).value >= 1.0 - 1e-12
 
@@ -197,7 +199,7 @@ def test_all_constants_at_least_one(rng):
 def test_inequalities_trivial_weights():
     cfg = GridConfig(1, 3)
     one = Weight(cfg, np.ones(cfg.cell_count))
-    rep = check_constant_inequalities(one, one, ExponentTuple(2, 3))
+    rep = check_constant_inequalities(pair_weights(one, one, ExponentTuple(2, 3)))
     assert rep.passed
     for v in (rep.apvec, rep.joint_ap, rep.sigma1_ap, rep.sigma2_ap):
         assert v == pytest.approx(1.0, abs=1e-12)
@@ -208,7 +210,7 @@ def test_inequalities_random_suite(rng):
     for _ in range(50):
         P = random_exponents(rng)
         rep = check_constant_inequalities(
-            random_weight(rng, cfg), random_weight(rng, cfg), P
+            pair_weights(random_weight(rng, cfg), random_weight(rng, cfg), P)
         )
         assert rep.passed
 
@@ -219,7 +221,7 @@ def test_inequalities_power_family_near_degeneracy():
     for delta in (2.0**-2, 2.0**-5, 2.0**-9):
         w1 = power_weight((1 - delta) * (P.p1 - 1), cfg)
         w2 = power_weight((1 - delta) * (P.p2 - 1), cfg)
-        assert check_constant_inequalities(w1, w2, P).passed
+        assert check_constant_inequalities(pair_weights(w1, w2, P)).passed
 
 
 # --- first-slot dual transform ----------------------------------------------
@@ -228,9 +230,10 @@ def test_inequalities_power_family_near_degeneracy():
 def test_dual_transform_trivial_weights():
     cfg = GridConfig(1, 3)
     one = Weight(cfg, np.ones(cfg.cell_count))
-    w1n, w2n, Pn, err = dualize_first_entry(one, one, ExponentTuple(2, 3))
+    dual, err = dualize_first_entry(pair_weights(one, one, ExponentTuple(2, 3)))
+    Pn = dual.P
     assert err == pytest.approx(0.0, abs=1e-14)
-    assert np.all(w1n.values == 1.0)
+    assert np.all(dual.w1.values == 1.0)
     assert Pn.p1 == pytest.approx(ExponentTuple(2, 3).p_prime)
     assert Pn.p2 == 3.0
 
@@ -241,10 +244,11 @@ def test_dual_transform_exactness(rng):
         P = random_exponents(rng)
         w1 = random_weight(rng, cfg)
         w2 = random_weight(rng, cfg)
-        w1n, w2n, Pn, err = dualize_first_entry(w1, w2, P)
+        pair = pair_weights(w1, w2, P)
+        dual, err = dualize_first_entry(pair)
         assert err <= 1e-10
-        orig = apvec_constant(w1, w2, P).value
-        new = apvec_constant(w1n, w2n, Pn).value
+        orig = apvec_constant(pair).value
+        new = apvec_constant(dual).value
         assert new == pytest.approx(orig ** (P.p1_prime / P.p), rel=1e-9)
 
 
@@ -252,7 +256,7 @@ def test_dual_transform_new_tuple_is_consistent():
     P = ExponentTuple(2.0, 3.0)
     cfg = GridConfig(1, 4)
     one = Weight(cfg, np.ones(cfg.cell_count))
-    _, _, Pn, _ = dualize_first_entry(one, one, P)
+    Pn = dualize_first_entry(pair_weights(one, one, P))[0].P
     # 1/p' + 1/p2 = 1/p1', so the derived exponent of the new tuple is p1'
     assert Pn.p == pytest.approx(P.p1_prime, rel=1e-14)
 
@@ -290,3 +294,124 @@ def test_reverse_holder_random_dual_weights(rng):
         sigma = dual_weight(random_weight(rng, cfg), rng.uniform(1.3, 4.0))
         _, ok = reverse_holder_check(sigma)
         assert ok
+
+
+# --- weight pairs -------------------------------------------------------------
+
+
+def test_pair_weights_derives_the_duals_and_the_joint_weight(rng):
+    for cfg in (GridConfig(1, 5), GridConfig(2, 3)):
+        P = random_exponents(rng)
+        w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+        pair = pair_weights(w1, w2, P)
+        assert (pair.w1, pair.w2, pair.P, pair.config) == (w1, w2, P, cfg)
+        for got, want in (
+            (pair.s1, dual_weight(w1, P.p1)),
+            (pair.s2, dual_weight(w2, P.p2)),
+            (pair.v, joint_weight(w1, w2, P)),
+        ):
+            assert isinstance(got, Weight)
+            assert got.values.tobytes() == want.values.tobytes()
+        assert pair.s2 is not pair.s1
+
+
+def test_pair_weights_shares_the_dual_only_for_one_weight_at_equal_exponents(rng):
+    cfg = GridConfig(1, 5)
+    w = random_weight(rng, cfg)
+    copy = Weight(cfg, w.values)
+    shared = pair_weights(w, w, ExponentTuple(6.0, 6.0))
+    assert shared.s2 is shared.s1
+    for w2, P in ((copy, ExponentTuple(6.0, 6.0)), (w, ExponentTuple(6.0, 7.0))):
+        pair = pair_weights(w, w2, P)
+        assert pair.s2 is not pair.s1
+
+
+def test_pair_weights_raises_grid_mismatch_first():
+    # same cell count, another shape
+    w = Weight(GridConfig(1, 4), np.ones(16))
+    other = Weight(GridConfig(2, 2), np.ones(16))
+    for w1, w2 in ((w, other), (other, w)):
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            pair_weights(w1, w2, ExponentTuple(3.0, 3.0))
+
+
+def test_weight_pair_is_frozen_and_compared_by_identity(rng):
+    cfg = GridConfig(1, 3)
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    P = ExponentTuple(2.0, 3.0)
+    pair = pair_weights(w1, w2, P)
+    with pytest.raises(AttributeError):
+        pair.w1 = w2
+    assert pair == pair and pair != pair_weights(w1, w2, P)
+
+
+def test_weight_pair_keeps_its_ainfty_reports(rng, monkeypatch):
+    import weaksparse.constants as wc
+
+    calls = []
+    real = wc.ainfty_constant
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(wc, "ainfty_constant", counted)
+    cfg = GridConfig(1, 6)
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    pair = pair_weights(w1, w2, ExponentTuple(2.0, 3.0))
+    reports = pair.ainfty
+    assert calls == [pair.s1, pair.s2, pair.v]
+    assert reports == tuple(real(w) for w in (pair.s1, pair.s2, pair.v))
+    assert pair.ainfty is reports and len(calls) == 3
+    calls.clear()
+    shared = pair_weights(w1, w1, ExponentTuple(6.0, 6.0))
+    a1, a2, av = shared.ainfty
+    assert calls == [shared.s1, shared.v] and a2 is a1
+
+
+def test_dual_transform_shares_the_second_dual_weight(rng):
+    cfg = GridConfig(1, 5)
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    pair = pair_weights(w1, w2, ExponentTuple(2.0, 3.0))
+    dual, _ = dualize_first_entry(pair)
+    assert dual.w2 is pair.w2 and dual.s2 is pair.s2
+    assert dual.s1 is not dual.s2
+    assert dual.s1.values.tobytes() == dual_weight(dual.w1, dual.P.p1).values.tobytes()
+    v = joint_weight(dual.w1, pair.w2, dual.P)
+    assert dual.v.values.tobytes() == v.values.tobytes()
+
+
+# --- memory -------------------------------------------------------------------
+
+
+#: Traced peak, in bytes, of the command below when each of its steps
+#: derived and pooled the weight pair on its own: the lowest of three warm
+#: runs (5,813,248 to 5,822,178), about 11.1 arrays of the 2^16 cells.
+_EARLIER_CONSTANTS_PEAK = 5_813_248
+
+
+def test_constants_command_peak_stays_at_most_the_earlier_one(monkeypatch, capsys):
+    """The weight pair keeps s1, s2, v and their level averages alive, so the
+    command reads the A_infty reports before the inequalities pool the
+    weights; the other order peaks about three cell arrays higher."""
+    import tracemalloc
+
+    from weaksparse import cli
+
+    cfg = GridConfig(1, 16)
+    rng = np.random.default_rng(0)
+    weights = {
+        name: Weight(cfg, np.exp(rng.uniform(-1.5, 1.5, cfg.cell_count)))
+        for name in ("w1", "w2")
+    }
+    monkeypatch.setattr(cli.wio, "load_weight", weights.__getitem__)
+    argv = ["constants", "--weights", "w1,w2", "--p1", "2", "--p2", "3"]
+    assert cli.main(argv) == 0  # warm caches and imports
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert '"inequalities_pass": true' in capsys.readouterr().out
+    assert peak <= _EARLIER_CONSTANTS_PEAK, peak

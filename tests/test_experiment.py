@@ -4,6 +4,7 @@ import pytest
 from conftest import random_exponents, random_function, random_weight
 from test_family_oracles import _sparse_eval_oracle
 from weaksparse import testing_conditions as wtc
+from weaksparse.constants import pair_weights
 from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube
 from weaksparse.experiment import (
     _pair_sweep,
@@ -90,13 +91,14 @@ def test_pair_sweep_matches_cellwise_oracle(monkeypatch, seed):
     P = random_exponents(rng)
     fns = _oracle_functions(rng, cfg)
 
-    weak, strong = _pair_sweep(S, w1, w2, P, *_slot_powers(fns, cfg, P))
+    pair = pair_weights(w1, w2, P)
+    weak, strong = _pair_sweep(S, pair, *_slot_powers(fns, cfg, P))
     pairs = [(a, b) for a in fns for b in fns]
     assert weak == pytest.approx(
-        max(global_weak_quantity(S, w1, w2, P, a, b) for a, b in pairs), rel=1e-12
+        max(global_weak_quantity(S, pair, a, b) for a, b in pairs), rel=1e-12
     )
     assert strong == pytest.approx(
-        max(global_strong_quantity(S, w1, w2, P, a, b) for a, b in pairs), rel=1e-12
+        max(global_strong_quantity(S, pair, a, b) for a, b in pairs), rel=1e-12
     )
 
     s1, s2 = dual_weight(w1, P.p1), dual_weight(w2, P.p2)
@@ -124,9 +126,10 @@ def test_pair_sweep_keeps_ties_at_full_mass():
     images = S.images(c * c)
     assert images[1] == images[2] == 2.0
     assert S.masses(one)[0] == 0.0
-    weak, strong = _pair_sweep(S, one, one, P, *_slot_powers(fns, cfg, P))
-    assert weak == global_weak_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
-    assert strong == global_strong_quantity(S, one, one, P, fns[0], fns[0]) == 2.0
+    pair = pair_weights(one, one, P)
+    weak, strong = _pair_sweep(S, pair, *_slot_powers(fns, cfg, P))
+    assert weak == global_weak_quantity(S, pair, fns[0], fns[0]) == 2.0
+    assert strong == global_strong_quantity(S, pair, fns[0], fns[0]) == 2.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -140,9 +143,10 @@ def test_pair_sweep_keeps_empty_atoms_out_of_an_overflowing_norm():
     P = ExponentTuple(80.0, 80.0)
     f = constant(cfg, 6000.0)  # |f|^80 stays finite
     assert S.images(np.ones(len(S)))[:2].tolist() == [0.0, 0.0]
-    weak, strong = _pair_sweep(S, one, one, P, *_slot_powers([f], cfg, P))
-    assert strong == global_strong_quantity(S, one, one, P, f, f) == np.inf
-    assert weak == global_weak_quantity(S, one, one, P, f, f)
+    pair = pair_weights(one, one, P)
+    weak, strong = _pair_sweep(S, pair, *_slot_powers([f], cfg, P))
+    assert strong == global_strong_quantity(S, pair, f, f) == np.inf
+    assert weak == global_weak_quantity(S, pair, f, f)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -152,21 +156,21 @@ def test_pair_sweep_raises_like_the_oracle():
     one = Weight(cfg, np.ones(cfg.cell_count))
     P = ExponentTuple(3.0, 3.0)
     huge = constant(cfg, 1e200)  # finite slots whose image overflows
+    pair = pair_weights(one, one, P)
     with pytest.raises(ValueError, match="cell values must be finite"):
-        global_weak_quantity(S, one, one, P, huge, huge)
+        global_weak_quantity(S, pair, huge, huge)
     with pytest.raises(ValueError, match="cell values must be finite"):
-        _pair_sweep(S, one, one, P, *_slot_powers([huge], cfg, P))
+        _pair_sweep(S, pair, *_slot_powers([huge], cfg, P))
     zero = constant(cfg, 0.0)
     with pytest.raises(ValueError, match="must not vanish identically"):
-        _pair_sweep(
-            S, one, one, P, *_slot_powers([constant(cfg, 1.0), zero], cfg, P)
-        )
+        _pair_sweep(S, pair, *_slot_powers([constant(cfg, 1.0), zero], cfg, P))
     tiny = Weight(cfg, np.full(cfg.cell_count, 1e-300))  # dual weight 1e150
+    pair = pair_weights(tiny, one, P)
     with pytest.raises(ValueError, match="cell values must be finite"):
-        global_weak_quantity(S, tiny, one, P, huge, huge)
+        global_weak_quantity(S, pair, huge, huge)
     with pytest.raises(ValueError, match="cell values must be finite"):
         # the slot product overflows
-        _pair_sweep(S, tiny, one, P, *_slot_powers([huge], cfg, P))
+        _pair_sweep(S, pair, *_slot_powers([huge], cfg, P))
 
 
 def _small_spec(deltas=(0.5, 0.25, 0.125, 0.0625)):

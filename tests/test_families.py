@@ -65,6 +65,20 @@ def test_family_spec_validation():
         WeightFamilySpec("power", (0.0,))
 
 
+@pytest.mark.parametrize("kind", ["power", "random_ap"])
+def test_family_spec_refuses_a_negative_seed(kind):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        WeightFamilySpec(kind, (0.5,), seed=-1)
+    assert WeightFamilySpec(kind, (0.5,), seed=0).seed == 0
+
+
+@pytest.mark.parametrize("roughness", [np.nan, np.inf, -np.inf])
+def test_family_spec_refuses_a_non_finite_roughness(roughness):
+    for kind in ("power", "random_ap"):
+        with pytest.raises(ValueError, match="^roughness must be finite$"):
+            WeightFamilySpec(kind, (0.5,), roughness=roughness)
+
+
 def test_build_family_trivial_at_delta_one():
     cfg = GridConfig(1, 8)
     P = ExponentTuple(2.0, 3.0)

@@ -11,7 +11,8 @@ sparse_sum_norm_ratios (cell loops routed by relation).  Next to them are
 the derive-and-pool bodies of the joint constant, the constant
 inequalities, the dual transform and the saturated-slot ratio, which
 derived s1, s2 and v and pooled their level averages in each call
-(measure.pair_weights and the averages-based constants replace them).  The sweeps
+(constants.pair_weights, Weight.averages and WeightPair.ainfty replace
+them).  The sweeps
 assert bit-for-bit agreement on generated families, towers, restricted
 families, split parts, arbitrary cube sets and on cubes listed shuffled
 and with a repeat, which the constructor normalises.
@@ -28,9 +29,9 @@ from conftest import _random_nonneg, random_exponents, random_function, random_w
 from test_sparse import _atom_labels_oracle, _forest_oracle
 from weaksparse import constants as wc
 from weaksparse import dyadic as dyadic_module
-from weaksparse import measure, sparse, stopping
+from weaksparse import measure, sparse, stopping, verify
 from weaksparse import testing_conditions as wtc
-from weaksparse.constants import InequalityReport, ainfty_constant
+from weaksparse.constants import InequalityReport, ainfty_constant, pair_weights
 from weaksparse.families import power_weight
 from weaksparse.dyadic import (
     GridConfig,
@@ -425,9 +426,9 @@ def _check_family(rng, S):
         _check_at(rng, S, S.cubes[int(rng.integers(0, len(S)))])
     P = random_exponents(rng)
     w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
-    assert wtc.sparse_sum_norm_ratios(S, w1, w2, P) == _sparse_sum_norm_ratios_oracle(
-        S, w1, w2, P
-    )
+    assert wtc.sparse_sum_norm_ratios(
+        S, pair_weights(w1, w2, P)
+    ) == _sparse_sum_norm_ratios_oracle(S, w1, w2, P)
 
 
 _GRIDS = [GridConfig(1, K) for K in range(1, 9)] + [GridConfig(2, K) for K in range(1, 5)]
@@ -659,27 +660,28 @@ def test_pooled_once_constants_match_the_derive_and_pool_bodies(config):
         qt = S.cubes[int(rng.integers(0, len(S)))]
         f2 = _random_nonneg(rng, config, zeros=0.0)
         for w1, w2, P in _weight_pairs(rng, config):
-            assert wc.apvec_constant(w1, w2, P) == _apvec_oracle(w1, w2, P)
+            pair = pair_weights(w1, w2, P)
+            assert wc.apvec_constant(pair) == _apvec_oracle(w1, w2, P)
             assert wc.check_constant_inequalities(
-                w1, w2, P
+                pair
             ) == _check_constant_inequalities_oracle(w1, w2, P)
-            got = wc.dualize_first_entry(w1, w2, P)
+            dual, err = wc.dualize_first_entry(pair)
+            got = (dual.w1, dual.w2, dual.P, err)
             want = _dualize_first_entry_oracle(w1, w2, P)
             assert _bits(got[0]) == _bits(want[0]) and got[1] is w2
             assert got[2:] == want[2:]
             assert wtc.sparse_sum_norm_ratios(
-                S, w1, w2, P
+                S, pair
             ) == _sparse_sum_norm_ratios_oracle(S, w1, w2, P)
             for q, f in ((cube(0, *(0,) * config.dimension), f2), (qt, f2.restricted(qt))):
                 assert wtc.local_sigma_testing_ratio(
-                    S, w1, w2, P, f, q
+                    S, pair, f, q
                 ) == _local_sigma_testing_ratio_oracle(S, w1, w2, P, f, q)
 
 
-def _count_derivations(monkeypatch) -> dict:
-    """Calls of level_averages, dual_weight and joint_weight from any module."""
+def _count_calls(monkeypatch, homes: dict) -> dict:
+    """Calls of each function homes names (name -> home module) from any module."""
     counts = {}
-    homes = {"level_averages": dyadic_module, "dual_weight": measure, "joint_weight": measure}
     for name, home in homes.items():
         real = getattr(home, name)
         counts[name] = 0
@@ -694,6 +696,12 @@ def _count_derivations(monkeypatch) -> dict:
             ) is real:
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+def _count_derivations(monkeypatch) -> dict:
+    """Calls of level_averages, dual_weight and joint_weight from any module."""
+    homes = {"level_averages": dyadic_module, "dual_weight": measure, "joint_weight": measure}
+    return _count_calls(monkeypatch, homes)
 
 
 def _unshared_pair():
@@ -718,12 +726,16 @@ def _unshared_pair():
 def test_one_call_derives_and_pools_each_weight_once(monkeypatch, name, pools, duals, joints):
     S, w1, w2, P, f2 = _unshared_pair()
     calls = {
-        "apvec_constant": lambda: wc.apvec_constant(w1, w2, P),
-        "check_constant_inequalities": lambda: wc.check_constant_inequalities(w1, w2, P),
-        "dualize_first_entry": lambda: wc.dualize_first_entry(w1, w2, P),
-        "sparse_sum_norm_ratios": lambda: wtc.sparse_sum_norm_ratios(S, w1, w2, P),
+        "apvec_constant": lambda: wc.apvec_constant(pair_weights(w1, w2, P)),
+        "check_constant_inequalities": lambda: wc.check_constant_inequalities(
+            pair_weights(w1, w2, P)
+        ),
+        "dualize_first_entry": lambda: wc.dualize_first_entry(pair_weights(w1, w2, P)),
+        "sparse_sum_norm_ratios": lambda: wtc.sparse_sum_norm_ratios(
+            S, pair_weights(w1, w2, P)
+        ),
         "local_sigma_testing_ratio": lambda: wtc.local_sigma_testing_ratio(
-            S, w1, w2, P, f2, S.cubes[0]
+            S, pair_weights(w1, w2, P), f2, S.cubes[0]
         ),
     }
     counts = _count_derivations(monkeypatch)
@@ -735,7 +747,7 @@ def test_a_diagonal_pair_pools_one_dual_weight(monkeypatch):
     cfg = GridConfig(1, 6)
     w = power_weight(4.0, cfg)
     counts = _count_derivations(monkeypatch)
-    wc.check_constant_inequalities(w, w, ExponentTuple(6.0, 6.0))
+    wc.check_constant_inequalities(pair_weights(w, w, ExponentTuple(6.0, 6.0)))
     assert counts == {"level_averages": 4, "dual_weight": 1, "joint_weight": 1}
 
 
@@ -749,9 +761,33 @@ def test_constants_command_derives_each_weight_once(monkeypatch, tmp_path, capsy
     counts = _count_derivations(monkeypatch)
     weights = f"{tmp_path / 'w1.json'},{tmp_path / 'w2.json'}"
     assert cli.main(["constants", "--weights", weights, "--p1", "2", "--p2", "3"]) == 0
-    # the constant inequalities derive the pair once and the A_infty rows once more
-    assert counts == {"level_averages": 6, "dual_weight": 4, "joint_weight": 2}
+    assert counts == {"level_averages": 6, "dual_weight": 2, "joint_weight": 1}
     assert '"inequalities_pass": true' in capsys.readouterr().out
+
+
+def test_dual_transform_check_pools_each_weight_once(monkeypatch):
+    """Both pairs of each of its 50 trials pool once: 5 pools a trial, as
+    test_one_call_derives_and_pools_each_weight_once pins for the transform,
+    and the two joint constants read the kept averages."""
+    counts = _count_calls(monkeypatch, {"level_averages": dyadic_module})
+    assert verify.check_dual_transform_identity(verify._DEFAULT_SEED)["pass"]
+    assert counts == {"level_averages": 250}
+
+
+def test_localized_check_pools_and_bounds_each_pair_once(monkeypatch):
+    """8 family points, 4 f2 each: one pair per point, pooled and bounded
+    once, besides build_family's own joint constant (3 pools a point)."""
+    homes = {"level_averages": dyadic_module, "ainfty_constant": wc}
+    counts = _count_calls(monkeypatch, homes)
+    assert verify.check_localized_testing_family(verify._DEFAULT_SEED)["pass"]
+    assert counts == {"level_averages": 48, "ainfty_constant": 24}
+
+
+def test_default_suite_pools_each_weight_once(monkeypatch):
+    homes = {"level_averages": dyadic_module, "ainfty_constant": wc}
+    counts = _count_calls(monkeypatch, homes)
+    assert verify.run_suite("all")["passed"]
+    assert counts["level_averages"] <= 774 and counts["ainfty_constant"] <= 49
 
 
 # --- one body per quantity ---------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import random_exponents, random_function, random_weight
 from weaksparse import testing_conditions as wtc  # a bare testing_sweep is collected
+from weaksparse.constants import pair_weights
 from weaksparse.dyadic import GridConfig, all_cubes, cube, cube_sums
 from weaksparse.experiment import _pair_sweep
 from weaksparse.measure import indicator
@@ -119,11 +120,12 @@ def test_shuffled_repeated_cubes_give_the_same_results(config):
 
         P = random_exponents(rng)
         w1, w2 = random_weight(rng, config), random_weight(rng, config)
-        got_sweep = wtc.testing_sweep(T, w1, w2, P, fns)
-        for x, y in zip(got_sweep, wtc.testing_sweep(S, w1, w2, P, fns)):
+        pair = pair_weights(w1, w2, P)
+        got_sweep = wtc.testing_sweep(T, pair, fns)
+        for x, y in zip(got_sweep, wtc.testing_sweep(S, pair, fns)):
             assert np.array_equal(x, y)
         powers = wtc._slot_powers(fns, config, P)
-        assert _pair_sweep(T, w1, w2, P, *powers) == _pair_sweep(S, w1, w2, P, *powers)
+        assert _pair_sweep(T, pair, *powers) == _pair_sweep(S, pair, *powers)
 
 
 def test_producers_hand_the_constructor_sorted_distinct_cubes(monkeypatch, tmp_path):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_function, random_weight
-from weaksparse.dyadic import GridConfig, all_cubes, cube
+from weaksparse.constants import pair_weights
+from weaksparse import measure as wm
+from weaksparse.dyadic import GridConfig, all_cubes, cube, cube_sums, level_averages
 from weaksparse.measure import (
     ExponentTuple,
     GridFunction,
@@ -129,6 +131,64 @@ def test_trivial_weights_have_trivial_duals():
     P = ExponentTuple(2.0, 3.0)
     assert np.all(dual_weight(one, 2.0).values == 1.0)
     assert np.all(joint_weight(one, one, P).values == 1.0)
+
+
+# --- kept level averages ----------------------------------------------------
+
+_AVERAGE_GRIDS = [GridConfig(1, 1), GridConfig(1, 7), GridConfig(2, 1), GridConfig(2, 4)]
+
+
+@pytest.mark.parametrize(
+    "cfg", _AVERAGE_GRIDS, ids=lambda c: f"{c.dimension}d-K{c.finest_level}"
+)
+def test_weight_averages_are_level_averages_bit_for_bit(cfg):
+    w = random_weight(np.random.default_rng(cfg.cell_count), cfg)
+    got, want = w.averages, level_averages(w.values, cfg)
+    assert isinstance(got, tuple) and len(got) == len(want) == cfg.finest_level + 1
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_weight_averages_pool_once_per_weight(monkeypatch):
+    calls = []
+    real = wm.level_averages
+
+    def counted(values, config):
+        calls.append(values)
+        return real(values, config)
+
+    monkeypatch.setattr(wm, "level_averages", counted)
+    cfg = GridConfig(1, 5)
+    w = random_weight(np.random.default_rng(0), cfg)
+    first = w.averages
+    assert w.averages is first and len(calls) == 1
+    other = Weight(cfg, w.values)  # equal values, its own pyramid
+    assert other.averages is not first and len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "cfg", _AVERAGE_GRIDS, ids=lambda c: f"{c.dimension}d-K{c.finest_level}"
+)
+def test_weight_averages_are_read_only(cfg):
+    w = random_weight(np.random.default_rng(1), cfg)
+    for level in w.averages:
+        assert not level.flags.writeable
+        with pytest.raises(ValueError):
+            level[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "cfg", _AVERAGE_GRIDS, ids=lambda c: f"{c.dimension}d-K{c.finest_level}"
+)
+def test_finest_level_is_the_cell_values_uncopied(cfg):
+    w = random_weight(np.random.default_rng(2), cfg)
+    assert np.shares_memory(w.averages[-1], w.values)
+    values = np.linspace(1.0, 2.0, cfg.cell_count)
+    levels = level_averages(values, cfg)
+    assert np.shares_memory(levels[-1], values)
+    # the same bits as the cube sums divided by the one cell per cube
+    assert levels[-1].tobytes() == (cube_sums(values, cfg)[-1] / 1).tobytes()
+    assert not any(np.shares_memory(level, values) for level in levels[:-1])
 
 
 # --- norms ------------------------------------------------------------------
@@ -298,6 +358,10 @@ def _grid_check_sites():
         S, w, neg, qt = fns(cfg)
         return [S, w, w, P, neg, qt]
 
+    def paired(fn):
+        """fn with (w1, w2, P) in place of its pair, built inside the call."""
+        return lambda S, w1, w2, P, *rest: fn(S, pair_weights(w1, w2, P), *rest)
+
     return [
         ("GridFunction.__mul__", lambda a, b: a * b, mul, (0, 1)),
         ("sparse_eval", sparse_eval, image, (0, 1, 2)),
@@ -305,8 +369,13 @@ def _grid_check_sites():
         ("build_stopping", build_stopping, stop, (0, 1, 2)),
         ("carleson_checks", carleson_checks, carleson, (0, 1, 2)),
         ("bilinear_form_decompose", bilinear_form_decompose, bilinear, range(6)),
-        ("_slot_sums", _slot_sums, slot_sums, (0, 1, 2)),
-        ("local_sigma_testing_ratio", local_sigma_testing_ratio, sigma_ratio, (0, 1, 2, 4)),
+        ("_slot_sums", paired(_slot_sums), slot_sums, (0, 1, 2)),
+        (
+            "local_sigma_testing_ratio",
+            paired(local_sigma_testing_ratio),
+            sigma_ratio,
+            (0, 1, 2, 4),
+        ),
     ]
 
 

@@ -1,8 +1,9 @@
 """The diagonal path: one weight object in both slots at p1 == p2.
 
 build_family hands out w2 is w1 for a power family with p1 == p2, and
-measure.same_slots lets the dual weights, the joint constant, the slot
-sums and the pair sweep compute slot 1 as slot 0.  A distinct copy of the
+measure.same_slots makes pair_weights give the pair s2 is s1, which lets
+the joint constant, the slot sums and the pair sweep compute slot 1 as
+slot 0.  A distinct copy of the
 same weight takes the general path, so each test below runs both and
 compares the results bit for bit (as float hex).
 """
@@ -16,7 +17,7 @@ from weaksparse import experiment as we
 from weaksparse import measure as wm
 from weaksparse import sparse as ws
 from weaksparse import testing_conditions as wtc
-from weaksparse.constants import apvec_constant
+from weaksparse.constants import apvec_constant, pair_weights
 from weaksparse.dyadic import DyadicCube, GridConfig
 from weaksparse.experiment import _pair_sweep, slope_experiment
 from weaksparse.families import WeightFamilySpec, build_family
@@ -88,13 +89,14 @@ def test_slot_sums_and_pair_sweep_match_the_general_path(K):
         w = random_weight(rng, cfg)
         for P in DIAGONAL:
             test_set = wtc._slot_powers(fns, cfg, P)
-            shared = wtc._slot_sums(S, w, w, P, *test_set)
-            general = wtc._slot_sums(S, w, _copy(w), P, *test_set)
-            assert _hex(shared[0].values) == _hex(general[0].values)
-            for got, want in zip(shared[1:], general[1:]):
+            one, two = pair_weights(w, w, P), pair_weights(w, _copy(w), P)
+            shared = wtc._slot_sums(S, one, *test_set)
+            general = wtc._slot_sums(S, two, *test_set)
+            assert _hex(one.v.values) == _hex(two.v.values)
+            for got, want in zip(shared, general):
                 assert got.shape == want.shape and _hex(got) == _hex(want)
-            got = _pair_sweep(S, w, w, P, *test_set)
-            want = _pair_sweep(S, w, _copy(w), P, *test_set)
+            got = _pair_sweep(S, one, *test_set)
+            want = _pair_sweep(S, two, *test_set)
             assert _hex(got) == _hex(want)
 
 
@@ -106,8 +108,8 @@ def test_testing_sweep_matches_the_general_path(K):
     for S in _families(cfg):
         w = random_weight(rng, cfg)
         for P in DIAGONAL:
-            got = wtc.testing_sweep(S, w, w, P, fns)
-            want = wtc.testing_sweep(S, w, _copy(w), P, fns)
+            got = wtc.testing_sweep(S, pair_weights(w, w, P), fns)
+            want = wtc.testing_sweep(S, pair_weights(w, _copy(w), P), fns)
             assert [_hex(x) for x in got] == [_hex(x) for x in want]
 
 
@@ -116,11 +118,12 @@ def test_apvec_constant_matches_the_general_path(dim, K):
     cfg = GridConfig(dim, K)
     w = random_weight(np.random.default_rng(K), cfg)
     for P in DIAGONAL:
-        got, want = apvec_constant(w, w, P), apvec_constant(w, _copy(w), P)
+        one, two = pair_weights(w, w, P), pair_weights(w, _copy(w), P)
+        got, want = apvec_constant(one), apvec_constant(two)
         assert _hex(got.value) == _hex(want.value)
         assert got.argmax_cube == want.argmax_cube
-        shared = wc.check_constant_inequalities(w, w, P)
-        assert shared == wc.check_constant_inequalities(w, _copy(w), P)
+        shared = wc.check_constant_inequalities(one)
+        assert shared == wc.check_constant_inequalities(two)
 
 
 def _unshared_build_family(spec, P, config):
@@ -164,11 +167,11 @@ def test_shared_path_reports_a_vanishing_function_before_an_overflow():
         for w2 in (tiny, _copy(tiny)):
             for sweep in (wtc._slot_sums, _pair_sweep):
                 with pytest.raises(ValueError, match=message):
-                    sweep(S, tiny, w2, P, *test_set)
+                    sweep(S, pair_weights(tiny, w2, P), *test_set)
 
 
 def test_shared_path_reports_a_grid_mismatch_first(monkeypatch):
-    monkeypatch.setattr(wtc, "pair_weights", None)  # the check comes before the sweep
+    monkeypatch.setattr(ws.SparseFamily, "sums", None)  # the check comes before the sweep
     cfg = GridConfig(1, 8)
     w = Weight(cfg, np.ones(cfg.cell_count))
     P = ExponentTuple(6.0, 6.0)
@@ -176,8 +179,10 @@ def test_shared_path_reports_a_grid_mismatch_first(monkeypatch):
     for other in (GridConfig(2, 4), GridConfig(1, 5)):
         S = tower_family(other)
         for call in (
-            lambda: _pair_sweep(S, w, w, P, *wtc._slot_powers(fns, cfg, P)),
-            lambda: wtc.testing_sweep(S, w, w, P, fns),
+            lambda: _pair_sweep(
+                S, pair_weights(w, w, P), *wtc._slot_powers(fns, cfg, P)
+            ),
+            lambda: wtc.testing_sweep(S, pair_weights(w, w, P), fns),
         ):
             with pytest.raises(ValueError, match="grid mismatch"):
                 call()
@@ -197,21 +202,26 @@ def _counted(monkeypatch, module, name, log):
 
 
 def _slot_sums_work(monkeypatch, shared: bool) -> list[list[str]]:
-    """dual_weight and cube_sums calls inside _slot_sums, one list per point."""
+    """dual_weight and cube_sums calls of each family point, from its
+    pair_weights to the end of its _slot_sums, one list per point."""
     cfg = GridConfig(1, 14)
     spec = WeightFamilySpec("power", (0.25, 0.125, 0.0625, 0.03125))
     calls, log = [], []
-    real = wtc._slot_sums
+    real_pair, real_sums = we.pair_weights, wtc._slot_sums
+
+    def pair_weights(*args):
+        log.clear()
+        return real_pair(*args)
 
     def slot_sums(*args):
-        log.clear()
-        out = real(*args)
+        out = real_sums(*args)
         calls.append(list(log))
         return out
 
     with monkeypatch.context() as m:
-        _counted(m, wm, "dual_weight", log)
+        _counted(m, wc, "dual_weight", log)
         _counted(m, ws, "cube_sums", log)
+        m.setattr(we, "pair_weights", pair_weights)
         m.setattr(we, "_slot_sums", slot_sums)
         if not shared:
             m.setattr(we, "build_family", _unshared_build_family)
@@ -234,10 +244,10 @@ def test_apvec_constant_forms_one_dual_on_the_diagonal(monkeypatch):
     w = random_weight(np.random.default_rng(0), cfg)
     P = ExponentTuple(6.0, 6.0)
     log = []
-    _counted(monkeypatch, wm, "dual_weight", log)
-    _counted(monkeypatch, wc, "level_averages", log)
-    apvec_constant(w, w, P)
+    _counted(monkeypatch, wc, "dual_weight", log)
+    _counted(monkeypatch, wm, "level_averages", log)
+    apvec_constant(pair_weights(w, w, P))
     assert sorted(log) == ["dual_weight", "level_averages", "level_averages"]
     log.clear()
-    apvec_constant(w, _copy(w), P)
+    apvec_constant(pair_weights(w, _copy(w), P))
     assert sorted(log) == ["dual_weight"] * 2 + ["level_averages"] * 3

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import random_exponents, random_function, random_weight
 from weaksparse import testing_conditions as wtc
+from weaksparse.constants import pair_weights
 from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube_index, cube_sums
 from weaksparse.experiment import (
     ExperimentRow,
@@ -67,7 +68,9 @@ def _pair_sweep_oracle(S, w1, w2, P, fns):
 
 
 def _slot_sums(S, w1, w2, P, fns):
-    return wtc._slot_sums(S, w1, w2, P, *wtc._slot_powers(fns, w1.config, P))
+    """The pair's joint weight v, then _slot_sums' norms and sums."""
+    pair = pair_weights(w1, w2, P)
+    return (pair.v, *wtc._slot_sums(S, pair, *wtc._slot_powers(fns, w1.config, P)))
 
 
 def _assert_slot_sums_match(S, w1, w2, P, fns):
@@ -206,8 +209,10 @@ def _sweeps(fns, S=None):
     one = Weight(CFG, np.ones(CFG.cell_count))
     return (
         lambda: slope_experiment(SPEC, P66, CFG, S, fns),
-        lambda: _pair_sweep(S, one, one, P66, *wtc._slot_powers(fns, CFG, P66)),
-        lambda: wtc.testing_sweep(S, one, one, P66, fns),
+        lambda: _pair_sweep(
+            S, pair_weights(one, one, P66), *wtc._slot_powers(fns, CFG, P66)
+        ),
+        lambda: wtc.testing_sweep(S, pair_weights(one, one, P66), fns),
     )
 
 
@@ -226,7 +231,7 @@ def test_every_sweep_refuses_a_function_from_another_grid():
 
 
 def test_every_sweep_refuses_a_family_from_another_grid(monkeypatch):
-    monkeypatch.setattr(wtc, "pair_weights", None)  # the check comes before the sweep
+    monkeypatch.setattr(SparseFamily, "sums", None)  # the check comes before the sweep
     # 2D K = 4 has the 256 cells of 1D K = 8; 1D K = 5 has fewer
     for other in (GridConfig(2, 4), GridConfig(1, 5)):
         for call in _sweeps([constant(CFG, 1.0)], tower_family(other)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exponents, random_function, random_weight
-from weaksparse.constants import apvec_constant
+from weaksparse.constants import apvec_constant, pair_weights
 from weaksparse.dyadic import GridConfig, cube
 from weaksparse.experiment import fit_loglog_slope
 from weaksparse.families import power_weight
@@ -42,10 +42,10 @@ def _power_pair(P, cfg, delta):
 
 def test_global_weak_trivial_instance():
     S = family_from_cubes(CFG, [cube(0, 0)])
-    one = _ones(CFG)
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
     f = constant(CFG, 1.0)
-    assert global_weak_quantity(S, one, one, P23, f, f) == pytest.approx(1.0)
-    assert global_strong_quantity(S, one, one, P23, f, f) == pytest.approx(1.0)
+    assert global_weak_quantity(S, pair, f, f) == pytest.approx(1.0)
+    assert global_strong_quantity(S, pair, f, f) == pytest.approx(1.0)
 
 
 def test_global_weak_homogeneous(rng):
@@ -54,8 +54,9 @@ def test_global_weak_homogeneous(rng):
     w2 = random_weight(rng, CFG)
     f1 = random_function(rng, CFG)
     f2 = random_function(rng, CFG)
-    base = global_weak_quantity(S, w1, w2, P23, f1, f2)
-    scaled = global_weak_quantity(S, w1, w2, P23, 5.0 * f1, 0.25 * f2)
+    pair = pair_weights(w1, w2, P23)
+    base = global_weak_quantity(S, pair, f1, f2)
+    scaled = global_weak_quantity(S, pair, 5.0 * f1, 0.25 * f2)
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
@@ -65,16 +66,17 @@ def test_global_weak_monotone_in_family(rng):
     w1 = random_weight(rng, CFG)
     w2 = random_weight(rng, CFG)
     f = constant(CFG, 1.0)
-    assert global_weak_quantity(
-        big, w1, w2, P23, f, f
-    ) >= global_weak_quantity(small, w1, w2, P23, f, f) * (1 - 1e-12)
+    pair = pair_weights(w1, w2, P23)
+    assert global_weak_quantity(big, pair, f, f) >= global_weak_quantity(
+        small, pair, f, f
+    ) * (1 - 1e-12)
 
 
 def test_global_weak_rejects_zero_function():
     S = tower_family(CFG)
-    one = _ones(CFG)
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
     with pytest.raises(ValueError, match="vanish"):
-        global_weak_quantity(S, one, one, P23, constant(CFG, 0.0), constant(CFG, 1.0))
+        global_weak_quantity(S, pair, constant(CFG, 0.0), constant(CFG, 1.0))
 
 
 # --- local testing quantity --------------------------------------------------
@@ -82,19 +84,17 @@ def test_global_weak_rejects_zero_function():
 
 def test_local_trivial_instance():
     S = family_from_cubes(CFG, [cube(0, 0)])
-    one = _ones(CFG)
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
     f = constant(CFG, 1.0)
-    assert local_testing_quantity(S, one, one, P23, f, f, cube(0, 0)) == pytest.approx(
-        1.0
-    )
+    assert local_testing_quantity(S, pair, f, f, cube(0, 0)) == pytest.approx(1.0)
 
 
 def test_local_requires_family_cube():
     S = tower_family(CFG)
-    one = _ones(CFG)
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
     f = constant(CFG, 1.0)
     with pytest.raises(ValueError, match="family"):
-        local_testing_quantity(S, one, one, P23, f, f, cube(1, 1))
+        local_testing_quantity(S, pair, f, f, cube(1, 1))
 
 
 def test_local_restriction_consistency(rng):
@@ -112,8 +112,9 @@ def test_local_restriction_consistency(rng):
         c for c in S.cubes if relation(c, q) is not Relation.DISJOINT
     )
     sub = SparseFamily(CFG, comparable)
-    full = local_testing_quantity(S, w1, w2, P23, f, f, q)
-    reduced = local_testing_quantity(sub, w1, w2, P23, f, f, q)
+    pair = pair_weights(w1, w2, P23)
+    full = local_testing_quantity(S, pair, f, f, q)
+    reduced = local_testing_quantity(sub, pair, f, f, q)
     assert full == pytest.approx(reduced, rel=1e-12)
 
 
@@ -125,11 +126,10 @@ def test_local_bounded_by_global_times_factor(rng):
         S = generate_sparse(CFG, int(rng.integers(0, 2**31)), 0.35)
         fns = [indicator(CFG, cube(k, 0)) for k in (0, 2, 4)]
         fns.append(random_function(rng, CFG, signed=False))
-        glob = max(
-            global_weak_quantity(S, w1, w2, P, fa, fb) for fa in fns for fb in fns
-        )
+        pair = pair_weights(w1, w2, P)
+        glob = max(global_weak_quantity(S, pair, fa, fb) for fa in fns for fb in fns)
         loc = max(
-            local_testing_quantity(S, w1, w2, P, fa, fb, q)
+            local_testing_quantity(S, pair, fa, fb, q)
             for fa in fns
             for fb in fns
             for q in S.cubes
@@ -141,10 +141,10 @@ def test_local_bounded_by_global_times_factor(rng):
 # --- batched sweep against the cellwise quantities --------------------------
 
 
-def _cellwise(S, w1, w2, P, fns):
-    glob = [[global_weak_quantity(S, w1, w2, P, a, b) for b in fns] for a in fns]
+def _cellwise(S, pair, fns):
+    glob = [[global_weak_quantity(S, pair, a, b) for b in fns] for a in fns]
     loc = [
-        [[local_testing_quantity(S, w1, w2, P, a, b, q) for q in S.cubes] for b in fns]
+        [[local_testing_quantity(S, pair, a, b, q) for q in S.cubes] for b in fns]
         for a in fns
     ]
     return np.array(glob), np.array(loc)
@@ -161,8 +161,9 @@ def _assert_sweep_is_cellwise(rng, S):
     P = random_exponents(rng)
     w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
     fns = _sweep_functions(rng, cfg)
-    glob, loc = wtc.testing_sweep(S, w1, w2, P, fns)
-    want_glob, want_loc = _cellwise(S, w1, w2, P, fns)
+    pair = pair_weights(w1, w2, P)
+    glob, loc = wtc.testing_sweep(S, pair, fns)
+    want_glob, want_loc = _cellwise(S, pair, fns)
     assert np.array_equal(glob, want_glob)
     assert loc.shape == (len(fns), len(fns), len(S))
     assert np.array_equal(loc, want_loc)
@@ -198,21 +199,21 @@ def test_sweep_on_shuffled_unverified_family_with_duplicate(cfg):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_sweep_raises_like_the_cellwise_quantities():
     S = tower_family(CFG)
-    one = _ones(CFG)
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
     q = S.cubes[2]
     zero, unit = constant(CFG, 0.0), constant(CFG, 1.0)
     for call in (
-        lambda: wtc.testing_sweep(S, one, one, P23, [unit, zero]),
-        lambda: global_weak_quantity(S, one, one, P23, unit, zero),
-        lambda: local_testing_quantity(S, one, one, P23, zero, unit, q),
+        lambda: wtc.testing_sweep(S, pair, [unit, zero]),
+        lambda: global_weak_quantity(S, pair, unit, zero),
+        lambda: local_testing_quantity(S, pair, zero, unit, q),
     ):
         with pytest.raises(ValueError, match="must not vanish identically"):
             call()
     huge = constant(CFG, 1e200)  # finite slots whose image overflows
     for call in (
-        lambda: wtc.testing_sweep(S, one, one, P23, [unit, huge]),
-        lambda: global_weak_quantity(S, one, one, P23, huge, huge),
-        lambda: local_testing_quantity(S, one, one, P23, huge, huge, q),
+        lambda: wtc.testing_sweep(S, pair, [unit, huge]),
+        lambda: global_weak_quantity(S, pair, huge, huge),
+        lambda: local_testing_quantity(S, pair, huge, huge, q),
     ):
         with pytest.raises(ValueError, match="cell values must be finite"):
             call()
@@ -223,8 +224,8 @@ def test_sweep_raises_like_the_cellwise_quantities():
 
 def test_localized_ratio_trivial_instance():
     S = family_from_cubes(CFG, [cube(0, 0)])
-    one = _ones(CFG)
-    rep = local_sigma_testing_ratio(S, one, one, P23, constant(CFG, 1.0), cube(0, 0))
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
+    rep = local_sigma_testing_ratio(S, pair, constant(CFG, 1.0), cube(0, 0))
     assert rep.lhs == pytest.approx(1.0)
     assert rep.rhs_without_constant == pytest.approx(1.0)
     assert rep.ratio == pytest.approx(1.0)
@@ -233,9 +234,9 @@ def test_localized_ratio_trivial_instance():
 
 def test_localized_ratio_rejects_support_violation():
     S = tower_family(CFG)
-    one = _ones(CFG)
+    pair = pair_weights(_ones(CFG), _ones(CFG), P23)
     with pytest.raises(ValueError, match="localization"):
-        local_sigma_testing_ratio(S, one, one, P23, constant(CFG, 1.0), cube(1, 0))
+        local_sigma_testing_ratio(S, pair, constant(CFG, 1.0), cube(1, 0))
 
 
 def test_localized_ratio_refuses_data_from_another_grid():
@@ -246,7 +247,7 @@ def test_localized_ratio_refuses_data_from_another_grid():
         for w1, w2, h in ((one, one, g), (w, one, f2), (one, w, f2)):
             for qt in (cube(0, 0), cube(7, 0)):  # before the cube check
                 with pytest.raises(ValueError, match="grid mismatch"):
-                    local_sigma_testing_ratio(S, w1, w2, P23, h, qt)
+                    local_sigma_testing_ratio(S, pair_weights(w1, w2, P23), h, qt)
 
 
 def test_localized_ratio_golden_pin():
@@ -254,7 +255,7 @@ def test_localized_ratio_golden_pin():
     w1, w2 = _power_pair(P23, cfg, 0.25)
     S = tower_family(cfg)
     f2 = indicator(cfg, cube(8, 0))
-    rep = local_sigma_testing_ratio(S, w1, w2, P23, f2, cube(0, 0))
+    rep = local_sigma_testing_ratio(S, pair_weights(w1, w2, P23), f2, cube(0, 0))
     assert rep.ratio == pytest.approx(0.78264268602174381, rel=1e-9)
 
 
@@ -265,8 +266,9 @@ def test_localized_ratio_no_growth_along_degeneration():
     apvs, ratios = [], []
     for delta in [2.0**-k for k in range(1, 9)]:
         w1, w2 = _power_pair(P23, cfg, delta)
-        apvs.append(apvec_constant(w1, w2, P23).value)
-        ratios.append(local_sigma_testing_ratio(S, w1, w2, P23, f2, cube(0, 0)).ratio)
+        pair = pair_weights(w1, w2, P23)
+        apvs.append(apvec_constant(pair).value)
+        ratios.append(local_sigma_testing_ratio(S, pair, f2, cube(0, 0)).ratio)
     assert fit_loglog_slope(apvs, ratios) <= 0.05
 
 
@@ -275,8 +277,7 @@ def test_localized_ratio_no_growth_along_degeneration():
 
 def test_sparse_sum_ratios_trivial_instance():
     S = family_from_cubes(CFG, [cube(0, 0)])
-    one = _ones(CFG)
-    r1, r2 = sparse_sum_norm_ratios(S, one, one, P23)
+    r1, r2 = sparse_sum_norm_ratios(S, pair_weights(_ones(CFG), _ones(CFG), P23))
     assert r1.ratio == pytest.approx(1.0)
     assert r2.ratio == pytest.approx(1.0)
 
@@ -284,7 +285,7 @@ def test_sparse_sum_ratios_trivial_instance():
 def test_sparse_sum_ratios_golden_pin():
     cfg = GridConfig(1, 8)
     w1, w2 = _power_pair(P23, cfg, 0.25)
-    r1, r2 = sparse_sum_norm_ratios(tower_family(cfg), w1, w2, P23)
+    r1, r2 = sparse_sum_norm_ratios(tower_family(cfg), pair_weights(w1, w2, P23))
     assert r1.ratio == pytest.approx(0.97459516792973189, rel=1e-9)
     assert r2.ratio == pytest.approx(1.4937507813739488, rel=1e-9)
 
@@ -292,10 +293,11 @@ def test_sparse_sum_ratios_golden_pin():
 def test_sparse_sum_ratios_bounded_over_random_families(rng):
     cfg = GridConfig(1, 8)
     w1, w2 = _power_pair(P23, cfg, 0.25)
+    pair = pair_weights(w1, w2, P23)
     worst = 0.0
     for seed in range(10):
         S = generate_sparse(cfg, seed, 0.35)
-        r1, r2 = sparse_sum_norm_ratios(S, w1, w2, P23)
+        r1, r2 = sparse_sum_norm_ratios(S, pair)
         assert r1.defined and r2.defined
         worst = max(worst, r1.ratio, r2.ratio)
     # pinned first-run maximum over this seeded suite
@@ -308,8 +310,9 @@ def test_sparse_sum_ratios_no_growth_along_degeneration():
     apvs, rr1, rr2 = [], [], []
     for delta in [2.0**-k for k in range(1, 9)]:
         w1, w2 = _power_pair(P23, cfg, delta)
-        apvs.append(apvec_constant(w1, w2, P23).value)
-        r1, r2 = sparse_sum_norm_ratios(S, w1, w2, P23)
+        pair = pair_weights(w1, w2, P23)
+        apvs.append(apvec_constant(pair).value)
+        r1, r2 = sparse_sum_norm_ratios(S, pair)
         rr1.append(r1.ratio)
         rr2.append(r2.ratio)
     assert fit_loglog_slope(apvs, rr1) <= 0.05
@@ -322,6 +325,6 @@ def test_all_ratios_finite_positive(rng):
         w1 = random_weight(rng, CFG)
         w2 = random_weight(rng, CFG)
         S = generate_sparse(CFG, int(rng.integers(0, 2**31)), 0.3)
-        r1, r2 = sparse_sum_norm_ratios(S, w1, w2, P)
+        r1, r2 = sparse_sum_norm_ratios(S, pair_weights(w1, w2, P))
         assert r1.ratio > 0 and np.isfinite(r1.ratio)
         assert r2.ratio > 0 and np.isfinite(r2.ratio)

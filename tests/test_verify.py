@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weaksparse import dyadic as wd
+from weaksparse.constants import pair_weights
 from weaksparse import measure as wm
 from weaksparse import testing_conditions as wtc
 from weaksparse import verify as wv
@@ -74,13 +75,14 @@ def _cellwise_local_testing_direction(seed):
             wm.indicator(cfg, wd.cube(k, 0)) for k in range(0, cfg.finest_level, 2)
         ]
         fns.append(wv._random_nonneg(rng, cfg, zeros=0.0))
+        pair = pair_weights(w1, w2, P)
         glob = max(
-            wtc.global_weak_quantity(S, w1, w2, P, fa, fb)
+            wtc.global_weak_quantity(S, pair, fa, fb)
             for fa in fns
             for fb in fns
         )
         loc = max(
-            wtc.local_testing_quantity(S, w1, w2, P, fa, fb, q)
+            wtc.local_testing_quantity(S, pair, fa, fb, q)
             for fa in fns
             for fb in fns
             for q in S.cubes

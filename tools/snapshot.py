@@ -61,6 +61,16 @@ ERRORS = (
          "--p1", "2", "--p2", "3"],
     ),
     ("verify_negative_seed", ["verify", "--seed", "-1"]),
+    (
+        "slope_negative_seed",
+        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
+         "--family", "random_ap", "--seed", "-1"],
+    ),
+    (
+        "slope_nan_roughness",
+        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
+         "--family", "random_ap", "--roughness", "nan"],
+    ),
 )
 
 
