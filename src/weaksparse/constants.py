@@ -9,10 +9,10 @@ Hardy-Littlewood operator.
 
 A pair's joint and A_{2p} constants start from its weights s1, s2 and v
 and their per-level cube averages.  pair_weights derives the three once,
-into a WeightPair that every constant and testing quantity takes, and
-each weight pools its averages once (measure.Weight.averages).  So all
-constants of one pair, and of the dual pair of dualize_first_entry,
-which shares s2, pool each weight once.
+into a WeightPair that every constant and testing quantity takes and
+that keeps its joint and A_infty reports once read.  Each weight pools
+its averages once (measure.Weight.averages), so all constants of one pair
+and of its dual pair (dualize_first_entry), which shares s2, pool each once.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class WeightPair:
     """A weight pair (w1, w2) at exponents P with the weights it enters
     every estimate through: the duals s_i = w_i^(1-p_i') and the joint
     weight v = w1^(p/p1) w2^(p/p2).  s2 is s1 on the diagonal (same_slots).
+    Its joint constant (apvec) and A_infty reports (ainfty) are kept once read.
     """
 
     w1: Weight
@@ -103,6 +104,10 @@ class WeightPair:
     @property
     def config(self) -> GridConfig:
         return self.w1.config
+
+    @cached_property
+    def apvec(self) -> ConstantReport:
+        return apvec_constant(self)
 
     @cached_property
     def ainfty(self) -> tuple[ConstantReport, ConstantReport, ConstantReport]:
@@ -167,11 +172,11 @@ _RTOL = 1e-10
 def check_constant_inequalities(pair: WeightPair) -> InequalityReport:
     """Check [v]_{A_{2p}} <= [w-pair] and [s_i]_{A_{2p_i'}} <= [w-pair]^{p_i'/p}.
 
-    The joint constant and the three A_{2p} constants read the level
-    averages of v, s1 and s2; when s2 is s1, sigma2_ap is sigma1_ap.
+    The joint constant (pair.apvec) and the three A_{2p} constants read the
+    level averages of v, s1 and s2; when s2 is s1, sigma2_ap is sigma1_ap.
     """
     P, s1, s2 = pair.P, pair.s1, pair.s2
-    apvec = apvec_constant(pair).value
+    apvec = pair.apvec.value
     joint_ap = ap_constant(pair.v, 2.0 * P.p).value
     sigma1_ap = ap_constant(s1, 2.0 * P.p1_prime).value
     sigma2_ap = sigma1_ap if s2 is s1 else ap_constant(s2, 2.0 * P.p2_prime).value

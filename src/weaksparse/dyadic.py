@@ -176,7 +176,9 @@ def check_cube(q: DyadicCube, config: GridConfig) -> None:
 def cells_of(q: DyadicCube, config: GridConfig) -> np.ndarray:
     """Sorted flat indices of the finest cells forming q (2^{n(K-k)} of them)."""
     check_cube(q, config)
-    return cell_view(np.arange(config.cell_count), q, config).ravel()
+    m = 1 << (config.finest_level - q.level)
+    block = np.ix_(*[np.arange(c * m, (c + 1) * m) for c in q.coords])
+    return np.ravel_multi_index(block, (config.side_cells,) * len(q.coords)).ravel()
 
 
 def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray:

@@ -28,12 +28,13 @@ the per-function values bit for bit.  A family on another grid than the
 weights raises "grid mismatch" before the first sweep, even when the two
 grids have the same number of cells.
 
-Each family point's weights enter as one constants.WeightPair, built
-for that point and dropped after it.  On the diagonal p1 = p2 the power
-family gives both slots one weight object (families.build_family), so
-its pair has s2 is s1, which tells every step below that slot 1 is slot
-0: one dual weight, one pass of slot sums, and only the pairs a <= b,
-whose maxima are those of all pairs bit for bit.
+Each family point's weights are the one constants.WeightPair that
+families.build_family yields for it: read for its joint constant, swept
+and dropped, with the family checked on the kept constants after the
+sweep.  On the diagonal p1 = p2 the power family gives both slots one
+weight object, so its pair has s2 is s1, which tells every step below
+that slot 1 is slot 0: one dual weight, one pass of slot sums, and only
+the pairs a <= b, whose maxima are those of all pairs bit for bit.
 
 Slopes use a plain least-squares fit over all points, no point dropping.
 """
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import WeightPair, _apvec_power, pair_weights
+from .constants import WeightPair, _apvec_power
 from .dyadic import DyadicCube, GridConfig
 from .exponents import alpha
 from .families import WeightFamilySpec, build_family
@@ -137,36 +138,34 @@ def slope_experiment(
     S: SparseFamily,
     test_functions: list[GridFunction] | None = None,
 ) -> SlopeResult:
-    """Measure empirical weak/strong exponents along a weight family."""
-    family = build_family(spec, P, config)
-    if len(family) < 4:
-        raise ValueError("family must have at least 4 points for a slope fit")
-    constants = [row[3] for row in family]
-    if np.ptp(np.log(constants)) < 1e-9:
-        raise ValueError("no dynamic range")
-    for prev, nxt in zip(constants, constants[1:]):
-        if not nxt > prev:
-            raise ValueError("family constants not strictly increasing")
+    """Measure empirical weak/strong exponents along a weight family; each
+    point's pair is swept and dropped, and the family is checked after."""
     if test_functions is None:
         test_functions = default_test_functions(config, _TEST_SEED)
     values, powers = _slot_powers(test_functions, config, P)
+    points = []
+    for d, pair in build_family(spec, P, config):
+        points.append((d, pair.apvec.value, *_pair_sweep(S, pair, values, powers)))
+        del pair  # the next point's weights replace these, not join them
+    if len(points) < 4:
+        raise ValueError("family must have at least 4 points for a slope fit")
+    constants = [apv for _, apv, _, _ in points]
+    if np.ptp(np.log(constants)) < 1e-9:
+        raise ValueError("no dynamic range")
+    if not all(nxt > prev for prev, nxt in zip(constants, constants[1:])):
+        raise ValueError("family constants not strictly increasing")
     report = alpha(P)
-
-    rows = []
-    for d, w1, w2, apv in family:
-        weak, strong = _pair_sweep(S, pair_weights(w1, w2, P), values, powers)
-        rows.append(
-            ExperimentRow(
-                delta=d,
-                apvec=apv,
-                weak=weak,
-                strong=strong,
-                ratio_weak=weak / _apvec_power(apv, report.alpha, "alpha"),
-                ratio_strong=strong / _apvec_power(apv, report.gamma, "gamma"),
-            )
+    rows = [
+        ExperimentRow(
+            delta=d,
+            apvec=apv,
+            weak=weak,
+            strong=strong,
+            ratio_weak=weak / _apvec_power(apv, report.alpha, "alpha"),
+            ratio_strong=strong / _apvec_power(apv, report.gamma, "gamma"),
         )
-    weak_slope = fit_loglog_slope([r.apvec for r in rows], [r.weak for r in rows])
-    strong_slope = fit_loglog_slope(
-        [r.apvec for r in rows], [r.strong for r in rows]
-    )
+        for d, apv, weak, strong in points
+    ]
+    weak_slope = fit_loglog_slope(constants, [r.weak for r in rows])
+    strong_slope = fit_loglog_slope(constants, [r.strong for r in rows])
     return SlopeResult(tuple(rows), weak_slope, strong_slope)

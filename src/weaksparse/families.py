@@ -9,16 +9,17 @@ changes nothing but resolution.
 The random family exponentiates a seeded multiscale field; scaling the
 log-field is what the delta knob does there, which keeps the constants
 monotone (per-cube moment quantities are log-convex in the scale and
-equal 1 at scale 0).
+equal 1 at scale 0).  build_family yields one point's WeightPair at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import apvec_constant, pair_weights
+from .constants import WeightPair, pair_weights
 from .dyadic import GridConfig, expand_level_values
 from .measure import ExponentTuple, Weight
 
@@ -79,15 +80,14 @@ class WeightFamilySpec:
 
 def build_family(
     spec: WeightFamilySpec, P: ExponentTuple, config: GridConfig
-) -> list[tuple[float, Weight, Weight, float]]:
-    """Weight pairs with their joint constants, ordered by decreasing delta.
+) -> Iterator[tuple[float, WeightPair]]:
+    """Yield (delta, pair) one family point at a time, by decreasing delta.
 
-    a_i(delta) depends on p_i only, so a power family with p1 == p2 hands
-    out one weight for both slots (w2 is w1), which measure.same_slots
-    lets every later step compute once.  Rows keep the weights, not their
-    WeightPair, whose dual and joint weights would multiply a sweep's memory.
+    Each point's pair is derived once, when it is yielded; its joint
+    constant is pair.apvec.  a_i(delta) depends on p_i only, so a power
+    family with p1 == p2 hands out one weight for both slots (w2 is w1),
+    which measure.same_slots lets every later step compute once.
     """
-    rows = []
     if spec.kind == "random_ap":
         g1 = multiscale_field(config, spec.seed)
         g2 = multiscale_field(config, spec.seed + 1)
@@ -101,5 +101,4 @@ def build_family(
             scale = (1.0 - d) * spec.roughness
             w1 = Weight(config, np.exp(scale * g1))
             w2 = Weight(config, np.exp(scale * g2))
-        rows.append((d, w1, w2, apvec_constant(pair_weights(w1, w2, P)).value))
-    return rows
+        yield d, pair_weights(w1, w2, P)

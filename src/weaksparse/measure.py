@@ -187,8 +187,8 @@ def weighted_average(f: GridFunction, w: Weight, q: DyadicCube) -> float:
 def same_slots(w1: Weight, w2: Weight, P: ExponentTuple) -> bool:
     """Whether both slots of a weight pair carry the same data.
 
-    True for one weight object at equal exponents, as build_family hands
-    out on the diagonal.  Then s2 = s1 and every per-slot quantity of slot
+    True for one weight object at equal exponents, as in build_family's
+    diagonal pairs.  Then s2 = s1 and every per-slot quantity of slot
     1 is slot 0's, so it is computed once: pair_weights makes s2 the
     object s1, which the later steps test.  Two equal but distinct
     weights give False and take the general path, with the same values.

@@ -17,9 +17,9 @@ quantity over the cells in the one-pair functions' order, so its values
 equal theirs bit for bit; the one-pair functions are its test oracle.
 
 Every quantity takes one constants.WeightPair, so s1, s2 and v are
-derived once per pair, not per call.  The joint constant reads the
-weights' kept level averages and the A_infty constants the pair's kept
-reports, so calls on one pair, as for several f2, pool nothing again.
+derived once per pair, not per call.  The joint constant and the A_infty
+constants are the pair's kept reports (WeightPair.apvec and .ainfty), so
+calls on one pair, as for several f2, pool nothing again.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import WeightPair, apvec_constant
+from .constants import WeightPair
 from .dyadic import (
     DyadicCube,
     GridConfig,
@@ -263,9 +263,8 @@ def local_sigma_testing_ratio(
 
     lhs: L^p(v) norm over qt of the sparse image of (s1 masked to qt, |f2| s2).
     rhs (constant-free): the A_infty mixed factor times apvec^(1/p) times
-    ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1).  The A_infty constants are
-    the pair's kept reports (WeightPair.ainfty).  Raises for f2 or the pair
-    off S's grid first.
+    ||f2||_{L^{p2}(s2)} times s1(qt)^(1/p1), from the pair's kept joint and
+    A_infty reports (apvec, ainfty).  Raises for f2 or the pair off S's grid first.
     """
     cfg = _same_grid(S, f2, pair)
     check_cube(qt, cfg)
@@ -282,7 +281,7 @@ def local_sigma_testing_ratio(
     mixed = max(min(a1, a2) ** (1.0 / P.p), min(a1, av) ** (1.0 / P.p2_prime))
     rhs = (
         mixed
-        * apvec_constant(pair).value ** (1.0 / P.p)
+        * pair.apvec.value ** (1.0 / P.p)
         * n2
         * weighted_measure(s1, qt) ** (1.0 / P.p1)
     )
@@ -298,11 +297,13 @@ def sparse_sum_norm_ratios(
     First: L^p(v) norm of sum <s1>_Q <s2>_Q chi_Q versus
     apvec^(1/p) (sum <s1>_Q^{p/p1} <s2>_Q^{p/p2} |Q|)^{1/p}.
     Second: L^{p2'}(s2) norm of sum <s1>_Q <v>_Q chi_Q versus
-    apvec^(1/p) (sum <s1>_Q^{p2'/p1} <v>_Q^{p2'/p'} |Q|)^{1/p2'}.
+    apvec^(1/p) (sum <s1>_Q^{p2'/p1} <v>_Q^{p2'/p'} |Q|)^{1/p2'}.  Raises
+    for the pair off S's grid before reading its level averages.
     """
+    _same_grid(S, pair)
     P, s1, s2, v = pair.P, pair.s1, pair.s2, pair.v
     av, a1, a2 = v.averages, s1.averages, s2.averages
-    apv = apvec_constant(pair).value
+    apv = pair.apvec.value
 
     carleson1 = 0.0
     carleson2 = 0.0

@@ -24,6 +24,7 @@ from . import measure as wm
 from . import sparse as ws
 from . import stopping as wst
 from . import testing_conditions as wtc
+from .experiment import fit_loglog_slope
 
 #: Local-vs-global testing comparison factor, pinned from first-run
 #: measurements (observed max local/global = 1.17 across the seeded suites).
@@ -204,8 +205,8 @@ def check_dual_transform_identity(seed):
         pair = wc.pair_weights(w1, w2, P)
         dual, err = wc.dualize_first_entry(pair)
         worst_percube = max(worst_percube, err)
-        orig = wc.apvec_constant(pair).value
-        new = wc.apvec_constant(dual).value
+        orig = pair.apvec.value
+        new = dual.apvec.value
         dev = abs(new - orig ** (P.p1_prime / P.p)) / new
         worst_constant = max(worst_constant, dev)
         if err > 1e-10 or dev > 1e-9:
@@ -354,22 +355,18 @@ def check_local_testing_direction(seed):
 
 
 def _delta_family():
-    """Degeneration family of the localized and aggregate ratio checks.
-
-    The power family at P = (2, 3) on the 1D K = 10 grid, with the
-    corner tower; returns (P, tower, build_family rows).
-    """
+    """Degeneration family of the localized and aggregate ratio checks: the
+    power family at P = (2, 3) on the 1D K = 10 grid and the corner tower,
+    returned as (tower, build_family's stream of (delta, pair))."""
     cfg = wd.GridConfig(1, 10)
     P = wm.ExponentTuple(2.0, 3.0)
     spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(1, 9)))
-    return P, ws.tower_family(cfg), wf.build_family(spec, P, cfg)
+    return ws.tower_family(cfg), wf.build_family(spec, P, cfg)
 
 
 def check_localized_testing_family(seed):
-    from .experiment import fit_loglog_slope
-
     rng = np.random.default_rng(seed)
-    P, S, family = _delta_family()
+    S, family = _delta_family()
     cfg = S.config
     f2s = [
         wm.indicator(cfg, wd.cube(cfg.finest_level, 0)),
@@ -377,15 +374,15 @@ def check_localized_testing_family(seed):
         wm.indicator(cfg, wd.cube(0, 0)),
         _random_nonneg(rng, cfg, zeros=0.0),
     ]
-    apv = [row[3] for row in family]
-    pairs = (wc.pair_weights(w1, w2, P) for _, w1, w2, _ in family)
-    loc = [
-        max(
-            wtc.local_sigma_testing_ratio(S, pair, f2, wd.cube(0, 0)).ratio
-            for f2 in f2s
+    apv, loc = [], []
+    for _, pair in family:
+        apv.append(pair.apvec.value)
+        loc.append(
+            max(
+                wtc.local_sigma_testing_ratio(S, pair, f2, wd.cube(0, 0)).ratio
+                for f2 in f2s
+            )
         )
-        for pair in pairs
-    ]
     slope = fit_loglog_slope(apv, loc)
     return {
         "pass": slope <= _RATIO_SLOPE_TOL,
@@ -395,14 +392,11 @@ def check_localized_testing_family(seed):
 
 
 def check_sparse_sum_ratio_family(seed):
-    from .experiment import fit_loglog_slope
-
-    P, S, family = _delta_family()
-    apv = [row[3] for row in family]
-    ratios = [
-        [r.ratio for r in wtc.sparse_sum_norm_ratios(S, wc.pair_weights(w1, w2, P))]
-        for _, w1, w2, _ in family
-    ]
+    S, family = _delta_family()
+    apv, ratios = [], []
+    for _, pair in family:
+        apv.append(pair.apvec.value)
+        ratios.append([r.ratio for r in wtc.sparse_sum_norm_ratios(S, pair)])
     s1 = fit_loglog_slope(apv, [r[0] for r in ratios])
     s2 = fit_loglog_slope(apv, [r[1] for r in ratios])
     return {
@@ -470,21 +464,20 @@ def check_family_monotonicity(seed):
     cfg = wd.GridConfig(1, 14)
     P = wm.ExponentTuple(6.0, 6.0)
     spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(2, 10)))
-    rows = wf.build_family(spec, P, cfg)
-    consts = [r[3] for r in rows]
+    consts = [pair.apvec.value for _, pair in wf.build_family(spec, P, cfg)]
     mono = all(b > a for a, b in zip(consts, consts[1:]))
     cfg8 = wd.GridConfig(1, 8)
     spec_r = wf.WeightFamilySpec(
         "random_ap", tuple(2.0**-k for k in range(1, 6)), seed=seed, roughness=0.6
     )
-    r1 = wf.build_family(spec_r, P, cfg8)
-    r2 = wf.build_family(spec_r, P, cfg8)
+    r1 = [pair for _, pair in wf.build_family(spec_r, P, cfg8)]
+    r2 = [pair for _, pair in wf.build_family(spec_r, P, cfg8)]
     reproducible = all(
-        np.array_equal(a[1].values, b[1].values)
-        and np.array_equal(a[2].values, b[2].values)
+        np.array_equal(a.w1.values, b.w1.values)
+        and np.array_equal(a.w2.values, b.w2.values)
         for a, b in zip(r1, r2)
     )
-    mono_r = all(b[3] > a[3] for a, b in zip(r1, r1[1:]))
+    mono_r = all(b.apvec.value > a.apvec.value for a, b in zip(r1, r1[1:]))
     return {
         "pass": mono and reproducible and mono_r,
         "power_constants": [consts[0], consts[-1]],

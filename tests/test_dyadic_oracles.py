@@ -3,13 +3,17 @@ they replaced.
 
 The oracles below are the former bodies of children, all_cubes,
 cube_index, cube_from_index, cell_view and expand_level_values, each
-written once for 1D and once for 2D.  The sweeps compare them with the
-current bodies exhaustively on 1D K = 1..10 and 2D K = 1..5: the same
-cubes in the same order, the same indices and children, the same
+written once for 1D and once for 2D, and of cells_of, which read the
+cube's block of an index array over the whole grid.  The sweeps compare
+them with the current bodies exhaustively on 1D K = 1..10 and 2D K = 1..5:
+the same cubes in the same order, the same indices and children, the same
 cell_view values and shapes (and still views of the flat array), the same
-expansions, and the same outcome of cube_from_index, value or exception
-type and message, for every valid index and for out-of-range ones.
+cell indices and dtype, the same expansions, and the same outcome of
+cube_from_index, value or exception type and message, for every valid
+index and for out-of-range ones.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from weaksparse.dyadic import (
     DyadicCube,
     GridConfig,
     all_cubes,
+    cells_of,
     children,
     cell_view,
     cube_from_index,
@@ -74,6 +79,10 @@ def _cell_view_oracle(flat, q, config):
     a, b = q.coords
     side = config.side_cells
     return flat.reshape(side, side)[a * m : (a + 1) * m, b * m : (b + 1) * m]
+
+
+def _cells_of_oracle(q, config):
+    return cell_view(np.arange(config.cell_count), q, config).ravel()
 
 
 def _expand_level_values_oracle(level_values, level, config):
@@ -143,3 +152,27 @@ def test_expand_level_values_matches_forked_body(dim, K):
         expected = _expand_level_values_oracle(values, level, cfg)
         assert got.dtype == np.float64 == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim,K", GRIDS)
+def test_cells_of_matches_the_whole_grid_body(dim, K):
+    cfg = GridConfig(dim, K)
+    for q in all_cubes(cfg):
+        got, expected = cells_of(q, cfg), _cells_of_oracle(q, cfg)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_cells_of_allocates_for_the_cube_only():
+    """A finest cube of 1D K = 24 (16M cells): the whole-grid index array
+    alone would be 128 MB."""
+    cfg = GridConfig(1, 24)
+    q = DyadicCube(24, (cfg.cell_count - 1,))
+    tracemalloc.start()
+    try:
+        cells = cells_of(q, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cells.tolist() == [cfg.cell_count - 1]
+    assert peak < 1 << 20, peak

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weaksparse import families as wf
 from weaksparse.dyadic import GridConfig, cube
 from weaksparse.families import (
     WeightFamilySpec,
@@ -82,19 +83,38 @@ def test_family_spec_refuses_a_non_finite_roughness(roughness):
 def test_build_family_trivial_at_delta_one():
     cfg = GridConfig(1, 8)
     P = ExponentTuple(2.0, 3.0)
-    rows = build_family(WeightFamilySpec("power", (1.0,)), P, cfg)
-    assert rows[0][3] == pytest.approx(1.0, abs=1e-9)
+    rows = list(build_family(WeightFamilySpec("power", (1.0,)), P, cfg))
+    assert rows[0][1].apvec.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_family_monotone_constants():
     cfg = GridConfig(1, 14)
     P = ExponentTuple(6.0, 6.0)
     spec = WeightFamilySpec("power", tuple(2.0**-k for k in range(2, 10)))
-    rows = build_family(spec, P, cfg)
-    deltas = [r[0] for r in rows]
-    consts = [r[3] for r in rows]
+    rows = list(build_family(spec, P, cfg))
+    deltas = [d for d, _ in rows]
+    consts = [pair.apvec.value for _, pair in rows]
     assert deltas == sorted(deltas, reverse=True)
     assert all(b > a for a, b in zip(consts, consts[1:]))
+
+
+@pytest.mark.parametrize("kind", ["power", "random_ap"])
+def test_build_family_derives_each_point_when_it_is_yielded(kind, monkeypatch):
+    cfg = GridConfig(1, 6)
+    spec = WeightFamilySpec(kind, (0.125, 0.5, 0.25))
+    derived = []
+    real = wf.pair_weights
+
+    def counted(w1, w2, P):
+        derived.append(w1)
+        return real(w1, w2, P)
+
+    monkeypatch.setattr(wf, "pair_weights", counted)
+    family = build_family(spec, ExponentTuple(2.0, 3.0), cfg)
+    assert derived == []
+    for i, (d, pair) in enumerate(family, start=1):
+        assert len(derived) == i and pair.w1 is derived[-1]
+        assert d == sorted(spec.deltas, reverse=True)[i - 1]
 
 
 def test_random_family_reproducible_and_monotone():
@@ -103,12 +123,12 @@ def test_random_family_reproducible_and_monotone():
     spec = WeightFamilySpec(
         "random_ap", (0.5, 0.25, 0.125, 0.0625), seed=7, roughness=0.8
     )
-    a = build_family(spec, P, cfg)
-    b = build_family(spec, P, cfg)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra[1].values, rb[1].values)
-        assert np.array_equal(ra[2].values, rb[2].values)
-    consts = [r[3] for r in a]
+    a = list(build_family(spec, P, cfg))
+    b = list(build_family(spec, P, cfg))
+    for (_, pa), (_, pb) in zip(a, b):
+        assert np.array_equal(pa.w1.values, pb.w1.values)
+        assert np.array_equal(pa.w2.values, pb.w2.values)
+    consts = [pair.apvec.value for _, pair in a]
     assert all(y > x for x, y in zip(consts, consts[1:]))
 
 

@@ -32,7 +32,8 @@ from weaksparse import dyadic as dyadic_module
 from weaksparse import measure, sparse, stopping, verify
 from weaksparse import testing_conditions as wtc
 from weaksparse.constants import InequalityReport, ainfty_constant, pair_weights
-from weaksparse.families import power_weight
+from weaksparse.experiment import slope_experiment
+from weaksparse.families import WeightFamilySpec, power_weight
 from weaksparse.dyadic import (
     GridConfig,
     Relation,
@@ -776,18 +777,47 @@ def test_dual_transform_check_pools_each_weight_once(monkeypatch):
 
 def test_localized_check_pools_and_bounds_each_pair_once(monkeypatch):
     """8 family points, 4 f2 each: one pair per point, pooled and bounded
-    once, besides build_family's own joint constant (3 pools a point)."""
+    once (3 pools a point)."""
     homes = {"level_averages": dyadic_module, "ainfty_constant": wc}
     counts = _count_calls(monkeypatch, homes)
     assert verify.check_localized_testing_family(verify._DEFAULT_SEED)["pass"]
-    assert counts == {"level_averages": 48, "ainfty_constant": 24}
+    assert counts == {"level_averages": 24, "ainfty_constant": 24}
 
 
 def test_default_suite_pools_each_weight_once(monkeypatch):
-    homes = {"level_averages": dyadic_module, "ainfty_constant": wc}
+    homes = {
+        "level_averages": dyadic_module,
+        "ainfty_constant": wc,
+        "apvec_constant": wc,
+        "pair_weights": wc,
+    }
     counts = _count_calls(monkeypatch, homes)
     assert verify.run_suite("all")["passed"]
-    assert counts["level_averages"] <= 774 and counts["ainfty_constant"] <= 49
+    assert counts["level_averages"] <= 711 and counts["ainfty_constant"] <= 49
+    assert counts["apvec_constant"] <= 187 and counts["pair_weights"] <= 254
+
+
+def test_slope_run_derives_each_family_point_once(monkeypatch):
+    """8 points of a 1D K = 12 power family at (2, 3): one pair each, two
+    duals and one joint weight, and one joint constant."""
+    cfg = GridConfig(1, 12)
+    spec = WeightFamilySpec("power", tuple(2.0**-k for k in range(1, 9)))
+    homes = {
+        "pair_weights": wc,
+        "apvec_constant": wc,
+        "level_averages": dyadic_module,
+        "dual_weight": measure,
+        "joint_weight": measure,
+    }
+    counts = _count_calls(monkeypatch, homes)
+    slope_experiment(spec, ExponentTuple(2.0, 3.0), cfg, tower_family(cfg))
+    assert counts == {
+        "pair_weights": 8,
+        "apvec_constant": 8,
+        "level_averages": 24,
+        "dual_weight": 16,
+        "joint_weight": 8,
+    }
 
 
 # --- one body per quantity ---------------------------------------------------------

@@ -24,7 +24,11 @@ from weaksparse.measure import (
 )
 from weaksparse.sparse import SparseFamily, sparse_eval, sparse_split_eval, tower_family
 from weaksparse.stopping import bilinear_form_decompose, build_stopping, carleson_checks
-from weaksparse.testing_conditions import _slot_sums, local_sigma_testing_ratio
+from weaksparse.testing_conditions import (
+    _slot_sums,
+    local_sigma_testing_ratio,
+    sparse_sum_norm_ratios,
+)
 
 
 # --- construction -----------------------------------------------------------
@@ -358,6 +362,10 @@ def _grid_check_sites():
         S, w, neg, qt = fns(cfg)
         return [S, w, w, P, neg, qt]
 
+    def sum_ratios(cfg):
+        S, w, _, _ = fns(cfg)
+        return [S, w, w, P]
+
     def paired(fn):
         """fn with (w1, w2, P) in place of its pair, built inside the call."""
         return lambda S, w1, w2, P, *rest: fn(S, pair_weights(w1, w2, P), *rest)
@@ -375,6 +383,12 @@ def _grid_check_sites():
             paired(local_sigma_testing_ratio),
             sigma_ratio,
             (0, 1, 2, 4),
+        ),
+        (
+            "sparse_sum_norm_ratios",
+            paired(sparse_sum_norm_ratios),
+            sum_ratios,
+            (0, 1, 2),
         ),
     ]
 
@@ -396,3 +410,13 @@ def test_grid_mismatch_comes_before_every_other_error(name, fn, make, position):
         args[position] = make(away)[position]
         with pytest.raises(ValueError, match="^grid mismatch$"):
             fn(*args)
+
+
+def test_sparse_sum_norm_ratios_checks_the_grid_of_a_finer_family():
+    """A family on a finer grid than the pair has cubes the pair's level
+    averages do not reach; the grid check comes before they are read."""
+    fine, coarse = GridConfig(1, 8), GridConfig(1, 4)
+    w = Weight(coarse, np.linspace(1.0, 2.0, coarse.cell_count))
+    pair = pair_weights(w, w, ExponentTuple(3.0, 3.0))
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        sparse_sum_norm_ratios(tower_family(fine), pair)

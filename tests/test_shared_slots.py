@@ -14,6 +14,7 @@ import pytest
 from conftest import random_function, random_weight
 from weaksparse import constants as wc
 from weaksparse import experiment as we
+from weaksparse import families as wf
 from weaksparse import measure as wm
 from weaksparse import sparse as ws
 from weaksparse import testing_conditions as wtc
@@ -75,8 +76,9 @@ def test_build_family_shares_the_weight_exactly_on_the_diagonal(kind):
     cfg = GridConfig(1, 8)
     spec = WeightFamilySpec(kind, (0.5, 0.25, 0.125, 0.0625), seed=3)
     for P in (ExponentTuple(6.0, 6.0), ExponentTuple(3.0, 3.0), ExponentTuple(2.0, 3.0)):
-        for _, w1, w2, _ in build_family(spec, P, cfg):
-            assert (w2 is w1) == (kind == "power" and P.p1 == P.p2)
+        for _, pair in build_family(spec, P, cfg):
+            shared = kind == "power" and P.p1 == P.p2
+            assert (pair.w2 is pair.w1) == shared == (pair.s2 is pair.s1)
 
 
 @pytest.mark.parametrize("K", range(1, 13))
@@ -126,8 +128,10 @@ def test_apvec_constant_matches_the_general_path(dim, K):
         assert shared == wc.check_constant_inequalities(two)
 
 
-def _unshared_build_family(spec, P, config):
-    return [(d, w1, _copy(w2), apv) for d, w1, w2, apv in build_family(spec, P, config)]
+def _unshare(monkeypatch):
+    """Make build_family pair each point's w1 with a distinct copy of its w2."""
+    real = wf.pair_weights
+    monkeypatch.setattr(wf, "pair_weights", lambda w1, w2, P: real(w1, _copy(w2), P))
 
 
 @pytest.mark.parametrize("K", [8, 10, 12])
@@ -138,7 +142,7 @@ def test_slope_rows_match_the_general_path(K, q, monkeypatch):
     spec = WeightFamilySpec("power", (0.25, 0.125, 0.0625, 0.03125))
     S = tower_family(cfg)
     got = slope_experiment(spec, P, cfg, S)
-    monkeypatch.setattr(we, "build_family", _unshared_build_family)
+    _unshare(monkeypatch)
     want = slope_experiment(spec, P, cfg, S)
     assert [_hex(list(vars(r).values())) for r in got.rows] == [
         _hex(list(vars(r).values())) for r in want.rows
@@ -203,15 +207,12 @@ def _counted(monkeypatch, module, name, log):
 
 def _slot_sums_work(monkeypatch, shared: bool) -> list[list[str]]:
     """dual_weight and cube_sums calls of each family point, from its
-    pair_weights to the end of its _slot_sums, one list per point."""
+    pair_weights in build_family to the end of its _slot_sums, one list per
+    point."""
     cfg = GridConfig(1, 14)
     spec = WeightFamilySpec("power", (0.25, 0.125, 0.0625, 0.03125))
     calls, log = [], []
-    real_pair, real_sums = we.pair_weights, wtc._slot_sums
-
-    def pair_weights(*args):
-        log.clear()
-        return real_pair(*args)
+    real_sums = wtc._slot_sums
 
     def slot_sums(*args):
         out = real_sums(*args)
@@ -221,10 +222,16 @@ def _slot_sums_work(monkeypatch, shared: bool) -> list[list[str]]:
     with monkeypatch.context() as m:
         _counted(m, wc, "dual_weight", log)
         _counted(m, ws, "cube_sums", log)
-        m.setattr(we, "pair_weights", pair_weights)
-        m.setattr(we, "_slot_sums", slot_sums)
         if not shared:
-            m.setattr(we, "build_family", _unshared_build_family)
+            _unshare(m)
+        real_pair = wf.pair_weights
+
+        def pair_weights(*args):
+            log.clear()
+            return real_pair(*args)
+
+        m.setattr(wf, "pair_weights", pair_weights)
+        m.setattr(we, "_slot_sums", slot_sums)
         slope_experiment(spec, ExponentTuple(6.0, 6.0), cfg, tower_family(cfg))
     assert len(calls) == len(spec.deltas)
     return calls

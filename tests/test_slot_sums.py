@@ -177,8 +177,9 @@ def test_slot_sums_on_a_grid_wider_than_one_chunk():
 def _oracle_slope_rows(spec, P, cfg, S, fns):
     report = alpha(P)
     rows = []
-    for d, w1, w2, apv in build_family(spec, P, cfg):
-        weak, strong = _pair_sweep_oracle(S, w1, w2, P, fns)
+    for d, pair in build_family(spec, P, cfg):
+        apv = pair.apvec.value
+        weak, strong = _pair_sweep_oracle(S, pair.w1, pair.w2, P, fns)
         ratio_weak, ratio_strong = weak / apv**report.alpha, strong / apv**report.gamma
         rows.append(ExperimentRow(d, apv, weak, strong, ratio_weak, ratio_strong))
     return tuple(rows)

@@ -71,6 +71,21 @@ ERRORS = (
         ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
          "--family", "random_ap", "--roughness", "nan"],
     ),
+    (
+        "slope_three_points",
+        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
+         "--deltas", "0.5,0.25,0.125"],
+    ),
+    (
+        "slope_no_dynamic_range",
+        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
+         "--deltas", "1,1,1,1"],
+    ),
+    (
+        "slope_not_increasing",
+        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
+         "--deltas", "0.5,0.5,0.25,0.125"],
+    ),
 )
 
 
