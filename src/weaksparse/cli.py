@@ -59,8 +59,9 @@ def _cmd_constants(args) -> int:
     if w1.config != w2.config:
         raise ValueError("weight files live on different grids")
     pair = wc.pair_weights(w1, w2, ExponentTuple(args.p1, args.p2))
-    # A_infty first: the inequalities leave s1, s2 and v holding their level
-    # averages, and the A_infty temporaries on top of those raise the peak.
+    # A_infty first: its walk needs under three cell arrays of its own, and
+    # the inequalities leave s1, s2 and v holding their level averages,
+    # three more; the other order peaks 4 MB higher at 2^20 cells.
     sigma1, sigma2, v = pair.ainfty
     inequalities = wc.check_constant_inequalities(pair)
     report = {

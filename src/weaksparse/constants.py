@@ -7,6 +7,16 @@ of the outer cube; this is self-consistent with the dyadic A_p constants
 but is a discretization choice, not an equivalence claim about the full
 Hardy-Littlewood operator.
 
+Each constant is one walk over the levels that reduces every level to its
+maximum as soon as the level is computed (_LevelMax), so no constant holds
+the per-cube values of all levels at once.  A_infty and A_p walk from the
+finest level to the coarsest, pooling what they need one sibling halving
+at a time: A_infty the weight's sums and its running maximal averages,
+A_p the dual power w^{1-p'}, and neither keeps its pooling.  The joint
+constant walks the kept level averages (_joint_levels), filling a level
+wider than _CHUNK_CELLS cells chunk by chunk, and dualize_first_entry
+compares two such walks level by level.
+
 A pair's joint and A_{2p} constants start from its weights s1, s2 and v
 and their per-level cube averages.  pair_weights derives the three once,
 into a WeightPair that every constant and testing quantity takes and
@@ -22,15 +32,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import (
-    DyadicCube,
-    GridConfig,
-    cube_from_index,
-    cube_sums,
-    expand_level_values,
-    level_averages,
-)
+from .dyadic import DyadicCube, GridConfig, _halve, cube_from_index, level_averages
 from .measure import ExponentTuple, Weight, dual_weight, joint_weight, same_slots
+
+#: Cells per chunk of the chunked cell sweeps: the joint constant's levels
+#: and _slot_sums' test-function rows (at least one row).  2^15 cells
+#: (256 KB) ran the K = 14 slope experiment 1.15x faster than 2^14.
+#: Larger chunks ran faster still, but once a block over 512 KB is freed
+#: glibc raises its mmap threshold for the rest of the process, and numpy
+#: code there that allocates 512 KB temporaries then ran 25 % faster than
+#: after an experiment that freed no such block.
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -41,49 +53,81 @@ class ConstantReport:
     argmax_cube: DyadicCube
 
 
-def _argmax_over_levels(per_level: list[np.ndarray], config: GridConfig) -> ConstantReport:
-    """Max over all cubes, ties broken by enumeration order (level-major)."""
-    best = -np.inf
-    at = None
-    for k, arr in enumerate(per_level):
-        i = int(np.argmax(arr))
-        v = float(arr[i])
-        if v > best:
-            best = v
-            at = (k, i)
-    witness = None if at is None else cube_from_index(*at, config.dimension)
-    return ConstantReport(best, witness)
+class _LevelMax:
+    """Maximum over the cubes of the levels offered, in any level order.
+
+    Each level is reduced to its first maximal cube at once (np.argmax, so a
+    level holding a NaN offers that NaN, which never wins).  Among equal
+    maxima the coarser level wins, so the witness is the first maximal cube
+    in enumeration order (level-major), whichever way the levels are walked.
+    """
+
+    def __init__(self):
+        self.value = -np.inf
+        self.at = None
+
+    def offer(self, level: int, values: np.ndarray) -> None:
+        i = int(np.argmax(values))
+        v = float(values[i])
+        if v > self.value or (v == self.value and self.at is not None and level < self.at[0]):
+            self.value, self.at = v, (level, i)
+
+    def report(self, config: GridConfig) -> ConstantReport:
+        witness = None if self.at is None else cube_from_index(*self.at, config.dimension)
+        return ConstantReport(self.value, witness)
 
 
 def ap_constant(w: Weight, p: float) -> ConstantReport:
-    """[w]_{A_p} = max over cubes of <w>_Q <w^{1-p'}>_Q^{p-1}, from w's kept
-    level averages and those of w^{1-p'}."""
+    """[w]_{A_p} = max over cubes of <w>_Q <w^{1-p'}>_Q^{p-1}.
+
+    Reads w's kept level averages.  Those of w^{1-p'} are pooled one level
+    at a time from the finest to the coarsest, and each level is turned
+    into its values in place, so none of them is kept.
+    """
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
-    ad = level_averages(w.values ** (1.0 - p / (p - 1.0)), w.config)
-    per_level = [x * y ** (p - 1.0) for x, y in zip(w.averages, ad)]
-    return _argmax_over_levels(per_level, w.config)
+    cfg = w.config
+    K = cfg.finest_level
+    best = _LevelMax()
+    dual = w.values ** (1.0 - p / (p - 1.0))  # the level-K sums of w^{1-p'}
+    for k in range(K, -1, -1):
+        coarser = _halve(dual, cfg.dimension) if k else None
+        if k < K:
+            dual /= cfg.cells_per_cube(k)
+        dual **= p - 1.0
+        dual *= w.averages[k]
+        best.offer(k, dual)
+        dual = coarser
+    return best.report(cfg)
 
 
 def ainfty_constant(w: Weight) -> ConstantReport:
     """Fujii-Wilson constant max_Q (1/w(Q)) int_Q M(w chi_Q) dx.
 
     M is the dyadic maximal operator over subcubes of Q.  For each cell the
-    maximal average over the ancestor chain between levels k and K is built
-    by a running maximum swept from the finest level upward, so the whole
-    two-parameter family of values costs O(N K).
+    maximal average over the ancestor chain between levels k and K is kept
+    in one running array, raised in place level by level from the finest to
+    the coarsest; at level k it is pooled down to level k only and divided
+    by the weight's level-k sums, so the whole two-parameter family of
+    values costs O(N K) time and under three cell arrays of memory.
     """
     cfg = w.config
-    K = cfg.finest_level
-    sums = cube_sums(w.values, cfg)
-    averages = [sums[k] / cfg.cells_per_cube(k) for k in range(K)]
+    K, n = cfg.finest_level, cfg.dimension
+    best = _LevelMax()
+    best.offer(K, np.ones(1))  # on a finest cube M(w chi_Q) = w: every one reads 1
+    sums = w.values
     running = w.values.copy()  # level-K averages are the cell values
-    per_level: list[np.ndarray] = [None] * (K + 1)
-    per_level[K] = np.ones_like(sums[K])
     for k in range(K - 1, -1, -1):
-        running = np.maximum(running, expand_level_values(averages[k], k, cfg))
-        per_level[k] = cube_sums(running, cfg)[k] / sums[k]
-    return _argmax_over_levels(per_level, cfg)
+        sums = _halve(sums, n)
+        blocks = running.reshape((1 << k, 1 << (K - k)) * n)
+        averages = (sums / cfg.cells_per_cube(k)).reshape((1 << k, 1) * n)
+        np.maximum(blocks, averages, out=blocks)
+        pooled = running
+        for _ in range(K - k):
+            pooled = _halve(pooled, n)
+        pooled /= sums
+        best.offer(k, pooled)
+    return best.report(cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,17 +172,36 @@ def pair_weights(w1: Weight, w2: Weight, P: ExponentTuple) -> WeightPair:
     return WeightPair(w1, w2, P, s1, s2, v)
 
 
-def _joint_per_level(pair: WeightPair) -> list[np.ndarray]:
-    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} from the level averages."""
+def _joint_levels(pair: WeightPair):
+    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} from the kept level
+    averages: one fresh array per level, from level 0 to K, which the caller
+    may overwrite.  A level wider than _CHUNK_CELLS cells is filled chunk
+    by chunk, so its temporaries stay at two chunks.  When s2 is s1 at
+    p1 = p2 the shared averages are raised once: (x t) t equals
+    x t^{e1} t^{e2} bit for bit."""
     e1 = pair.P.p / pair.P.p1_prime
     e2 = pair.P.p / pair.P.p2_prime
-    levels = zip(pair.v.averages, pair.s1.averages, pair.s2.averages)
-    return [x * y**e1 * z**e2 for x, y, z in levels]
+    shared = pair.s2 is pair.s1 and e2 == e1
+    for x, y, z in zip(pair.v.averages, pair.s1.averages, pair.s2.averages):
+        if x.size <= _CHUNK_CELLS:  # one chunk: the plain product, cheaper on small levels
+            t = y**e1
+            yield x * t * (t if shared else z**e2)
+            continue
+        out = np.empty_like(x)
+        for lo in range(0, x.size, _CHUNK_CELLS):
+            c = slice(lo, lo + _CHUNK_CELLS)
+            t = y[c] ** e1
+            part = np.multiply(x[c], t, out=out[c])
+            part *= t if shared else z[c] ** e2
+        yield out
 
 
 def apvec_constant(pair: WeightPair) -> ConstantReport:
     """Joint two-weight constant: max over cubes of the product quantity."""
-    return _argmax_over_levels(_joint_per_level(pair), pair.config)
+    best = _LevelMax()
+    for k, values in enumerate(_joint_levels(pair)):
+        best.offer(k, values)
+    return best.report(pair.config)
 
 
 def _apvec_power(apvec: float, exponent: float, name: str) -> float:
@@ -217,12 +280,13 @@ def dualize_first_entry(pair: WeightPair) -> tuple[WeightPair, float]:
     v_new = joint_weight(w1_new, w2, P_new)
     dual = WeightPair(w1_new, w2, P_new, dual_weight(w1_new, P_new.p1), pair.s2, v_new)
     power = P.p1_prime / P.p
-    orig = _joint_per_level(pair)
-    new = _joint_per_level(dual)
     err = 0.0
-    for k in range(cfg.finest_level + 1):
-        expected = orig[k] ** power
-        err = max(err, float(np.max(np.abs(new[k] - expected) / expected)))
+    for expected, new in zip(_joint_levels(pair), _joint_levels(dual)):
+        expected **= power
+        new -= expected
+        np.abs(new, out=new)
+        new /= expected
+        err = max(err, float(np.max(new)))
     return dual, err
 
 

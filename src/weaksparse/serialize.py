@@ -37,11 +37,21 @@ def _write_text(path, text: str) -> None:
 
 
 def _read_json(path):
-    """The parsed document and its raw bytes."""
+    """The parsed document, and whether its text holds "true" or "false".
+
+    The bytes are decoded as json.loads decodes bytes (UTF-8, -16 or -32)
+    and dropped before parsing, so a large file is held once as text, not
+    also as bytes, while the parser builds the document.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    del raw
+    booleans = "true" in text or "false" in text
     try:
-        return json.loads(raw), raw
+        # json.loads(bytes) runs this decoder on the decoded text; json.loads
+        # on a str would first refuse a second BOM with another message
+        return json.JSONDecoder().decode(text), booleans
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: invalid JSON at byte offset {e.pos}: {e.msg}") from e
     except RecursionError as e:
@@ -58,7 +68,7 @@ def save_grid_function(f: GridFunction, path) -> None:
 
 
 def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
-    doc, raw = _read_json(path)
+    doc, booleans = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in ("dimension", "finest_level", "values"):
@@ -73,9 +83,9 @@ def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
     except ValueError:  # ragged nesting
         values = None
     if values is None or values.dtype.kind not in "iuf" or (
-        # numpy promotes [true, 1.5] to floats; scan only if a boolean is there
+        # numpy promotes [true, 1.5] to floats; scan only if a boolean may be there
         values.ndim == 1
-        and (b"true" in raw or b"false" in raw)
+        and booleans
         and any(type(x) is bool for x in doc["values"])
     ):
         raise ValueError(f"{path}: field 'values' must be an array of numbers")

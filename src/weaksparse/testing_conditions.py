@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import WeightPair
+from .constants import _CHUNK_CELLS, WeightPair
 from .dyadic import (
     DyadicCube,
     GridConfig,
@@ -84,27 +84,18 @@ def _global_image(
     return sparse_eval(S, abs(f1) * pair.s1, abs(f2) * pair.s2), scale
 
 
-#: Cells per chunk of test-function rows in _slot_sums (at least one row).
-#: 2^15 cells (256 KB) ran the K = 14 slope experiment 1.15x faster than
-#: 2^14.  Larger chunks ran faster still, but once a block over 512 KB is
-#: freed glibc raises its mmap threshold for the rest of the process, and
-#: numpy code there that allocates 512 KB temporaries then ran 25 % faster
-#: than after an experiment that freed no such block.
-_CHUNK_CELLS = 1 << 15
-
-
 def _slot_powers(fns: list[GridFunction], config: GridConfig, P: ExponentTuple):
     """Cell values of a test set and |f|^{p_k} of each function, for _slot_sums.
 
     Returns (values, powers): values[a] is fns[a].values (not copied) and
     powers[k][a] = |fns[a]|^{p_k} for the slots k = 0, 1, one cell array per
     function and distinct exponent (the same list when p1 == p2), each
-    allocated on its own for the reason given at _CHUNK_CELLS.  A row of
-    0s and 1s is its own |f|^p for every p > 0 (0^p = 0, 1^p = 1), so an
-    indicator keeps values[a] in both slots and costs no array.  None of
-    it depends on the weights, so a slope experiment builds it once for
-    all of its weight pairs.  Raises for an empty test set and for a
-    function on another grid than config.
+    allocated on its own for the reason given at constants._CHUNK_CELLS.
+    A row of 0s and 1s is its own |f|^p for every p > 0 (0^p = 0,
+    1^p = 1), so an indicator keeps values[a] in both slots and costs no
+    array.  None of it depends on the weights, so a slope experiment
+    builds it once for all of its weight pairs.  Raises for an empty test
+    set and for a function on another grid than config.
     """
     if not fns:
         raise ValueError("test set must be nonempty")

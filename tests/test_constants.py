@@ -384,16 +384,19 @@ def test_dual_transform_shares_the_second_dual_weight(rng):
 # --- memory -------------------------------------------------------------------
 
 
-#: Traced peak, in bytes, of the command below when each of its steps
-#: derived and pooled the weight pair on its own: the lowest of three warm
-#: runs (5,813,248 to 5,822,178), about 11.1 arrays of the 2^16 cells.
-_EARLIER_CONSTANTS_PEAK = 5_813_248
+#: Traced peak, in bytes, of the command below with the level walks of
+#: constants.py: warm runs read 4,507,156 to 4,509,336 under twelve hash
+#: seeds and 4,504,400 to 4,517,597 inside pytest, about 8.6 arrays of the
+#: 2^16 cells; the pin leaves 12 KB over the highest for that spread.  The
+#: list bodies that kept every level's values read 5,298,121, and the
+#: steps that each derived and pooled the weight pair 5,813,248.
+_EARLIER_CONSTANTS_PEAK = 4_530_000
 
 
 def test_constants_command_peak_stays_at_most_the_earlier_one(monkeypatch, capsys):
     """The weight pair keeps s1, s2, v and their level averages alive, so the
     command reads the A_infty reports before the inequalities pool the
-    weights; the other order peaks about three cell arrays higher."""
+    weights; the other order peaks a quarter of a cell array higher."""
     import tracemalloc
 
     from weaksparse import cli

@@ -12,6 +12,9 @@ the derive-and-pool bodies of the joint constant, the constant
 inequalities, the dual transform and the saturated-slot ratio, which
 derived s1, s2 and v and pooled their level averages in each call
 (constants.pair_weights, Weight.averages and WeightPair.ainfty replace
+them), and the list bodies of the A_p, A_infty and joint constants,
+which kept every level's values and reduced the list at the end
+(_argmax_over_levels_oracle; the level walks of constants.py replace
 them).  The sweeps
 assert bit-for-bit agreement on generated families, towers, restricted
 families, split parts, arbitrary cube sets and on cubes listed shuffled
@@ -41,6 +44,7 @@ from weaksparse.dyadic import (
     cell_view,
     check_cube,
     cube,
+    cube_from_index,
     cube_index,
     cube_sums,
     level_averages,
@@ -274,6 +278,20 @@ def _sparse_sum_norm_ratios_oracle(S, w1, w2, P):
     return wtc._make_report(lhs1, rhs1, ctx), wtc._make_report(lhs2, rhs2, ctx)
 
 
+def _argmax_over_levels_oracle(per_level, config):
+    """Max over all cubes of per-level lists, ties broken by enumeration order."""
+    best = -np.inf
+    at = None
+    for k, arr in enumerate(per_level):
+        i = int(np.argmax(arr))
+        v = float(arr[i])
+        if v > best:
+            best = v
+            at = (k, i)
+    witness = None if at is None else cube_from_index(*at, config.dimension)
+    return wc.ConstantReport(best, witness)
+
+
 def _joint_per_level_oracle(w1, w2, P):
     """Per-cube <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'}, derived and pooled here."""
     cfg = w1.config
@@ -292,7 +310,7 @@ def _joint_per_level_oracle(w1, w2, P):
 def _apvec_oracle(w1, w2, P):
     if w1.config != w2.config:
         raise ValueError("grid mismatch")
-    return wc._argmax_over_levels(_joint_per_level_oracle(w1, w2, P), w1.config)
+    return _argmax_over_levels_oracle(_joint_per_level_oracle(w1, w2, P), w1.config)
 
 
 def _ap_oracle(w, p):
@@ -301,7 +319,7 @@ def _ap_oracle(w, p):
     aw = level_averages(w.values, cfg)
     ad = level_averages(w.values ** (1.0 - pc), cfg)
     per_level = [aw[k] * ad[k] ** (p - 1.0) for k in range(cfg.finest_level + 1)]
-    return wc._argmax_over_levels(per_level, cfg)
+    return _argmax_over_levels_oracle(per_level, cfg)
 
 
 def _check_constant_inequalities_oracle(w1, w2, P, rtol=1e-10):
@@ -718,7 +736,7 @@ def _unshared_pair():
     "name, pools, duals, joints",
     [
         ("apvec_constant", 3, 2, 1),
-        ("check_constant_inequalities", 6, 2, 1),
+        ("check_constant_inequalities", 3, 2, 1),  # A_p pools its dual power in its walk
         ("dualize_first_entry", 5, 3, 2),  # s2 and its averages serve both pairs
         ("sparse_sum_norm_ratios", 3, 2, 1),
         ("local_sigma_testing_ratio", 3, 2, 1),
@@ -749,7 +767,7 @@ def test_a_diagonal_pair_pools_one_dual_weight(monkeypatch):
     w = power_weight(4.0, cfg)
     counts = _count_derivations(monkeypatch)
     wc.check_constant_inequalities(pair_weights(w, w, ExponentTuple(6.0, 6.0)))
-    assert counts == {"level_averages": 4, "dual_weight": 1, "joint_weight": 1}
+    assert counts == {"level_averages": 2, "dual_weight": 1, "joint_weight": 1}
 
 
 def test_constants_command_derives_each_weight_once(monkeypatch, tmp_path, capsys):
@@ -762,7 +780,7 @@ def test_constants_command_derives_each_weight_once(monkeypatch, tmp_path, capsy
     counts = _count_derivations(monkeypatch)
     weights = f"{tmp_path / 'w1.json'},{tmp_path / 'w2.json'}"
     assert cli.main(["constants", "--weights", weights, "--p1", "2", "--p2", "3"]) == 0
-    assert counts == {"level_averages": 6, "dual_weight": 2, "joint_weight": 1}
+    assert counts == {"level_averages": 3, "dual_weight": 2, "joint_weight": 1}
     assert '"inequalities_pass": true' in capsys.readouterr().out
 
 
@@ -793,7 +811,7 @@ def test_default_suite_pools_each_weight_once(monkeypatch):
     }
     counts = _count_calls(monkeypatch, homes)
     assert verify.run_suite("all")["passed"]
-    assert counts["level_averages"] <= 711 and counts["ainfty_constant"] <= 49
+    assert counts["level_averages"] <= 545 and counts["ainfty_constant"] <= 49
     assert counts["apvec_constant"] <= 187 and counts["pair_weights"] <= 254
 
 
@@ -883,7 +901,7 @@ def _ainfty_oracle(w):
     for k in range(K - 1, -1, -1):
         running = np.maximum(running, dyadic_module.expand_level_values(averages[k], k, cfg))
         per_level[k] = _pool_level_sums_oracle(running, k, cfg) / sums[k]
-    return wc._argmax_over_levels(per_level, cfg)
+    return _argmax_over_levels_oracle(per_level, cfg)
 
 
 def _cells_of_oracle(q, config):
@@ -969,16 +987,86 @@ def test_weak_kernel_matches_the_three_former_bodies(config):
                 assert measure.kolmogorov_check(f, q, p) == _kolmogorov_oracle(f, q, p)
 
 
+def _sweep_weights(rng, config):
+    """Random weights, weights from 1e-150 to 1e150, in 1D power weights, and
+    weights near underflow: from 1e-305 to 1e-295, whose dual powers come
+    near or past overflow, and one with subnormal cells."""
+    n = config.cell_count
+    weights = [random_weight(rng, config) for _ in range(3)]
+    weights.append(Weight(config, 10.0 ** rng.uniform(-150.0, 150.0, n)))
+    if config.dimension == 1:
+        weights += [power_weight(a, config) for a in (-0.9, -0.5, 0.5, 5.0)]
+    weights.append(Weight(config, 10.0 ** rng.uniform(-305.0, -295.0, n)))
+    weights.append(Weight(config, np.where(rng.random(n) < 0.5, 5e-324, 1e-300)))
+    return weights
+
+
+def _same_report(got, want):
+    return _same_bits(got.value, want.value) and got.argmax_cube == want.argmax_cube
+
+
 @pytest.mark.parametrize("config", _EVAL_GRIDS, ids=_IDS)
 def test_ainfty_over_cube_sums_matches_the_one_level_pyramid(config):
     rng = np.random.default_rng(3000 + 100 * config.dimension + config.finest_level)
-    weights = [random_weight(rng, config) for _ in range(3)]
-    weights.append(Weight(config, 10.0 ** rng.uniform(-150.0, 150.0, config.cell_count)))
-    if config.dimension == 1:
-        weights += [power_weight(a, config) for a in (-0.9, -0.5, 0.5, 5.0)]
+    for w in _sweep_weights(rng, config):
+        assert _same_report(ainfty_constant(w), _ainfty_oracle(w))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN at the extremes
+@pytest.mark.parametrize("config", _EVAL_GRIDS, ids=_IDS)
+def test_ap_and_joint_walks_match_the_list_bodies(config):
+    """A_p and the joint constant, walked level by level, against the bodies
+    that kept every level's values and reduced the list at the end: value
+    and witness bit for bit, also where levels hold inf or NaN."""
+    rng = np.random.default_rng(4000 + 100 * config.dimension + config.finest_level)
+    weights = _sweep_weights(rng, config)
+    # p - 1 = 1, 0.5 and 2 are numpy's fast exponents; the others are not
+    ps = (2.0, 1.5, 3.0, float(rng.uniform(1.01, 12.0)), 40.0)
     for w in weights:
-        got, want = ainfty_constant(w), _ainfty_oracle(w)
-        assert _same_bits(got.value, want.value) and got.argmax_cube == want.argmax_cube
+        for p in ps:
+            assert _same_report(wc.ap_constant(w, p), _ap_oracle(w, p))
+    q = float(rng.uniform(1.5, 12.0))
+    for w1, w2 in zip(weights, weights[1:] + weights[:1]):
+        for a, b, P in [(w1, w2, random_exponents(rng)), (w1, w1, ExponentTuple(q, q))]:
+            try:
+                pair = pair_weights(a, b, P)
+            except ValueError:  # a dual weight overflows
+                assert _outcome(_apvec_oracle, a, b, P)[0] == "raised"
+                continue
+            assert _same_report(wc.apvec_constant(pair), _apvec_oracle(a, b, P))
+
+
+def test_joint_walk_over_several_chunks_matches_the_list_body():
+    """Levels wider than one chunk (1D K = 17: levels 16 and 17 take 2 and
+    4 chunks of _CHUNK_CELLS) give the list body's joint constant and dual
+    transform error bit for bit, off and on the diagonal."""
+    cfg = GridConfig(1, 17)
+    assert cfg.cell_count == 4 * wc._CHUNK_CELLS
+    rng = np.random.default_rng(17)
+    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+    for a, b, P in [(w1, w2, ExponentTuple(2.0, 3.0)), (w1, w1, ExponentTuple(6.0, 6.0))]:
+        pair = pair_weights(a, b, P)
+        assert _same_report(wc.apvec_constant(pair), _apvec_oracle(a, b, P))
+        _, err = wc.dualize_first_entry(pair)
+        assert _same_bits(err, _dualize_first_entry_oracle(a, b, P)[3])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the dual power of 1e-300
+@pytest.mark.parametrize("config", _EVAL_GRIDS, ids=_IDS)
+def test_level_walks_on_a_constant_weight_witness_the_unit_cube(config):
+    """Every cube of every level ties, so the first cube in enumeration
+    order, level 0 at the origin, is the witness of each constant."""
+    origin = cube(0, *(0,) * config.dimension)
+    other = Weight(config, np.full(config.cell_count, 2.0))
+    for c in (1.0, 3.0, 0.3, 2.0**-40, 1e-300):
+        w = Weight(config, np.full(config.cell_count, c))
+        reports = [(ainfty_constant(w), _ainfty_oracle(w))]
+        reports += [(wc.ap_constant(w, p), _ap_oracle(w, p)) for p in (2.0, 3.0, 7.3)]
+        for w2, P in [(w, ExponentTuple(4.0, 4.0)), (other, ExponentTuple(2.0, 3.0))]:
+            got = wc.apvec_constant(pair_weights(w, w2, P))
+            reports.append((got, _apvec_oracle(w, w2, P)))
+        for got, want in reports:
+            assert _same_report(got, want) and got.argmax_cube == origin
 
 
 @pytest.mark.parametrize("config", _GRIDS, ids=_IDS)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_weight
+from weaksparse.cli import main
 from weaksparse.dyadic import GridConfig
 from weaksparse.exponents import region_map
 from weaksparse.experiment import ExperimentRow
@@ -129,6 +130,56 @@ def test_grid_values_must_be_numbers(tmp_path, values):
     path.write_text(json.dumps({"dimension": 1, "finest_level": 3, "values": values}))
     with pytest.raises(ValueError, match="g.json: field 'values' must be an array"):
         load_grid_function(path)
+
+
+_BOOLEAN_DOC = '{"dimension":1,"finest_level":1,"values":[true,1.5]}'
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16-le", "utf-16", "utf-32", "utf-32-be"])
+def test_booleans_are_refused_in_every_json_encoding(tmp_path, capsys, encoding):
+    """json reads UTF-8, -16 and -32 files; a boolean among the values gives
+    the same one-line error in each, from the loaders and from the CLI."""
+    path = tmp_path / "w.json"
+    path.write_bytes(_BOOLEAN_DOC.encode(encoding))
+    message = f"{path}: field 'values' must be an array of numbers"
+    for load in (load_grid_function, load_weight):
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == message
+    code = main(["constants", "--weights", f"{path},{path}", "--p1", "2", "--p2", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"weaksparse: error: {message}\n"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16-le", "utf-16", "utf-32"])
+def test_numbers_load_alike_in_every_json_encoding(tmp_path, rng, encoding):
+    w = random_weight(rng, CFG)
+    save_grid_function(w, tmp_path / "w.json")
+    path = tmp_path / "other.json"
+    path.write_bytes((tmp_path / "w.json").read_text(encoding="utf-8").encode(encoding))
+    assert load_weight(path).values.tobytes() == w.values.tobytes()
+
+
+def test_weight_file_is_not_held_as_bytes_beside_its_text(tmp_path, rng):
+    """The traced peak of loading a 1D K = 16 weight stays under the text,
+    the parsed list of floats and one more cell array, so the file's bytes
+    are gone before the parser runs (keeping them adds the file's size)."""
+    import tracemalloc
+
+    cfg = GridConfig(1, 16)
+    path = tmp_path / "w.json"
+    save_grid_function(random_weight(rng, cfg), path)
+    load_weight(path)  # warm caches and imports
+    size, cells = path.stat().st_size, cfg.cell_count
+    tracemalloc.start()
+    try:
+        load_weight(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    parsed = cells * (8 + 24)  # the list's slots and its float objects
+    assert peak < size + parsed + 8 * cells, (peak, size, parsed)
 
 
 def test_deeply_nested_document_is_a_value_error(tmp_path):
