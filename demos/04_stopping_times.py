@@ -18,9 +18,8 @@ from weaksparse import (
     build_stopping,
     carleson_checks,
     cube,
-    dual_weight,
-    joint_weight,
     ExponentTuple,
+    pair_weights,
     restrict,
     stopping_parent,
 )
@@ -50,7 +49,7 @@ gens = max(fam.generation.values()) + 1
 print(f"\nsingular profile over the tower: {len(fam.members)} members in {gens} generations")
 for m in sorted(fam.members, key=lambda q: q.level):
     print(f"  generation {fam.generation[m]} at level {m.level}: average {fam.wavg[m]:9.2f}")
-rep = carleson_checks(fam, f, w, p=2.5)
+rep = carleson_checks(fam, p=2.5)
 print(f"  generation mass bound holds: {rep.child_mass_ok}")
 print(f"  aggregate sum {rep.sum_value:.4f} <= bound {rep.bound_value:.4f}: {rep.passed}")
 
@@ -60,8 +59,6 @@ w1 = Weight(cfg, np.exp(rng.uniform(-1.0, 1.0, cfg.cell_count)))
 w2 = Weight(cfg, np.exp(rng.uniform(-1.0, 1.0, cfg.cell_count)))
 Sp = restrict(S, S.cubes[0])
 h = GridFunction(cfg, rng.uniform(0.0, 2.0, cfg.cell_count))
-i1, i2, total = bilinear_form_decompose(
-    Sp, f, h, dual_weight(w2, P.p2), joint_weight(w1, w2, P), dual_weight(w1, P.p1)
-)
+i1, i2, total = bilinear_form_decompose(Sp, f, h, pair_weights(w1, w2, P))
 print(f"\ntwo-family decomposition: I1 = {i1:.5f}, I2 = {i2:.5f}")
 print(f"  partition identity: I1 + I2 - total = {i1 + i2 - total:.2e}")

@@ -20,7 +20,7 @@ from .dyadic import GridConfig
 from .experiment import slope_experiment
 from .families import WeightFamilySpec
 from .measure import ExponentTuple
-from .sparse import tower_family
+from .sparse import sparse_eval, tower_family
 
 
 def _emit(obj) -> None:
@@ -81,8 +81,6 @@ def _cmd_sparse_eval(args) -> int:
     if f1.config != f2.config:
         raise ValueError("input functions live on different grids")
     family = wio.load_sparse_family(args.family, f1.config)
-    from .sparse import sparse_eval
-
     wio.save_grid_function(sparse_eval(family, f1, f2), args.out)
     return 0
 

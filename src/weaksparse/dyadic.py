@@ -11,8 +11,9 @@ Conventions used throughout the package:
   * cube enumeration order is level-major, then lexicographic coords;
   * all cubes are half-open, so fixed-level cubes partition [0,1)^n
     with no boundary double counting;
-  * cell_view is the one cell-block geometry and cube_sums the one
-    pyramid: every per-level sum or average of cells is one of its levels;
+  * cell_view is the one cell-block geometry and _halve the one pooling
+    step: cube_sums stacks it into the pyramid of every per-level sum or
+    average, and the A_p and A_infty walks take it a level at a time;
   * each geometry fact has one body over the coordinate tuple for every n
     in _MAX_LEVEL; the one dimension branch is _halve's measured 1D add;
   * cell_view expects a cube already checked against its grid (check_cube).

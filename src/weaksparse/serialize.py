@@ -41,11 +41,16 @@ def _read_json(path):
 
     The bytes are decoded as json.loads decodes bytes (UTF-8, -16 or -32)
     and dropped before parsing, so a large file is held once as text, not
-    also as bytes, while the parser builds the document.
+    also as bytes, while the parser builds the document.  Every failure is
+    a ValueError that starts with the path.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    try:
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    except UnicodeDecodeError as e:
+        where = f"byte offset {e.start}: {e.reason}"
+        raise ValueError(f"{path}: invalid {e.encoding} text at {where}") from e
     del raw
     booleans = "true" in text or "false" in text
     try:

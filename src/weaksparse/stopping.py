@@ -22,6 +22,9 @@ checked downstream: each generation loses at least half the w-mass of
 its parent, and summing (average)^p w(F) over the family is controlled
 by the L^p(w) norm of f through the Carleson embedding with the dyadic
 Doob maximal bound, giving the pinned test constant 2 (p')^p.
+
+A StoppingFamily keeps each cube's average and w-sum and its f and w,
+so carleson_checks and bilinear_form_decompose read them, not pool again.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import WeightPair
 from .dyadic import DyadicCube, GridConfig, parent
 from .measure import GridFunction, Weight, _same_grid, lp_norm
 from .sparse import SparseFamily, family_forest
@@ -37,12 +41,13 @@ from .sparse import SparseFamily, family_forest
 
 @dataclass
 class StoppingFamily:
-    """Selected cubes with generations, stopping children, and cached averages.
+    """Selected cubes with generations, stopping children, and cached sums.
 
-    generation and children are keyed by the members (the selected cubes);
-    children[F] lists the next generation inside F in enumeration order.
-    wavg and top are keyed by every family cube q: the w-average of f on q
-    and q's stopping parent, the minimal member containing q.
+    generation and children are keyed by the members (the selected cubes),
+    in enumeration order; children[F] lists the next generation inside F.
+    wavg, wsum and top are keyed by every family cube q: the w-average of
+    f on q, the w-sum over q's cells and q's stopping parent, the minimal
+    member containing q.  f and w are the data it was built from.
     """
 
     config: GridConfig
@@ -51,13 +56,10 @@ class StoppingFamily:
     children: dict[DyadicCube, tuple[DyadicCube, ...]]
     maximal: tuple[DyadicCube, ...]
     wavg: dict[DyadicCube, float] = field(repr=False)
+    wsum: dict[DyadicCube, float] = field(repr=False)
     top: dict[DyadicCube, DyadicCube] = field(repr=False)
-
-
-def _averages(S: SparseFamily, f: GridFunction, w: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """w-averages of f on the cubes of S, and their w-sums."""
-    den = S.sums(w)
-    return S.sums(f * w) / den, den
+    f: GridFunction = field(repr=False, compare=False)
+    w: Weight = field(repr=False, compare=False)
 
 
 def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamily:
@@ -68,7 +70,8 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
     if float(f.values.min()) < 0.0:
         raise ValueError("stopping construction requires nonnegative f")
     cubes, up = S.cubes, family_forest(S)
-    avg = _averages(S, f, w)[0].tolist()
+    wsum = S.sums(w)
+    avg = (S.sums(f * w) / wsum).tolist()
     n = len(cubes)
     top = list(range(n))
     generation: dict[DyadicCube, int] = {}
@@ -92,7 +95,10 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
         children={F: tuple(kids) for F, kids in children.items()},
         maximal=tuple(q for q, g in generation.items() if g == 0),
         wavg=dict(zip(cubes, avg)),
+        wsum=dict(zip(cubes, wsum.tolist())),
         top={q: cubes[t] for q, t in zip(cubes, top)},
+        f=f,
+        w=w,
     )
 
 
@@ -116,70 +122,58 @@ class CarlesonReport:
     passed: bool
 
 
-def carleson_checks(
-    F: StoppingFamily, f: GridFunction, w: Weight, p: float
-) -> CarlesonReport:
+def carleson_checks(F: StoppingFamily, p: float) -> CarlesonReport:
     """Generation mass bound and the aggregate embedding bound for p > 1.
 
     child_mass_ok: for every member, the next generation inside it carries
     at most half its w-mass (exact consequence of strict doubling with
     f >= 0).  passed: sum of (w-average)^p * w(F) over members is at most
-    2 (p')^p ||f||_{L^p(w)}^p.  Raises for f or w off F's grid first.
+    2 (p')^p ||f||_{L^p(w)}^p.  Reads F's averages, w-sums, f and w.
     """
-    cfg = _same_grid(F, f, w)
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
-    members = SparseFamily(cfg, F.members)
-    avg, wsums = _averages(members, f, w)
-    mass = dict(zip(members, (wsums * cfg.cell_volume).tolist()))
+    volume = F.config.cell_volume
+    mass = {q: F.wsum[q] * volume for q in F.generation}  # enumeration order
     child_mass_ok = True
-    for member in members:
+    for member, m in mass.items():
         kids = F.children.get(member, ())
-        if kids and sum(mass[c] for c in kids) > mass[member] / 2.0:
+        if kids and sum(mass[c] for c in kids) > m / 2.0:
             child_mass_ok = False
             break
-    sum_value = sum(a**p * m for a, m in zip(avg.tolist(), mass.values()))
+    sum_value = sum(F.wavg[q] ** p * m for q, m in mass.items())
     pc = p / (p - 1.0)
-    bound_value = 2.0 * pc**p * lp_norm(f, w, p) ** p
+    bound_value = 2.0 * pc**p * lp_norm(F.f, F.w, p) ** p
     return CarlesonReport(
         child_mass_ok, sum_value, bound_value, sum_value <= bound_value
     )
 
 
 def bilinear_form_decompose(
-    Sprime: SparseFamily,
-    f2: GridFunction,
-    h: GridFunction,
-    sigma2: Weight,
-    v: Weight,
-    sigma1: Weight,
+    Sprime: SparseFamily, f2: GridFunction, h: GridFunction, pair: WeightPair
 ) -> tuple[float, float, float]:
     """Split the localized bilinear form along two stopping families.
 
-    total sums, over the cubes of Sprime, the product of the sigma2-average
-    of f2, the v-average of h, and lambda_Q = <sigma1>_Q <sigma2>_Q v(Q).
-    Each term is routed by the pair of stopping parents (F2, H): terms with
-    H inside F2 (equality included) land in I1, the rest in I2, so the two
-    parts partition the sum exactly.  Both parents contain the term's cube,
-    so they are nested, and H lies inside F2 exactly when it is not coarser.
+    total sums, over the cubes of Sprime, the product of the s2-average of
+    f2, the v-average of h, and lambda_Q = <s1>_Q <s2>_Q v(Q) for the
+    pair's weights; <s2>_Q and v(Q) come from the two families' w-sums, so
+    only s1 is pooled here.  Each term is routed by the pair of stopping
+    parents (F2, H): terms with H inside F2 (equality included) land in
+    I1, the rest in I2, so the two parts partition the sum exactly.  Both
+    parents contain the term's cube, so they are nested, and H lies
+    inside F2 exactly when it is not coarser.
     """
-    cfg = _same_grid(Sprime, f2, h, sigma2, v, sigma1)
+    cfg = _same_grid(Sprime, f2, h, pair)
     up = family_forest(Sprime)
     if np.count_nonzero(up == len(up)) != 1:
         raise ValueError("family must have a single maximal cube")
     if float(f2.values.min()) < 0.0 or float(h.values.min()) < 0.0:
         raise ValueError("decomposition requires nonnegative f2 and h")
-    fam2 = build_stopping(Sprime, f2, sigma2)
-    famh = build_stopping(Sprime, h, v)
-    lam = (
-        (Sprime.sums(sigma1) / Sprime.cells)
-        * (Sprime.sums(sigma2) / Sprime.cells)
-        * (Sprime.sums(v) * cfg.cell_volume)
-    )
-    i1 = 0.0
-    i2 = 0.0
-    total = 0.0
-    for q, lam_q in zip(Sprime.cubes, lam.tolist()):
+    fam2 = build_stopping(Sprime, f2, pair.s2)
+    famh = build_stopping(Sprime, h, pair.v)
+    s1 = (Sprime.sums(pair.s1) / Sprime.cells).tolist()
+    i1 = i2 = total = 0.0
+    for q, a1, n in zip(Sprime.cubes, s1, Sprime.cells.tolist()):
+        lam_q = a1 * (fam2.wsum[q] / n) * (famh.wsum[q] * cfg.cell_volume)
         term = fam2.wavg[q] * famh.wavg[q] * lam_q
         total += term
         if famh.top[q].level >= fam2.top[q].level:

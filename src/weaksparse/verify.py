@@ -283,7 +283,7 @@ def check_stopping_families(seed):
         w = _random_weight(rng, cfg)
         p = float(rng.uniform(1.2, 4.0))
         fam = wst.build_stopping(S, f, w)
-        rep = wst.carleson_checks(fam, f, w, p)
+        rep = wst.carleson_checks(fam, p)
         if not (rep.child_mass_ok and rep.passed):
             failures += 1
         for member in fam.members:
@@ -320,7 +320,7 @@ def check_bilinear_decomposition(seed):
         pair = wc.pair_weights(w1, w2, P)
         f2 = _random_nonneg(rng, cfg)
         h = _random_nonneg(rng, cfg)
-        i1, i2, total = wst.bilinear_form_decompose(Sp, f2, h, pair.s2, pair.v, pair.s1)
+        i1, i2, total = wst.bilinear_form_decompose(Sp, f2, h, pair)
         scale = max(abs(total), 1e-300)
         dev = abs(i1 + i2 - total) / scale
         worst = max(worst, dev)

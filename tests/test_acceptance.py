@@ -15,7 +15,7 @@ from weaksparse.cli import main as cli_main
 from weaksparse.dyadic import GridConfig, all_cubes, cube
 from weaksparse.exponents import region_map
 from weaksparse.families import WeightFamilySpec, power_weight
-from weaksparse.measure import ExponentTuple, Weight, dual_weight, joint_weight
+from weaksparse.measure import ExponentTuple, Weight, dual_weight
 from weaksparse.serialize import save_grid_function, save_sparse_family
 from weaksparse.sparse import generate_sparse, restrict, tower_family, verify_sparse
 from weaksparse.stopping import (
@@ -161,7 +161,7 @@ def test_acceptance_07_stopping_machinery():
         w = _random_weight(rng, cfg)
         p = float(rng.uniform(1.2, 4.0))
         fam = build_stopping(S, f, w)
-        rep = carleson_checks(fam, f, w, p)
+        rep = carleson_checks(fam, p)
         if not (rep.child_mass_ok and rep.passed):
             failures += 1
         for q in S.cubes:
@@ -192,9 +192,7 @@ def test_acceptance_08_two_family_partition():
             Sp,
             _random_nonneg(rng, cfg),
             _random_nonneg(rng, cfg),
-            dual_weight(w2, P.p2),
-            joint_weight(w1, w2, P),
-            dual_weight(w1, P.p1),
+            pair_weights(w1, w2, P),
         )
         worst = max(worst, abs(i1 + i2 - total) / max(abs(total), 1e-300))
         done += 1

@@ -408,7 +408,7 @@ def _check_stopping(S, f, w):
     assert fam.maximal == want["maximal"]
     assert fam.wavg == want["wavg"]
     for p in (1.3, 2.5):
-        assert stopping.carleson_checks(fam, f, w, p) == _carleson_oracle(fam, f, w, p)
+        assert stopping.carleson_checks(fam, p) == _carleson_oracle(fam, f, w, p)
     for q in all_cubes(S.config):  # family cubes, cubes outside, and the error case
         assert _outcome(stopping_parent, fam, q) == _outcome(
             _stopping_parent_oracle, want["members"], q
@@ -427,15 +427,11 @@ def _check_at(rng, S, qt):
     for fam in (Sp, _unverified(rng, Sp)):
         P = random_exponents(rng)
         w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
-        args = (
-            fam,
-            random_function(rng, cfg),
-            random_function(rng, cfg),
-            dual_weight(w2, P.p2),
-            joint_weight(w1, w2, P),
-            dual_weight(w1, P.p1),
+        pair = pair_weights(w1, w2, P)
+        f2, h = random_function(rng, cfg), random_function(rng, cfg)
+        assert bilinear_form_decompose(fam, f2, h, pair) == _bilinear_oracle(
+            fam, f2, h, pair.s2, pair.v, pair.s1
         )
-        assert bilinear_form_decompose(*args) == _bilinear_oracle(*args)
 
 
 def _check_family(rng, S):
@@ -484,8 +480,11 @@ def test_positions_match_cube_walks_on_arbitrary_cube_sets(rng, config):
             _bits(g) for g in _split_oracle(S, qt, f1, f2)
         ]
         s = Weight(config, np.ones(config.cell_count))
-        args = (S, f1, random_function(rng, config), s, s, s)
-        assert _outcome(bilinear_form_decompose, *args) == _outcome(_bilinear_oracle, *args)
+        pair = pair_weights(s, s, ExponentTuple(2.0, 3.0))
+        args = (S, f1, random_function(rng, config))
+        assert _outcome(bilinear_form_decompose, *args, pair) == _outcome(
+            _bilinear_oracle, *args, pair.s2, pair.v, pair.s1
+        )
 
 
 def test_errors_and_their_precedence_match_the_oracles():
@@ -502,13 +501,14 @@ def test_errors_and_their_precedence_match_the_oracles():
         got = _outcome(build_stopping, *args)
         assert got == _outcome(_build_stopping_oracle, *args)
         assert got[0] == "raised"
-    for args in [
-        (S, neg, neg, one, wrong, one),  # grid before roots and sign
-        (S, neg, neg, one, one, one),  # roots before sign
-        (restrict(S, cube(1, 0)), one, neg, one, one, one),
+    P = ExponentTuple(2.0, 3.0)
+    for args, pair in [
+        ((S, neg, neg), pair_weights(wrong, wrong, P)),  # grid before roots and sign
+        ((S, neg, neg), pair_weights(one, one, P)),  # roots before sign
+        ((restrict(S, cube(1, 0)), one, neg), pair_weights(one, one, P)),
     ]:
-        got = _outcome(bilinear_form_decompose, *args)
-        assert got == _outcome(_bilinear_oracle, *args)
+        got = _outcome(bilinear_form_decompose, *args, pair)
+        assert got == _outcome(_bilinear_oracle, *args, pair.s2, pair.v, pair.s1)
         assert got[0] == "raised"
     for args in [
         (S, cube(5, 0), one, wrong),  # grid before the cube check
@@ -547,12 +547,13 @@ def test_no_relation_or_parent_call_on_family_cubes(monkeypatch, rng):
     S = generate_sparse(cfg, 3, 0.3)
     f, w = random_function(rng, cfg), random_weight(rng, cfg)
     fam = build_stopping(S, f, w)
-    stopping.carleson_checks(fam, f, w, 2.0)
+    stopping.carleson_checks(fam, 2.0)
+    pair = pair_weights(w, w, ExponentTuple(2.0, 3.0))
     for q in S.cubes:
         stopping_parent(fam, q)
         Sp = restrict(S, q)
         sparse_split_eval(S, q, f, f.restricted(q))
-        bilinear_form_decompose(Sp, f, f, w, w, w)
+        bilinear_form_decompose(Sp, f, f, pair)
     assert calls == []
     outside = next(q for q in all_cubes(cfg) if q not in S)
     stopping_parent(fam, outside)  # the counter sees the climb of a cube outside
@@ -813,6 +814,51 @@ def test_default_suite_pools_each_weight_once(monkeypatch):
     assert verify.run_suite("all")["passed"]
     assert counts["level_averages"] <= 545 and counts["ainfty_constant"] <= 49
     assert counts["apvec_constant"] <= 187 and counts["pair_weights"] <= 254
+
+
+_POOLING = {"cube_sums": dyadic_module, "SparseFamily": sparse}
+
+
+def test_build_stopping_keeps_its_data_and_w_sums(rng):
+    for config in (GridConfig(1, 6), GridConfig(2, 3)):
+        S = generate_sparse(config, 1, 0.3)
+        f, w = random_function(rng, config), random_weight(rng, config)
+        fam = build_stopping(S, f, w)
+        assert fam.f is f and fam.w is w
+        assert list(fam.wsum) == list(S.cubes)
+        assert np.array(list(fam.wsum.values())).tobytes() == S.sums(w).tobytes()
+
+
+def test_carleson_checks_pools_nothing(monkeypatch, rng):
+    """The members' averages and w-sums are the stopping family's own."""
+    cfg = GridConfig(2, 4)
+    S = generate_sparse(cfg, 3, 0.3)
+    fam = build_stopping(S, random_function(rng, cfg), random_weight(rng, cfg))
+    counts = _count_calls(monkeypatch, _POOLING)
+    for p in (1.3, 2.5):
+        stopping.carleson_checks(fam, p)
+    assert counts == {"cube_sums": 0, "SparseFamily": 0}
+
+
+def test_bilinear_decomposition_pools_five_times(monkeypatch, rng):
+    """Each stopping family pools its weight and f times it; lambda_Q reads
+    their w-sums and pools s1 alone."""
+    cfg = GridConfig(2, 4)
+    S = generate_sparse(cfg, 3, 0.3)
+    Sp = restrict(S, S.cubes[0])
+    pair = pair_weights(random_weight(rng, cfg), random_weight(rng, cfg), ExponentTuple(2.0, 3.0))
+    f2, h = random_function(rng, cfg), random_function(rng, cfg)
+    counts = _count_calls(monkeypatch, _POOLING)
+    bilinear_form_decompose(Sp, f2, h, pair)
+    assert counts == {"cube_sums": 5, "SparseFamily": 0}
+
+
+def test_default_suite_pools_each_stopping_family_once(monkeypatch):
+    """2,165 cube_sums calls and 666 SparseFamily constructions when the
+    Carleson checks and the decomposition pooled again."""
+    counts = _count_calls(monkeypatch, _POOLING)
+    assert verify.run_suite("all")["passed"]
+    assert counts["cube_sums"] <= 1565 and counts["SparseFamily"] <= 466
 
 
 def test_slope_run_derives_each_family_point_once(monkeypatch):

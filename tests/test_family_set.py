@@ -20,7 +20,7 @@ from weaksparse import testing_conditions as wtc  # a bare testing_sweep is coll
 from weaksparse.constants import pair_weights
 from weaksparse.dyadic import GridConfig, all_cubes, cube, cube_sums
 from weaksparse.experiment import _pair_sweep
-from weaksparse.measure import indicator
+from weaksparse.measure import ExponentTuple, indicator
 from weaksparse.serialize import load_sparse_family, save_sparse_family
 from weaksparse.sparse import (
     SparseFamily,
@@ -184,7 +184,7 @@ def test_a_family_paints_once(monkeypatch, rng):
     Sp = family_from_cubes(cfg, sub)
     build_stopping(Sp, f, w)
     sparse_eval(Sp, f, f)
-    bilinear_form_decompose(Sp, f, f, w, w, w)
+    bilinear_form_decompose(Sp, f, f, pair_weights(w, w, ExponentTuple(2.0, 3.0)))
     assert [id(x) for x in painted] == [id(S), id(Sp)]
 
 

@@ -23,7 +23,7 @@ from weaksparse.measure import (
     weighted_measure,
 )
 from weaksparse.sparse import SparseFamily, sparse_eval, sparse_split_eval, tower_family
-from weaksparse.stopping import bilinear_form_decompose, build_stopping, carleson_checks
+from weaksparse.stopping import bilinear_form_decompose, build_stopping
 from weaksparse.testing_conditions import (
     _slot_sums,
     local_sigma_testing_ratio,
@@ -312,7 +312,7 @@ def _grid_check_sites():
     arguments' grids with measure._same_grid.
 
     make(cfg) gives arguments on cfg that would fail every later check of
-    the function too (a negative f, a cube of the other dimension, p < 1, a
+    the function too (a negative f, a cube of the other dimension, a
     vanishing test function, two maximal cubes), so the grid mismatch must
     be raised before any other error.
     """
@@ -345,13 +345,9 @@ def _grid_check_sites():
         S, w, neg, _ = fns(cfg)
         return [S, neg, w]
 
-    def carleson(cfg):
-        S, w, neg, _ = fns(cfg)
-        return [build_stopping(S, abs(neg), w), neg, w, 0.5]
-
     def bilinear(cfg):
         _, w, neg, _ = fns(cfg)
-        return [two_tops(cfg), neg, neg, w, w, w]
+        return [two_tops(cfg), neg, neg, pair_weights(w, w, P)]
 
     def slot_sums(cfg):
         S, w, _, _ = fns(cfg)
@@ -375,8 +371,7 @@ def _grid_check_sites():
         ("sparse_eval", sparse_eval, image, (0, 1, 2)),
         ("sparse_split_eval", sparse_split_eval, split, (0, 2, 3)),
         ("build_stopping", build_stopping, stop, (0, 1, 2)),
-        ("carleson_checks", carleson_checks, carleson, (0, 1, 2)),
-        ("bilinear_form_decompose", bilinear_form_decompose, bilinear, range(6)),
+        ("bilinear_form_decompose", bilinear_form_decompose, bilinear, range(4)),
         ("_slot_sums", paired(_slot_sums), slot_sums, (0, 1, 2)),
         (
             "local_sigma_testing_ratio",

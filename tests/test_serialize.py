@@ -161,6 +161,30 @@ def test_numbers_load_alike_in_every_json_encoding(tmp_path, rng, encoding):
     assert load_weight(path).values.tobytes() == w.values.tobytes()
 
 
+def test_undecodable_file_is_one_value_error_naming_its_path(tmp_path, capsys, rng):
+    """A file that is not UTF-8, -16 or -32 text fails in the loaders and in
+    the CLI with one line that starts with its path, as every loader error."""
+    path = tmp_path / "bad.json"
+    raw = b'{"dimension": 1, "finest_level": 1, "values": [\xff]}'
+    path.write_bytes(raw)
+    message = f"{path}: invalid utf-8 text at byte offset {raw.index(0xFF)}: invalid start byte"
+    for load in (load_grid_function, load_weight, lambda p: load_sparse_family(p, CFG)):
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert type(info.value) is ValueError and str(info.value) == message
+    f = tmp_path / "f.json"
+    save_grid_function(random_weight(rng, CFG), f)
+    for argv in (
+        ["constants", "--weights", f"{path},{f}", "--p1", "2", "--p2", "3"],
+        ["sparse-eval", "--family", str(path), "--f1", str(f), "--f2", str(f),
+         "--out", str(tmp_path / "out.json")],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"weaksparse: error: {message}\n"
+
+
 def test_weight_file_is_not_held_as_bytes_beside_its_text(tmp_path, rng):
     """The traced peak of loading a 1D K = 16 weight stays under the text,
     the parsed list of floats and one more cell array, so the file's bytes

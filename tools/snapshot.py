@@ -60,6 +60,16 @@ ERRORS = (
         ["constants", "--weights", "inputs/malformed.json,inputs/line.json",
          "--p1", "2", "--p2", "3"],
     ),
+    (
+        "constants_undecodable",
+        ["constants", "--weights", "inputs/undecodable.json,inputs/line.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
+        "sparse_eval_undecodable",
+        ["sparse-eval", "--family", "inputs/undecodable.json", "--f1", "inputs/f1.json",
+         "--f2", "inputs/f2.json", "--out", "inputs/unwritten.json"],
+    ),
     ("verify_negative_seed", ["verify", "--seed", "-1"]),
     (
         "slope_negative_seed",
@@ -130,12 +140,14 @@ def _write_inputs(d: Path) -> None:
         values = rng.uniform(0.0, 2.0, plane.cell_count)
         save_grid_function(GridFunction(plane, values), d / f"{name}.json")
     save_sparse_family(generate_sparse(plane, 3, 0.02), d / "family.json")
-    # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a cut-off file
+    # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a cut-off
+    # file and one that is not UTF-8, -16 or -32 text
     huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
     save_grid_function(huge, d / "huge.json")
     for name, cfg in (("line", GridConfig(1, 4)), ("plane", GridConfig(2, 2))):
         save_grid_function(Weight(cfg, rng.uniform(0.5, 2.0, 16)), d / f"{name}.json")
     (d / "malformed.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [1.0,')
+    (d / "undecodable.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [\xff]}')
 
 
 def main(argv=None) -> int:
