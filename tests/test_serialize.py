@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_weight
 from weaksparse.cli import main
 from weaksparse.dyadic import GridConfig
-from weaksparse.exponents import region_map
+from weaksparse.exponents import REGION_COLUMNS, region_map
 from weaksparse.experiment import ExperimentRow
 from weaksparse.measure import GridFunction
 from weaksparse.serialize import (
@@ -22,7 +26,7 @@ from weaksparse.serialize import (
     save_sparse_family,
     write_region_csv,
 )
-from weaksparse.sparse import generate_sparse
+from weaksparse.sparse import generate_sparse, sparse_eval
 
 CFG = GridConfig(1, 5)
 
@@ -31,6 +35,54 @@ def _json_dump_bytes(doc):
     buf = io.StringIO()
     json.dump(doc, buf)
     return (buf.getvalue() + "\n").encode("utf-8")
+
+
+def _bit_patterns(rng, count, exponents=(0, 2047)):
+    """count doubles with random sign and mantissa bits and a biased exponent
+    drawn from range(*exponents); the default draws from every exponent, and
+    the inf and nan patterns it can draw are replaced by 1.5."""
+    sign = rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(*exponents, count).astype(np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 2**52, count, dtype=np.uint64)
+    values = (sign | exponent | mantissa).view(np.float64)
+    return np.where(np.isfinite(values), values, 1.5)
+
+
+def _special_values():
+    """Where shortest digits or their exponent form are likeliest to differ:
+    every power of two and its neighbours, subnormals, signed zeros, integral
+    values past 2^53, and the neighbours of 1e-4 and 1e16, where repr turns
+    to scientific notation (and of 1e-5, 1e15, 1e-7 and 1e22)."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    steps = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]
+    subnormals = np.ldexp(np.arange(1.0, 4097.0), -1074)
+    largest_subnormal = np.nextafter(2.2250738585072014e-308, 0.0)
+    integral = [
+        2.0**53 + 2.0 * np.arange(-64, 64),
+        2.0 ** np.arange(53, 70) * 3,
+        10.0 ** np.arange(15, 23),
+        [9007199254740993.0, 1e16 - 2.0],
+    ]
+    edges = []
+    for edge in (1e-4, 1e16, 1e-5, 1e15, 1e-7, 1e22):
+        below = above = edge
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges.append(edge)
+    values = np.concatenate(
+        [*steps, subnormals, largest_subnormal - subnormals, *integral, edges, [0.0]]
+    )
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+def _assert_saved_as_json_dump(tmp_path, cfg, values):
+    f = GridFunction(cfg, np.resize(values, cfg.cell_count))
+    save_grid_function(f, tmp_path / "f.json")
+    doc = {"dimension": cfg.dimension, "finest_level": cfg.finest_level}
+    doc["values"] = f.values.tolist()
+    assert (tmp_path / "f.json").read_bytes() == _json_dump_bytes(doc)
 
 
 def test_saved_bytes_equal_json_dump_output(tmp_path, rng):
@@ -44,6 +96,64 @@ def test_saved_bytes_equal_json_dump_output(tmp_path, rng):
     save_sparse_family(fam, tmp_path / "s.json")
     doc = [{"level": q.level, "coords": list(q.coords)} for q in fam.cubes]
     assert (tmp_path / "s.json").read_bytes() == _json_dump_bytes(doc)
+    # the oracle sweep: 2^20 random patterns over every exponent, 2^18 over
+    # the exponents orjson renders (1e-4 <= |x| < 1e16), the special values
+    # on a 1D and a 2D grid, and grids with no and with only scientific values
+    _assert_saved_as_json_dump(tmp_path, GridConfig(1, 20), _bit_patterns(rng, 2**20))
+    band = _bit_patterns(rng, 2**18, exponents=(1023 - 14, 1023 + 54))
+    band_size = np.abs(band)
+    band = band[(band_size >= 1e-4) & (band_size < 1e16)]
+    _assert_saved_as_json_dump(tmp_path, GridConfig(1, 18), band)
+    special = _special_values()
+    assert special.size <= 2**15
+    _assert_saved_as_json_dump(tmp_path, GridConfig(1, 15), special)
+    _assert_saved_as_json_dump(tmp_path, GridConfig(2, 8), special)
+    _assert_saved_as_json_dump(tmp_path, GridConfig(2, 4), rng.uniform(0.5, 2.0, 256))
+    size = np.abs(special)
+    scientific = special[(size < 1e-4) | (size >= 1e16)]
+    _assert_saved_as_json_dump(tmp_path, GridConfig(1, 15), scientific)
+
+
+def test_sparse_eval_output_bytes_equal_json_dump_output(tmp_path, capsys, rng):
+    cfg = GridConfig(2, 4)
+    paths = {name: tmp_path / f"{name}.json" for name in ("f1", "f2", "family", "out")}
+    functions = []
+    for name in ("f1", "f2"):
+        f = GridFunction(cfg, 10.0 ** rng.uniform(2.0, 9.0, cfg.cell_count))
+        save_grid_function(f, paths[name])
+        functions.append(f)
+    fam = generate_sparse(cfg, seed=6, budget=0.3)
+    save_sparse_family(fam, paths["family"])
+    argv = ["sparse-eval", "--out", str(paths["out"])]
+    for name in ("family", "f1", "f2"):
+        argv += [f"--{name}", str(paths[name])]
+    assert main(argv) == 0 and capsys.readouterr().out == ""
+    image = sparse_eval(fam, *functions)
+    assert 0 < np.count_nonzero(image.values >= 1e16) < cfg.cell_count  # both exponent forms
+    doc = {"dimension": 2, "finest_level": 4, "values": image.values.tolist()}
+    assert paths["out"].read_bytes() == _json_dump_bytes(doc)
+
+
+def test_start_up_command_does_not_import_orjson():
+    """The grid writer imports orjson on its first call, so a command that
+    writes no grid function does not pay for the import."""
+    code = (
+        "import sys\n"
+        "from weaksparse.cli import main\n"
+        "main(['exponents', '--p1', '2', '--p2', '3'])\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    import weaksparse
+
+    src = os.path.dirname(os.path.dirname(weaksparse.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_grid_function_roundtrip_bit_exact(tmp_path, rng):
@@ -310,3 +420,35 @@ def test_experiment_csv_header_and_precision():
     assert lines[0] == "delta,apvec,weak,strong,ratio_weak,ratio_strong"
     assert lines[1].split(",")[1] == "0.33333333333333331"
     assert text.endswith("\n")
+
+
+def _fmt(x) -> str:
+    """The former per-cell CSV formatter, kept as the oracle."""
+    return format(float(x), ".17g")
+
+
+def _csv_oracle(names, columns) -> str:
+    lines = [",".join(names)]
+    for row in zip(*columns):
+        cells = [("true" if x else "false") if type(x) is np.bool_ else _fmt(x) for x in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_region_csv_equals_per_cell_formatting():
+    for resolution in range(2, 61):
+        table = region_map(resolution)
+        columns = [getattr(table, name) for name in REGION_COLUMNS]
+        assert region_csv_text(table) == _csv_oracle(REGION_COLUMNS, columns), resolution
+
+
+def test_experiment_csv_equals_per_cell_formatting():
+    extremes = [5e-324, 1e308, -2.5, 3.0, 1 / 3, 0.1, -0.0, 2.0**60]
+    rows = [
+        ExperimentRow(*(extremes[(i + k) % len(extremes)] for k in range(6)))
+        for i in range(len(extremes))
+    ]
+    names = [f.name for f in fields(ExperimentRow)]
+    columns = [[getattr(r, name) for r in rows] for name in names]
+    assert experiment_csv_text(rows) == _csv_oracle(names, columns)
+    assert experiment_csv_text([]) == ",".join(names) + "\n"

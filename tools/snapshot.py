@@ -6,9 +6,10 @@ Usage, from the root of a checkout:
 
 Runs the CLI and the demos of this checkout (its src/ on PYTHONPATH) on
 fixed inputs and writes their stdout and result files under DIR.  The
-inputs come from numpy's default_rng and one fixed-seed generate_sparse
-family, so two checkouts give byte-identical directories exactly when
-their outputs agree; compare them with `diff -r DIR1 DIR2`.  Commands that
+inputs come from numpy's default_rng, one fixed-seed generate_sparse
+family and a grid of the grid writer's edge values, so two checkouts give
+byte-identical directories exactly when their outputs agree; compare them
+with `diff -r DIR1 DIR2`.  Commands that
 fail on purpose (ERRORS) leave their error line and exit code in a .err
 file; they name their inputs by paths relative to DIR, so the messages do
 not depend on where DIR is.  Takes about half a minute and a few hundred
@@ -140,6 +141,20 @@ def _write_inputs(d: Path) -> None:
         values = rng.uniform(0.0, 2.0, plane.cell_count)
         save_grid_function(GridFunction(plane, values), d / f"{name}.json")
     save_sparse_family(generate_sparse(plane, 3, 0.02), d / "family.json")
+    # the grid writer's edge cases: every power of two and its neighbours,
+    # subnormals, signed zeros, integral values past 2^53 and the neighbours
+    # of 1e-4 and 1e16, where repr turns to scientific notation
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    edge = np.concatenate([
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        np.ldexp(np.arange(1.0, 65.0), -1074), [0.0, 2.2250738585072009e-308],
+        2.0**53 + 2.0 * np.arange(-8, 8),
+        np.nextafter([1e-4, 1e16], 0.0), [1e-4, 1e16], np.nextafter([1e-4, 1e16], np.inf),
+    ])
+    edge = edge[np.isfinite(edge)]
+    line = GridConfig(1, 14)
+    edge = np.resize(np.concatenate([edge, -edge]), line.cell_count)
+    save_grid_function(GridFunction(line, edge), d / "edge.json")
     # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a cut-off
     # file and one that is not UTF-8, -16 or -32 text
     huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
