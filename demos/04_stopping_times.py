@@ -32,8 +32,8 @@ f = GridFunction(cfg, [4.0, 1.0, 1.0, 1.0])
 w = Weight(cfg, np.ones(4))
 fam = build_stopping(S, f, w)
 print("spike (4,1,1,1) over the full tree:")
-for m in sorted(fam.members, key=lambda q: q.level):
-    print(f"  generation {fam.generation[m]}: {m} with average {fam.wavg[m]:.3f}")
+for j in fam.members:  # positions in S, coarse to fine
+    print(f"  generation {fam.generation[j]}: {S.cubes[j]} with average {fam.wavg[j]:.3f}")
 print(f"  stopping parent of [1/2,1) is {stopping_parent(fam, cube(1, 1))}")
 
 # a singular profile over the tower produces a deep chain of generations
@@ -45,10 +45,10 @@ S = tower_family(cfg)
 f = GridFunction(cfg, power_weight(-0.9, cfg).values)  # integrable spike at 0
 w = Weight(cfg, np.exp(rng.uniform(-1.0, 1.0, cfg.cell_count)))
 fam = build_stopping(S, f, w)
-gens = max(fam.generation.values()) + 1
+gens = fam.generation.max() + 1
 print(f"\nsingular profile over the tower: {len(fam.members)} members in {gens} generations")
-for m in sorted(fam.members, key=lambda q: q.level):
-    print(f"  generation {fam.generation[m]} at level {m.level}: average {fam.wavg[m]:9.2f}")
+for j in fam.members:
+    print(f"  generation {fam.generation[j]} at level {S.levels[j]}: average {fam.wavg[j]:9.2f}")
 rep = carleson_checks(fam, p=2.5)
 print(f"  generation mass bound holds: {rep.child_mass_ok}")
 print(f"  aggregate sum {rep.sum_value:.4f} <= bound {rep.bound_value:.4f}: {rep.passed}")

@@ -156,15 +156,20 @@ def cube_index(q: DyadicCube) -> int:
     return index
 
 
-def cube_from_index(level: int, index: int, dimension: int) -> DyadicCube:
-    """Inverse of cube_index.  The leading coordinate is left unmasked, so an
-    index out of range fails DyadicCube's check instead of wrapping."""
+def index_coords(level, index, dimension: int) -> tuple:
+    """The coordinates whose cube_index at `level` is `index`, the leading one
+    unmasked; levels and indices may be integers or numpy arrays of them."""
     mask = (1 << level) - 1
     trailing = []
     for _ in range(dimension - 1):
         trailing.append(index & mask)
-        index >>= level
-    return DyadicCube(level, (index, *reversed(trailing)))
+        index = index >> level
+    return (index, *reversed(trailing))
+
+
+def cube_from_index(level: int, index: int, dimension: int) -> DyadicCube:
+    """Inverse of cube_index; an index out of range fails DyadicCube's check."""
+    return DyadicCube(level, index_coords(level, index, dimension))
 
 
 def check_cube(q: DyadicCube, config: GridConfig) -> None:

@@ -7,59 +7,50 @@ whose w-average of f strictly more than doubles the average on F.  On a
 finite grid the recursion terminates because averages strictly increase
 along chains and levels strictly increase with each generation.
 
-The recursion is one pass over the family cubes in the enumeration order
-they are held in, where every cube comes after the cubes containing it.
-Each cube's minimal strict ancestor comes from sparse.family_forest and
-its average from SparseFamily.sums; the cube is selected when it is
-maximal or when its average strictly more than doubles that of its
-ancestor's stopping parent, and otherwise inherits that stopping parent.
-So no family cube is walked through parent or relation; only
-stopping_parent of a cube outside the family climbs with parent to the
-nearest family cube.
+The recursion is one pass over the family's positions, where every cube
+comes after the cubes containing it: a cube is selected when it is
+maximal (sparse.family_forest) or when its average strictly more than
+doubles that of its minimal strict ancestor's stopping parent, and
+otherwise inherits that stopping parent.  A member's stopping children,
+the members whose ancestor has it as stopping parent, are derived where
+they are read.  Only stopping_parent, which takes a cube and climbs with
+parent to the family, builds cubes.
 
 The strict doubling threshold 2 is hard-coded.  Two consequences are
 checked downstream: each generation loses at least half the w-mass of
 its parent, and summing (average)^p w(F) over the family is controlled
 by the L^p(w) norm of f through the Carleson embedding with the dyadic
 Doob maximal bound, giving the pinned test constant 2 (p')^p.
-
-A StoppingFamily keeps each cube's average and w-sum and its f and w,
-so carleson_checks and bilinear_form_decompose read them, not pool again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import WeightPair
-from .dyadic import DyadicCube, GridConfig, parent
+from .dyadic import DyadicCube, check_cube, parent
 from .measure import GridFunction, Weight, _same_grid, lp_norm
 from .sparse import SparseFamily, family_forest
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, repr=False)
 class StoppingFamily:
-    """Selected cubes with generations, stopping children, and cached sums.
+    """Read-only arrays over the positions of family: each cube's
+    generation (-1 off the members), the position top of its stopping
+    parent (the minimal member containing it), the w-average wavg of f and
+    the w-sum wsum; members holds the members' positions.  f and w are the
+    data it was built from."""
 
-    generation and children are keyed by the members (the selected cubes),
-    in enumeration order; children[F] lists the next generation inside F.
-    wavg, wsum and top are keyed by every family cube q: the w-average of
-    f on q, the w-sum over q's cells and q's stopping parent, the minimal
-    member containing q.  f and w are the data it was built from.
-    """
-
-    config: GridConfig
-    members: frozenset[DyadicCube]
-    generation: dict[DyadicCube, int]
-    children: dict[DyadicCube, tuple[DyadicCube, ...]]
-    maximal: tuple[DyadicCube, ...]
-    wavg: dict[DyadicCube, float] = field(repr=False)
-    wsum: dict[DyadicCube, float] = field(repr=False)
-    top: dict[DyadicCube, DyadicCube] = field(repr=False)
-    f: GridFunction = field(repr=False, compare=False)
-    w: Weight = field(repr=False, compare=False)
+    family: SparseFamily
+    members: np.ndarray
+    generation: np.ndarray
+    top: np.ndarray
+    wavg: np.ndarray
+    wsum: np.ndarray
+    f: GridFunction
+    w: Weight
 
 
 def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamily:
@@ -69,49 +60,33 @@ def build_stopping(S: SparseFamily, f: GridFunction, w: Weight) -> StoppingFamil
     _same_grid(S, f, w)
     if float(f.values.min()) < 0.0:
         raise ValueError("stopping construction requires nonnegative f")
-    cubes, up = S.cubes, family_forest(S)
-    wsum = S.sums(w)
-    avg = (S.sums(f * w) / wsum).tolist()
-    n = len(cubes)
-    top = list(range(n))
-    generation: dict[DyadicCube, int] = {}
-    children: dict[DyadicCube, list[DyadicCube]] = {}
-    for j, u in enumerate(up.tolist()):  # u < j, so top[u] is already final
-        q = cubes[j]
-        if u == n:
-            generation[q] = 0
-        elif avg[j] > 2.0 * avg[top[u]]:
-            F = cubes[top[u]]
-            generation[q] = generation[F] + 1
-            children[F].append(q)
+    n, wsum = len(S), S.sums(w)
+    avg = S.sums(f * w) / wsum
+    a = avg.tolist()
+    # slot n is "no ancestor", the up of a maximal cube: its own top, generation -1
+    top, generation = list(range(n + 1)), [-1] * (n + 1)
+    for j, u in enumerate(family_forest(S).tolist()):  # u < j, so top[u] is final
+        t = top[u]
+        if t == n or a[j] > 2.0 * a[t]:
+            generation[j] = generation[t] + 1
         else:
-            top[j] = top[u]
-            continue
-        children[q] = []
-    return StoppingFamily(
-        config=S.config,
-        members=frozenset(generation),
-        generation=generation,
-        children={F: tuple(kids) for F, kids in children.items()},
-        maximal=tuple(q for q, g in generation.items() if g == 0),
-        wavg=dict(zip(cubes, avg)),
-        wsum=dict(zip(cubes, wsum.tolist())),
-        top={q: cubes[t] for q, t in zip(cubes, top)},
-        f=f,
-        w=w,
-    )
+            top[j] = t
+    generation, top = np.array(generation[:n]), np.array(top[:n])
+    members = np.flatnonzero(generation >= 0)
+    for a in (members, generation, top, avg, wsum):
+        a.flags.writeable = False
+    return StoppingFamily(S, members, generation, top, avg, wsum, f, w)
 
 
 def stopping_parent(F: StoppingFamily, q: DyadicCube) -> DyadicCube:
     """Minimal family member containing q (q itself when q is a member)."""
-    a = q
-    while True:
-        if a in F.top:
-            return F.top[a]
-        if a.level == 0:
-            break
-        a = parent(a)
-    raise ValueError("cube is not contained in any maximal cube of the family")
+    S = F.family
+    check_cube(q, S.config)
+    while (j := S.position(q)) < 0:
+        if q.level == 0:
+            raise ValueError("cube is not contained in any maximal cube of the family")
+        q = parent(q)
+    return S.cube_at(F.top[j])
 
 
 @dataclass(frozen=True)
@@ -128,19 +103,19 @@ def carleson_checks(F: StoppingFamily, p: float) -> CarlesonReport:
     child_mass_ok: for every member, the next generation inside it carries
     at most half its w-mass (exact consequence of strict doubling with
     f >= 0).  passed: sum of (w-average)^p * w(F) over members is at most
-    2 (p')^p ||f||_{L^p(w)}^p.  Reads F's averages, w-sums, f and w.
+    2 (p')^p ||f||_{L^p(w)}^p.  Reads F's averages, w-sums, f and w, and
+    sums each member's children in key order.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
-    volume = F.config.cell_volume
-    mass = {q: F.wsum[q] * volume for q in F.generation}  # enumeration order
-    child_mass_ok = True
-    for member, m in mass.items():
-        kids = F.children.get(member, ())
-        if kids and sum(mass[c] for c in kids) > m / 2.0:
-            child_mass_ok = False
-            break
-    sum_value = sum(F.wavg[q] ** p * m for q, m in mass.items())
+    mass = (F.wsum * F.family.config.cell_volume).tolist()
+    later = np.flatnonzero(F.generation > 0)  # the members that are someone's child
+    kids: dict[int, list[float]] = {}
+    for c, parent_member in zip(later.tolist(), F.top[family_forest(F.family)[later]].tolist()):
+        kids.setdefault(parent_member, []).append(mass[c])
+    child_mass_ok = all(sum(k) <= mass[m] / 2.0 for m, k in kids.items())
+    members = zip(F.members.tolist(), F.wavg[F.members].tolist())
+    sum_value = sum(a**p * mass[q] for q, a in members)
     pc = p / (p - 1.0)
     bound_value = 2.0 * pc**p * lp_norm(F.f, F.w, p) ** p
     return CarlesonReport(
@@ -160,7 +135,8 @@ def bilinear_form_decompose(
     parents (F2, H): terms with H inside F2 (equality included) land in
     I1, the rest in I2, so the two parts partition the sum exactly.  Both
     parents contain the term's cube, so they are nested, and H lies
-    inside F2 exactly when it is not coarser.
+    inside F2 exactly when it is not coarser.  Each part is a sequential
+    sum in key order.
     """
     cfg = _same_grid(Sprime, f2, h, pair)
     up = family_forest(Sprime)
@@ -170,13 +146,14 @@ def bilinear_form_decompose(
         raise ValueError("decomposition requires nonnegative f2 and h")
     fam2 = build_stopping(Sprime, f2, pair.s2)
     famh = build_stopping(Sprime, h, pair.v)
-    s1 = (Sprime.sums(pair.s1) / Sprime.cells).tolist()
+    cells = Sprime.cells
+    lam = Sprime.sums(pair.s1) / cells * (fam2.wsum / cells) * (famh.wsum * cfg.cell_volume)
+    terms = (fam2.wavg * famh.wavg * lam).tolist()
+    inner = (Sprime.levels[famh.top] >= Sprime.levels[fam2.top]).tolist()
     i1 = i2 = total = 0.0
-    for q, a1, n in zip(Sprime.cubes, s1, Sprime.cells.tolist()):
-        lam_q = a1 * (fam2.wsum[q] / n) * (famh.wsum[q] * cfg.cell_volume)
-        term = fam2.wavg[q] * famh.wavg[q] * lam_q
+    for term, h_inside in zip(terms, inner):
         total += term
-        if famh.top[q].level >= fam2.top[q].level:
+        if h_inside:
             i1 += term
         else:
             i2 += term

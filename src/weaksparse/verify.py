@@ -65,6 +65,18 @@ def _random_family(rng, cfg) -> ws.SparseFamily:
     return ws.generate_sparse(cfg, seed, budget)
 
 
+def _random_families(rng, count, top_1d):
+    """count nonempty random families, four in five on a 1D grid with K in
+    [2, top_1d), the others on a 2D grid with K in [2, 5)."""
+    while count:
+        dim = 1 if rng.random() < 0.8 else 2
+        K = int(rng.integers(2, top_1d)) if dim == 1 else int(rng.integers(2, 5))
+        S = _random_family(rng, wd.GridConfig(dim, K))
+        if len(S):
+            count -= 1
+            yield S
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -245,12 +257,9 @@ def check_sparse_generator(seed):
     failures = 0
     sizes = []
     for _ in range(25):
-        cfg = wd.GridConfig(
-            int(rng.integers(1, 3)), int(rng.integers(2, 7))
-        )
+        cfg = wd.GridConfig(int(rng.integers(1, 3)), int(rng.integers(2, 7)))
         fam = _random_family(rng, cfg)
-        ok, _ = ws.verify_sparse(fam.cubes, cfg)
-        if not ok:
+        if ws._first_thin_cube(fam) is not None:  # verify_sparse's verdict
             failures += 1
         sizes.append(len(fam))
     cfg6 = wd.GridConfig(1, 6)
@@ -258,27 +267,17 @@ def check_sparse_generator(seed):
     if ok or offender is None:
         failures += 1  # the full tree must be rejected
     tower = ws.tower_family(cfg6)
-    for q in tower.cubes:
-        expected = cfg6.cells_per_cube(q.level)
-        size = tower.witness[q].size
-        if q.level < cfg6.finest_level and 2 * size != expected:
-            failures += 1
-        if q.level == cfg6.finest_level and size != expected:
-            failures += 1
+    for q, cells in tower.witness.items():  # half of each cube, all of the finest
+        kept = cells.size * (2 if q.level < cfg6.finest_level else 1)
+        failures += kept != cfg6.cells_per_cube(q.level)
     return {"pass": failures == 0, "failures": failures, "sizes": sizes}
 
 
 def check_stopping_families(seed):
     rng = np.random.default_rng(seed)
     failures = 0
-    instances = 0
-    while instances < 200:
-        dim = 1 if rng.random() < 0.8 else 2
-        K = int(rng.integers(2, 10)) if dim == 1 else int(rng.integers(2, 5))
-        cfg = wd.GridConfig(dim, K)
-        S = _random_family(rng, cfg)
-        if len(S) == 0:
-            continue
+    for S in _random_families(rng, 200, 10):
+        cfg, K = S.config, S.config.finest_level
         f = _random_nonneg(rng, cfg)
         w = _random_weight(rng, cfg)
         p = float(rng.uniform(1.2, 4.0))
@@ -286,38 +285,24 @@ def check_stopping_families(seed):
         rep = wst.carleson_checks(fam, p)
         if not (rep.child_mass_ok and rep.passed):
             failures += 1
-        for member in fam.members:
-            for child in fam.children.get(member, ()):
-                if not fam.wavg[child] > 2.0 * fam.wavg[member]:
-                    failures += 1
-            if fam.generation[member] > K + 1:
-                failures += 1
-        for q in S.cubes:
-            pi = wst.stopping_parent(fam, q)
-            if fam.wavg[q] > 2.0 * fam.wavg[pi]:
-                failures += 1
-        instances += 1
-    return {"pass": failures == 0, "failures": failures, "instances": instances}
+        # a child's stopping parent is its ancestor's top; any cube's is its top
+        gen, top, avg = fam.generation, fam.top, fam.wavg
+        kids = np.flatnonzero(gen > 0)
+        parents = top[ws.family_forest(S)[kids]]
+        failures += int(np.count_nonzero(~(avg[kids] > 2.0 * avg[parents])))
+        failures += int(np.count_nonzero(gen > K + 1) + np.count_nonzero(avg > 2.0 * avg[top]))
+    return {"pass": failures == 0, "failures": failures, "instances": 200}
 
 
 def check_bilinear_decomposition(seed):
     rng = np.random.default_rng(seed)
     failures = 0
     worst = 0.0
-    done = 0
-    while done < 100:
-        dim = 1 if rng.random() < 0.8 else 2
-        K = int(rng.integers(2, 9)) if dim == 1 else int(rng.integers(2, 5))
-        cfg = wd.GridConfig(dim, K)
-        S = _random_family(rng, cfg)
-        if len(S) == 0:
-            continue
-        qt = S.cubes[int(rng.integers(0, len(S)))]
-        Sp = ws.restrict(S, qt)
+    for S in _random_families(rng, 100, 9):
+        cfg = S.config
+        Sp = ws.restrict(S, S.cube_at(int(rng.integers(0, len(S)))))
         P = _random_exponents(rng)
-        w1 = _random_weight(rng, cfg)
-        w2 = _random_weight(rng, cfg)
-        pair = wc.pair_weights(w1, w2, P)
+        pair = wc.pair_weights(_random_weight(rng, cfg), _random_weight(rng, cfg), P)
         f2 = _random_nonneg(rng, cfg)
         h = _random_nonneg(rng, cfg)
         i1, i2, total = wst.bilinear_form_decompose(Sp, f2, h, pair)
@@ -326,7 +311,6 @@ def check_bilinear_decomposition(seed):
         worst = max(worst, dev)
         if dev > 1e-12:
             failures += 1
-        done += 1
     return {"pass": failures == 0, "failures": failures, "max_partition_dev": worst}
 
 
@@ -532,14 +516,8 @@ SUITES["all"] = SUITES["dyadic"] + SUITES["lemmas"] + SUITES["stopping"] + (
 
 def _jsonable(value):
     """Fold numpy scalars/arrays into plain Python so reports serialize."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

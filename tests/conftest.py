@@ -3,6 +3,7 @@ import pytest
 
 from weaksparse.dyadic import GridConfig
 from weaksparse.measure import GridFunction
+from weaksparse.sparse import family_forest
 from weaksparse.verify import _random_exponents as random_exponents
 from weaksparse.verify import _random_nonneg
 from weaksparse.verify import _random_weight as random_weight
@@ -21,3 +22,21 @@ def random_function(rng, cfg, signed=False) -> GridFunction:
 
 CFG1 = GridConfig(1, 4)
 CFG2 = GridConfig(2, 3)
+
+
+def stopping_children(fam) -> dict[int, list[int]]:
+    """Each member's stopping children, as positions of its family in key
+    order: the later members whose minimal strict ancestor in the family
+    has that member as stopping parent."""
+    up = family_forest(fam.family)
+    members = fam.members.tolist()
+    kids = {m: [] for m in members}
+    for c in members:
+        if fam.generation[c] > 0:
+            kids[int(fam.top[up[c]])].append(c)
+    return kids
+
+
+def member_cubes(fam) -> frozenset:
+    """The members of a stopping family as cubes."""
+    return frozenset(fam.family.cube_at(j) for j in fam.members.tolist())

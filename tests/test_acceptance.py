@@ -164,8 +164,8 @@ def test_acceptance_07_stopping_machinery():
         rep = carleson_checks(fam, p)
         if not (rep.child_mass_ok and rep.passed):
             failures += 1
-        for q in S.cubes:
-            if fam.wavg[q] > 2.0 * fam.wavg[stopping_parent(fam, q)]:
+        for j, q in enumerate(S.cubes):
+            if fam.wavg[j] > 2.0 * fam.wavg[S.position(stopping_parent(fam, q))]:
                 failures += 1
         done += 1
     _report(7, failures == 0, f"200 instances, {failures} failures")

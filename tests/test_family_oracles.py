@@ -28,7 +28,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import _random_nonneg, random_exponents, random_function, random_weight
+from conftest import (
+    _random_nonneg,
+    member_cubes,
+    random_exponents,
+    random_function,
+    random_weight,
+    stopping_children,
+)
 from test_sparse import _atom_labels_oracle, _forest_oracle
 from weaksparse import constants as wc
 from weaksparse import dyadic as dyadic_module
@@ -162,15 +169,19 @@ def _stopping_parent_oracle(members, q):
 
 
 def _carleson_oracle(fam, f, w, p):
-    members = sorted(fam.members, key=_KEY)
-    avg = _weighted_averages(members, fam.config, f, w)
-    wsums = cube_sums(w.values, fam.config)
-    volume = fam.config.cell_volume
+    members = sorted(member_cubes(fam), key=_KEY)
+    cubes = fam.family.cubes
+    children = {
+        cubes[m]: [cubes[c] for c in kids] for m, kids in stopping_children(fam).items()
+    }
+    avg = _weighted_averages(members, fam.family.config, f, w)
+    wsums = cube_sums(w.values, fam.family.config)
+    volume = fam.family.config.cell_volume
     mass = {q: float(wsums[q.level][cube_index(q)] * volume) for q in members}
     child_mass_ok = all(
-        sum(mass[c] for c in fam.children[q]) <= mass[q] / 2.0
+        sum(mass[c] for c in children[q]) <= mass[q] / 2.0
         for q in members
-        if fam.children.get(q)
+        if children.get(q)
     )
     sum_value = sum(avg[q] ** p * mass[q] for q in members)
     bound_value = 2.0 * (p / (p - 1.0)) ** p * lp_norm(f, w, p) ** p
@@ -402,11 +413,16 @@ def _unverified(rng, S):
 def _check_stopping(S, f, w):
     fam = build_stopping(S, f, w)
     want = _build_stopping_oracle(S, f, w)
-    assert fam.members == want["members"]
-    assert fam.generation == want["generation"]
-    assert fam.children == want["children"]
-    assert fam.maximal == want["maximal"]
-    assert fam.wavg == want["wavg"]
+    cubes = S.cubes
+    assert member_cubes(fam) == want["members"]
+    assert fam.generation.tolist() == [want["generation"].get(q, -1) for q in cubes]
+    children = stopping_children(fam)
+    assert {cubes[m]: tuple(cubes[c] for c in kids) for m, kids in children.items()} == want[
+        "children"
+    ]
+    maximal = np.flatnonzero(fam.generation == 0).tolist()
+    assert tuple(cubes[j] for j in maximal) == want["maximal"]
+    assert fam.wavg.tolist() == [want["wavg"][q] for q in cubes]
     for p in (1.3, 2.5):
         assert stopping.carleson_checks(fam, p) == _carleson_oracle(fam, f, w, p)
     for q in all_cubes(S.config):  # family cubes, cubes outside, and the error case
@@ -575,7 +591,8 @@ def _eval_families(rng, config):
     S = generate_sparse(config, 3, 0.35)
     qt = S.cubes[int(rng.integers(0, len(S)))]
     yield restrict(S, qt)
-    yield from (SparseFamily(config, part) for part in sparse._nested_with(S.cubes, qt))
+    for part in sparse._nested_with(S, qt):
+        yield SparseFamily(config, [S.cubes[j] for j in np.flatnonzero(part)])
     yield _unverified(rng, S)
     pool = list(all_cubes(config))
     yield SparseFamily(config, tuple(pool[i] for i in rng.integers(0, len(pool), 9)))
@@ -816,7 +833,8 @@ def test_default_suite_pools_each_weight_once(monkeypatch):
     assert counts["apvec_constant"] <= 187 and counts["pair_weights"] <= 254
 
 
-_POOLING = {"cube_sums": dyadic_module, "SparseFamily": sparse}
+# families are built from cubes (SparseFamily) or from keys (_family)
+_POOLING = {"cube_sums": dyadic_module, "SparseFamily": sparse, "_family": sparse}
 
 
 def test_build_stopping_keeps_its_data_and_w_sums(rng):
@@ -825,8 +843,8 @@ def test_build_stopping_keeps_its_data_and_w_sums(rng):
         f, w = random_function(rng, config), random_weight(rng, config)
         fam = build_stopping(S, f, w)
         assert fam.f is f and fam.w is w
-        assert list(fam.wsum) == list(S.cubes)
-        assert np.array(list(fam.wsum.values())).tobytes() == S.sums(w).tobytes()
+        assert fam.family is S and fam.wsum.shape == (len(S),)  # one per cube, in key order
+        assert fam.wsum.tobytes() == S.sums(w).tobytes()
 
 
 def test_carleson_checks_pools_nothing(monkeypatch, rng):
@@ -837,7 +855,7 @@ def test_carleson_checks_pools_nothing(monkeypatch, rng):
     counts = _count_calls(monkeypatch, _POOLING)
     for p in (1.3, 2.5):
         stopping.carleson_checks(fam, p)
-    assert counts == {"cube_sums": 0, "SparseFamily": 0}
+    assert counts == {"cube_sums": 0, "SparseFamily": 0, "_family": 0}
 
 
 def test_bilinear_decomposition_pools_five_times(monkeypatch, rng):
@@ -850,7 +868,7 @@ def test_bilinear_decomposition_pools_five_times(monkeypatch, rng):
     f2, h = random_function(rng, cfg), random_function(rng, cfg)
     counts = _count_calls(monkeypatch, _POOLING)
     bilinear_form_decompose(Sp, f2, h, pair)
-    assert counts == {"cube_sums": 5, "SparseFamily": 0}
+    assert counts == {"cube_sums": 5, "SparseFamily": 0, "_family": 0}
 
 
 def test_default_suite_pools_each_stopping_family_once(monkeypatch):
@@ -858,7 +876,8 @@ def test_default_suite_pools_each_stopping_family_once(monkeypatch):
     Carleson checks and the decomposition pooled again."""
     counts = _count_calls(monkeypatch, _POOLING)
     assert verify.run_suite("all")["passed"]
-    assert counts["cube_sums"] <= 1565 and counts["SparseFamily"] <= 466
+    assert counts["cube_sums"] <= 1565
+    assert counts["SparseFamily"] + counts["_family"] <= 466
 
 
 def test_slope_run_derives_each_family_point_once(monkeypatch):

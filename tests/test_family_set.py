@@ -1,12 +1,13 @@
-"""A sparse family is a set of cubes held in enumeration order.
+"""A sparse family is a set of cubes held as sorted distinct cube keys.
 
 The SparseFamily constructor checks the cubes against the grid, drops
 repeats and sorts.  These tests pin what that gives: families with equal
-cube sets compare equal and give the same results bit for bit, every
-producer already hands the constructor distinct cubes in enumeration
-order (so that sort changes no output), a family paints its labels at
-most once and reads its witness from them, and a built family is frozen,
-so that paint cannot go stale.
+cube sets compare and hash equal and give the same results bit for bit,
+a family rebuilt from its cubes equals it, every producer already hands
+over distinct cubes or keys in enumeration order (so that sort changes
+no output), a family paints its labels at most once and reads its
+witness from them, and a built family is frozen, so that paint cannot go
+stale.
 """
 
 from dataclasses import FrozenInstanceError
@@ -15,10 +16,11 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from conftest import random_exponents, random_function, random_weight
+from conftest import random_exponents, random_function, random_weight, stopping_children
+from weaksparse import sparse
 from weaksparse import testing_conditions as wtc  # a bare testing_sweep is collected
 from weaksparse.constants import pair_weights
-from weaksparse.dyadic import GridConfig, all_cubes, cube, cube_sums
+from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube, cube_sums
 from weaksparse.experiment import _pair_sweep
 from weaksparse.measure import ExponentTuple, indicator
 from weaksparse.serialize import load_sparse_family, save_sparse_family
@@ -33,7 +35,7 @@ from weaksparse.sparse import (
     tower_family,
     verify_sparse,
 )
-from weaksparse.stopping import bilinear_form_decompose, build_stopping
+from weaksparse.stopping import bilinear_form_decompose, build_stopping, carleson_checks
 from weaksparse.verify import run_suite
 
 _GRIDS = [GridConfig(1, K) for K in range(1, 9)] + [GridConfig(2, K) for K in range(1, 5)]
@@ -87,6 +89,8 @@ def test_the_witness_is_read_from_the_cube_set(config):
     for S in _families(config):
         T = SparseFamily(config, _shuffled_with_repeats(rng, S))
         assert T == S and S.witness is not None
+        U = SparseFamily(config, S.cubes)  # the round trip through the cubes
+        assert U == S and hash(U) == hash(S) and hash(T) == hash(S)
         assert _same_witness(T, S) and T == S and T.witness is T.witness
     dense = SparseFamily(config, all_cubes(config))
     assert dense.witness is None and dense == SparseFamily(config, all_cubes(config))
@@ -113,10 +117,12 @@ def test_shuffled_repeated_cubes_give_the_same_results(config):
         assert np.array_equal(sparse_eval(T, f1, f2).values, sparse_eval(S, f1, f2).values)
         w = random_weight(rng, config)
         a, b = build_stopping(T, f1, w), build_stopping(S, f1, w)
-        assert (a.members, a.generation, a.children, a.maximal) == (
-            b.members, b.generation, b.children, b.maximal
-        )
-        assert (a.wavg, a.top) == (b.wavg, b.top)
+        for x, y in ((a.members, b.members), (a.generation, b.generation)):
+            assert np.array_equal(x, y)
+        assert stopping_children(a) == stopping_children(b)
+        maximal = [np.flatnonzero(x.generation == 0) for x in (a, b)]
+        assert np.array_equal(*maximal)
+        assert np.array_equal(a.wavg, b.wavg) and np.array_equal(a.top, b.top)
 
         P = random_exponents(rng)
         w1, w2 = random_weight(rng, config), random_weight(rng, config)
@@ -129,15 +135,23 @@ def test_shuffled_repeated_cubes_give_the_same_results(config):
 
 
 def test_producers_hand_the_constructor_sorted_distinct_cubes(monkeypatch, tmp_path):
-    """Every family the package builds arrives sorted, so the sort is a no-op."""
+    """Every family the package builds arrives sorted, so the sort is a no-op:
+    the cubes handed to the constructor and the keys handed to _family
+    are distinct and in enumeration order."""
     arrived = []
-    real = SparseFamily.__post_init__
+    real_init, real_family = SparseFamily.__init__, sparse._family
 
-    def recording(S):
-        arrived.append(tuple(S.cubes))
-        real(S)
+    def recording_init(S, config, cubes):
+        cubes = tuple(cubes)
+        arrived.append([(q.level, q.coords) for q in cubes])
+        real_init(S, config, cubes)
 
-    monkeypatch.setattr(SparseFamily, "__post_init__", recording)
+    def recording_family(config, keys):
+        arrived.append(keys.tolist())
+        return real_family(config, keys)
+
+    monkeypatch.setattr(SparseFamily, "__init__", recording_init)
+    monkeypatch.setattr(sparse, "_family", recording_family)
     rng = np.random.default_rng(0)
     for config in _GRIDS:
         for S in _families(config):
@@ -150,8 +164,56 @@ def test_producers_hand_the_constructor_sorted_distinct_cubes(monkeypatch, tmp_p
                 f = random_function(rng, config)
                 sparse_split_eval(S, qt, f, f.restricted(qt))
     assert len(arrived) > 100
-    for cubes in arrived:
-        assert list(cubes) == sorted(set(cubes), key=lambda q: (q.level, q.coords))
+    for order in arrived:
+        assert order == sorted(set(order))
+
+
+# --- cubes only at the boundaries ---------------------------------------------
+
+
+def _count_cubes(monkeypatch) -> list[DyadicCube]:
+    """Record every DyadicCube built from now on."""
+    built = []
+    real = DyadicCube.__post_init__
+
+    def counted(q):
+        built.append(q)
+        real(q)
+
+    monkeypatch.setattr(DyadicCube, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("config", [GridConfig(1, 7), GridConfig(2, 4)], ids=["1d", "2d"])
+def test_family_and_stopping_code_builds_no_cube(monkeypatch, config):
+    """Generation, the tower, restriction, both evaluations, the stopping
+    construction and its two readers work on keys and positions only."""
+    rng = np.random.default_rng(7 + config.dimension)
+    runs = []
+    for seed, budget in ((0, 0.2), (1, 0.35), (2, 0.5)):
+        S = generate_sparse(config, seed, budget)
+        qt = S.cubes[int(rng.integers(0, len(S)))]
+        f1, f2, h = (random_function(rng, config) for _ in range(3))
+        w1, w2 = random_weight(rng, config), random_weight(rng, config)
+        pair = pair_weights(w1, w2, random_exponents(rng))
+        runs.append((seed, budget, qt, f1, f2.restricted(qt), h, w1, pair))
+    built = _count_cubes(monkeypatch)
+    for seed, budget, qt, f1, f2, h, w, pair in runs:
+        S = generate_sparse(config, seed, budget)
+        tower_family(config)
+        Sp = restrict(S, qt)
+        sparse_split_eval(S, qt, f1, f2)
+        sparse_eval(S, f1, h)
+        carleson_checks(build_stopping(S, h, w), 2.5)
+        bilinear_form_decompose(Sp, f2, h, pair)
+    assert built == []
+
+
+def test_default_suite_builds_few_cubes(monkeypatch):
+    """7,323 cubes when families held cubes and stopping families dicts."""
+    built = _count_cubes(monkeypatch)
+    assert run_suite("all")["passed"]
+    assert len(built) < 3000
 
 
 # --- one paint per family ------------------------------------------------------
@@ -192,9 +254,10 @@ def test_run_suite_paints_each_family_at_most_once(monkeypatch):
     painted = _count_paints(monkeypatch)
     assert run_suite("all", 7)["passed"]
     assert len({id(S) for S in painted}) == len(painted)
-    # 979 when each layer painted on its own; the two ratio checks build
-    # the K = 10 corner tower one each, so it counts twice
-    assert len(painted) == 468
+    # 979 when each layer painted on its own, and 468 when the generator
+    # check rebuilt each of its 25 families from the cubes; the two ratio
+    # checks build the K = 10 corner tower one each, so it counts twice
+    assert len(painted) == 443
 
 
 # --- a frozen family -----------------------------------------------------------

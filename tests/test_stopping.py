@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_exponents, random_function, random_weight
+from conftest import (
+    member_cubes,
+    random_exponents,
+    random_function,
+    random_weight,
+    stopping_children,
+)
 from weaksparse.constants import pair_weights
 from weaksparse.dyadic import GridConfig, all_cubes, cube
 from weaksparse.measure import (
@@ -14,6 +20,7 @@ from weaksparse.measure import (
 from weaksparse.sparse import (
     family_from_cubes,
     generate_sparse,
+    family_forest,
     restrict,
     tower_family,
 )
@@ -38,9 +45,10 @@ def _unverified(cfg):
 
 
 def test_constant_f_stops_at_maximal_cubes():
-    fam = build_stopping(tower_family(CFG), constant(CFG, 2.0), Weight(CFG, np.ones(CFG.cell_count)))
-    assert fam.members == frozenset({cube(0, 0)})
-    assert fam.generation[cube(0, 0)] == 0
+    S = tower_family(CFG)
+    fam = build_stopping(S, constant(CFG, 2.0), Weight(CFG, np.ones(CFG.cell_count)))
+    assert member_cubes(fam) == frozenset({cube(0, 0)})
+    assert fam.generation[S.position(cube(0, 0))] == 0
 
 
 def test_hand_simulated_recursion():
@@ -49,8 +57,8 @@ def test_hand_simulated_recursion():
     f = GridFunction(cfg, [4.0, 1.0, 1.0, 1.0])
     w = Weight(cfg, np.ones(4))
     fam = build_stopping(S, f, w)
-    assert fam.members == frozenset({cube(0, 0), cube(2, 0)})
-    assert fam.generation[cube(2, 0)] == 1
+    assert member_cubes(fam) == frozenset({cube(0, 0), cube(2, 0)})
+    assert fam.generation[S.position(cube(2, 0))] == 1
     assert stopping_parent(fam, cube(1, 1)) == cube(0, 0)
     assert stopping_parent(fam, cube(2, 0)) == cube(2, 0)
 
@@ -62,7 +70,7 @@ def test_exact_doubling_is_not_selected():
     f = GridFunction(cfg, [2.0, 0.0])  # root average 1, left half average 2
     w = Weight(cfg, np.ones(2))
     fam = build_stopping(S, f, w)
-    assert fam.members == frozenset({cube(0, 0)})
+    assert member_cubes(fam) == frozenset({cube(0, 0)})
 
 
 def test_rejects_negative_f():
@@ -76,6 +84,23 @@ def test_parent_outside_maximal_cubes_errors(rng):
     fam = build_stopping(S, constant(CFG, 1.0), Weight(CFG, np.ones(CFG.cell_count)))
     with pytest.raises(ValueError, match="not contained"):
         stopping_parent(fam, cube(1, 1))
+
+
+def test_stopping_parent_checks_the_cube_against_the_grid():
+    """A cube off the grid raises as restrict does, before any climb."""
+    cfg = GridConfig(1, 4)
+    S = tower_family(cfg)
+    fam = build_stopping(S, constant(cfg, 1.0), Weight(cfg, np.ones(cfg.cell_count)))
+    for q in (cube(9, 3), cube(1, 0, 1)):
+        with pytest.raises(ValueError) as raised:
+            stopping_parent(fam, q)
+        with pytest.raises(ValueError) as by_restrict:
+            restrict(S, q)
+        assert str(raised.value) == str(by_restrict.value)
+    with pytest.raises(ValueError, match="cube is finer than the grid"):
+        stopping_parent(fam, cube(9, 3))
+    with pytest.raises(ValueError, match="cube dimension does not match grid"):
+        stopping_parent(fam, cube(1, 0, 1))
 
 
 # --- invariants on random suites --------------------------------------------
@@ -101,24 +126,25 @@ def test_stopping_invariants_random(dim, rng):
         cfg, S, f, w = _random_instance(rng, dim)
         fam = build_stopping(S, f, w)
         # generation 0 is exactly the maximal cubes
-        gen0 = {m for m, g in fam.generation.items() if g == 0}
-        assert gen0 == set(fam.maximal)
-        for member in fam.members:
+        gen0 = np.flatnonzero(fam.generation == 0)
+        assert np.array_equal(gen0, np.flatnonzero(family_forest(S) == len(S)))
+        for member, kids in stopping_children(fam).items():
             assert fam.generation[member] <= cfg.finest_level
-            for child in fam.children.get(member, ()):
+            for child in kids:
                 # strict doubling along stopping chains, by construction
                 assert fam.wavg[child] > 2.0 * fam.wavg[member]
                 assert fam.generation[child] == fam.generation[member] + 1
-        for q in S.cubes:
-            pi = stopping_parent(fam, q)
-            assert fam.wavg[q] <= 2.0 * fam.wavg[pi]
+        for j, q in enumerate(S.cubes):
+            pi = S.position(stopping_parent(fam, q))
+            assert pi == fam.top[j]
+            assert fam.wavg[j] <= 2.0 * fam.wavg[pi]
 
 
 def test_cached_averages_match_direct(rng):
     cfg, S, f, w = _random_instance(rng)
     fam = build_stopping(S, f, w)
-    for q in S.cubes:
-        assert fam.wavg[q] == pytest.approx(weighted_average(f, w, q), rel=1e-12)
+    for j, q in enumerate(S.cubes):
+        assert fam.wavg[j] == pytest.approx(weighted_average(f, w, q), rel=1e-12)
 
 
 # --- Carleson checks ---------------------------------------------------------
@@ -150,11 +176,10 @@ def test_carleson_random_suite(rng):
         assert rep.child_mass_ok
         assert rep.passed
         # re-verify the mass bound directly
-        for member in fam.members:
-            kids = fam.children.get(member, ())
+        for member, kids in stopping_children(fam).items():
             if kids:
-                assert sum(weighted_measure(w, c) for c in kids) <= (
-                    weighted_measure(w, member) / 2.0
+                assert sum(weighted_measure(w, S.cubes[c]) for c in kids) <= (
+                    weighted_measure(w, S.cubes[member]) / 2.0
                 )
 
 

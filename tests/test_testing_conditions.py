@@ -229,7 +229,7 @@ def test_localized_ratio_trivial_instance():
     assert rep.lhs == pytest.approx(1.0)
     assert rep.rhs_without_constant == pytest.approx(1.0)
     assert rep.ratio == pytest.approx(1.0)
-    assert rep.defined
+    assert np.isfinite(rep.ratio)
 
 
 def test_localized_ratio_rejects_support_violation():
@@ -298,7 +298,7 @@ def test_sparse_sum_ratios_bounded_over_random_families(rng):
     for seed in range(10):
         S = generate_sparse(cfg, seed, 0.35)
         r1, r2 = sparse_sum_norm_ratios(S, pair)
-        assert r1.defined and r2.defined
+        assert np.isfinite(r1.ratio) and np.isfinite(r2.ratio)
         worst = max(worst, r1.ratio, r2.ratio)
     # pinned first-run maximum over this seeded suite
     assert worst == pytest.approx(1.4439004492283722, rel=1e-9)
