@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: exponents, region, constants, sparse-eval, verify, and
-experiment slope.  All outputs are deterministic given flags and seeds.
-A ValueError, OSError, OverflowError or MemoryError ends in one
-"weaksparse: error:" line and exit code 2.
+experiment slope (along the power family, on the corner tower).  All
+outputs are deterministic given flags and seeds.  A ValueError,
+OSError, OverflowError or MemoryError ends in one "weaksparse: error:"
+line and exit code 2; one about an input file names the file.
 """
 
 from __future__ import annotations
@@ -98,9 +99,7 @@ def _cmd_experiment_slope(args) -> int:
     deltas = tuple(float(tok) for tok in args.deltas.split(","))
     config = GridConfig(1, args.finest_level)
     P = ExponentTuple(args.p1, args.p2)
-    spec = WeightFamilySpec(
-        args.family, deltas, seed=args.seed, roughness=args.roughness
-    )
+    spec = WeightFamilySpec("power", deltas)
     result = slope_experiment(spec, P, config, tower_family(config))
     if args.out:
         wio.write_experiment_csv(result.rows, args.out)
@@ -149,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sparse_eval)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite", choices=("all", "dyadic", "lemmas", "stopping"), default="all"
-    )
+    p.add_argument("--suite", choices=sorted(wv.SUITES), default="all")
     p.add_argument("--seed", type=int, default=wv._DEFAULT_SEED)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(fn=_cmd_verify)
@@ -167,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.25,0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625,0.001953125",
         help="comma-separated list in (0, 1]",
     )
-    ps.add_argument("--family", choices=("power", "random_ap"), default="power")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--roughness", type=float, default=0.6)
     ps.add_argument("--out", help="write per-delta rows as CSV")
     ps.set_defaults(fn=_cmd_experiment_slope)
 

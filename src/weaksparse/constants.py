@@ -47,10 +47,16 @@ _CHUNK_CELLS = 1 << 15
 
 @dataclass(frozen=True)
 class ConstantReport:
-    """A constant together with the cube attaining the maximum."""
+    """A constant together with the cube attaining the maximum, kept as its
+    (level, index) on a grid of that dimension and built on first read."""
 
     value: float
-    argmax_cube: DyadicCube
+    at: tuple[int, int] | None
+    dimension: int
+
+    @cached_property
+    def argmax_cube(self) -> DyadicCube | None:
+        return None if self.at is None else cube_from_index(*self.at, self.dimension)
 
 
 class _LevelMax:
@@ -73,8 +79,7 @@ class _LevelMax:
             self.value, self.at = v, (level, i)
 
     def report(self, config: GridConfig) -> ConstantReport:
-        witness = None if self.at is None else cube_from_index(*self.at, config.dimension)
-        return ConstantReport(self.value, witness)
+        return ConstantReport(self.value, self.at, config.dimension)
 
 
 def ap_constant(w: Weight, p: float) -> ConstantReport:

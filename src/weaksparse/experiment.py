@@ -30,11 +30,12 @@ grids have the same number of cells.
 
 Each family point's weights are the one constants.WeightPair that
 families.build_family yields for it: read for its joint constant, swept
-and dropped, with the family checked on the kept constants after the
-sweep.  On the diagonal p1 = p2 the power family gives both slots one
-weight object, so its pair has s2 is s1, which tells every step below
-that slot 1 is slot 0: one dual weight, one pass of slot sums, and only
-the pairs a <= b, whose maxima are those of all pairs bit for bit.
+and dropped.  The point count is checked before the first pair is built,
+the kept constants after the sweep.  On the diagonal p1 = p2 the power
+family gives both slots one weight object, so its pair has s2 is s1,
+which tells every step below that slot 1 is slot 0: one dual weight, one
+pass of slot sums, and only the pairs a <= b, whose maxima are those of
+all pairs bit for bit.
 
 Slopes use a plain least-squares fit over all points, no point dropping.
 """
@@ -139,7 +140,10 @@ def slope_experiment(
     test_functions: list[GridFunction] | None = None,
 ) -> SlopeResult:
     """Measure empirical weak/strong exponents along a weight family; each
-    point's pair is swept and dropped, and the family is checked after."""
+    point's pair is swept and dropped.  A family of fewer than 4 points is
+    refused before any pair is built, the constants are checked after."""
+    if len(spec.deltas) < 4:
+        raise ValueError("family must have at least 4 points for a slope fit")
     if test_functions is None:
         test_functions = default_test_functions(config, _TEST_SEED)
     values, powers = _slot_powers(test_functions, config, P)
@@ -147,8 +151,6 @@ def slope_experiment(
     for d, pair in build_family(spec, P, config):
         points.append((d, pair.apvec.value, *_pair_sweep(S, pair, values, powers)))
         del pair  # the next point's weights replace these, not join them
-    if len(points) < 4:
-        raise ValueError("family must have at least 4 points for a slope fit")
     constants = [apv for _, apv, _, _ in points]
     if np.ptp(np.log(constants)) < 1e-9:
         raise ValueError("no dynamic range")

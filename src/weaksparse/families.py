@@ -1,15 +1,12 @@
-"""Weight-family generators for constant sweeps and slope experiments.
+"""Weights for constant sweeps and the slope experiment.
 
 The power family w(x) = x^a on [0,1) is the standard way to push a
 Muckenhoupt constant toward infinity: with a_i(delta) = (1 - delta)
 (p_i - 1), the joint constant grows as delta drops to 0.  Cell values
 are exact closed-form integrals of x^a over each cell, so refinement
-changes nothing but resolution.
-
-The random family exponentiates a seeded multiscale field; scaling the
-log-field is what the delta knob does there, which keeps the constants
-monotone (per-cube moment quantities are log-convex in the scale and
-equal 1 at scale 0).  build_family yields one point's WeightPair at a time.
+changes nothing but resolution.  build_family yields one point's
+WeightPair at a time.  random_weight, an exponentiated seeded multiscale
+field, gives single weights of moderate constants.
 """
 
 from __future__ import annotations
@@ -55,27 +52,19 @@ def random_weight(config: GridConfig, seed: int, roughness: float) -> Weight:
 class WeightFamilySpec:
     """A parametrized family of weight pairs, indexed by delta in (0, 1].
 
-    kind "power": w_i = x^{a_i(delta)} with a_i = (1 - delta)(p_i - 1).
-    kind "random_ap": log w_i = (1 - delta) * roughness * G_i for seeded
-    multiscale fields G_i.
+    kind "power", the only kind: w_i = x^{a_i(delta)}, a_i = (1 - delta)(p_i - 1).
     """
 
     kind: str
     deltas: tuple[float, ...]
-    seed: int = 0
-    roughness: float = 0.6
 
     def __post_init__(self):
-        if self.kind not in ("power", "random_ap"):
-            raise ValueError("kind must be 'power' or 'random_ap'")
+        if self.kind != "power":
+            raise ValueError("kind must be 'power'")
         if not self.deltas:
             raise ValueError("delta list must be nonempty")
         if any(not 0.0 < d <= 1.0 for d in self.deltas):
             raise ValueError("deltas must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if not np.isfinite(self.roughness):
-            raise ValueError("roughness must be finite")
 
 
 def build_family(
@@ -84,21 +73,13 @@ def build_family(
     """Yield (delta, pair) one family point at a time, by decreasing delta.
 
     Each point's pair is derived once, when it is yielded; its joint
-    constant is pair.apvec.  a_i(delta) depends on p_i only, so a power
-    family with p1 == p2 hands out one weight for both slots (w2 is w1),
+    constant is pair.apvec.  a_i(delta) depends on p_i only, so a family
+    with p1 == p2 hands out one weight for both slots (w2 is w1),
     which measure.same_slots lets every later step compute once.
     """
-    if spec.kind == "random_ap":
-        g1 = multiscale_field(config, spec.seed)
-        g2 = multiscale_field(config, spec.seed + 1)
     for d in sorted(spec.deltas, reverse=True):
-        if spec.kind == "power":
-            w1 = power_weight((1.0 - d) * (P.p1 - 1.0), config)
-            w2 = w1
-            if P.p2 != P.p1:
-                w2 = power_weight((1.0 - d) * (P.p2 - 1.0), config)
-        else:
-            scale = (1.0 - d) * spec.roughness
-            w1 = Weight(config, np.exp(scale * g1))
-            w2 = Weight(config, np.exp(scale * g2))
+        w1 = power_weight((1.0 - d) * (P.p1 - 1.0), config)
+        w2 = w1
+        if P.p2 != P.p1:
+            w2 = power_weight((1.0 - d) * (P.p2 - 1.0), config)
         yield d, pair_weights(w1, w2, P)

@@ -7,6 +7,8 @@ writer renders the values from the array with orjson (the same shortest
 digits, by Ryu) and writes json's separators and repr's exponent form
 itself, so the file's bytes are still those of json.dump.  The loaders
 stay on json: orjson.loads peaks about 35 MB higher on a 2^20-cell file.
+Every loader error is a ValueError that starts with the file's path, and
+names the family entry at fault where there is one.
 CSV output uses 17 significant digits and '.' decimals.  Every file the
 package writes (these formats, the region SVG that exponents.region_svg
 renders, and the CLI's verify report) goes through _write_text: UTF-8
@@ -20,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dyadic import DyadicCube, GridConfig
+from .dyadic import DyadicCube, GridConfig, check_cube
 from .experiment import ExperimentRow
 from .exponents import REGION_COLUMNS, RegionTable, region_svg
 from .measure import GridFunction, Weight
@@ -90,43 +92,44 @@ def save_grid_function(f: GridFunction, path) -> None:
     _write_text(path, header, _json_floats(f.values), "}\n")
 
 
-def _load_payload(path) -> tuple[GridConfig, np.ndarray]:
+def _load_grid(path, kind):
+    """The kind (GridFunction or Weight) stored at path."""
     doc, booleans = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in ("dimension", "finest_level", "values"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing field '{key}'")
-    for key in ("dimension", "finest_level"):
-        if type(doc[key]) is not int:
-            raise ValueError(f"{path}: field '{key}' must be an integer")
-    cfg = GridConfig(doc["dimension"], doc["finest_level"])
     try:
-        values = np.asarray(doc["values"])  # no dtype: strings and nulls stay visible
-    except ValueError:  # ragged nesting
-        values = None
-    if values is None or values.dtype.kind not in "iuf" or (
-        # numpy promotes [true, 1.5] to floats; scan only if a boolean may be there
-        values.ndim == 1
-        and booleans
-        and any(type(x) is bool for x in doc["values"])
-    ):
-        raise ValueError(f"{path}: field 'values' must be an array of numbers")
-    if values.shape != (cfg.cell_count,):
-        raise ValueError(
-            f"{path}: expected {cfg.cell_count} values, got {values.size}"
-        )
-    return cfg, values
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        for key in ("dimension", "finest_level", "values"):
+            if key not in doc:
+                raise ValueError(f"missing field '{key}'")
+        for key in ("dimension", "finest_level"):
+            if type(doc[key]) is not int:
+                raise ValueError(f"field '{key}' must be an integer")
+        cfg = GridConfig(doc["dimension"], doc["finest_level"])
+        try:
+            values = np.asarray(doc["values"])  # no dtype: strings and nulls stay visible
+        except ValueError:  # ragged nesting
+            values = None
+        if values is None or values.dtype.kind not in "iuf" or (
+            # numpy promotes [true, 1.5] to floats; scan only if a boolean may be there
+            values.ndim == 1
+            and booleans
+            and any(type(x) is bool for x in doc["values"])
+        ):
+            raise ValueError("field 'values' must be an array of numbers")
+        if values.shape != (cfg.cell_count,):
+            raise ValueError(f"expected {cfg.cell_count} values, got {values.size}")
+        del doc  # the parsed list, several times the array's size, before kind copies it
+        return kind(cfg, values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def load_grid_function(path) -> GridFunction:
-    cfg, values = _load_payload(path)
-    return GridFunction(cfg, values)
+    return _load_grid(path, GridFunction)
 
 
 def load_weight(path) -> Weight:
-    cfg, values = _load_payload(path)
-    return Weight(cfg, values)
+    return _load_grid(path, Weight)
 
 
 def save_sparse_family(S: SparseFamily, path) -> None:
@@ -135,23 +138,29 @@ def save_sparse_family(S: SparseFamily, path) -> None:
 
 
 def load_sparse_family(path, config: GridConfig) -> SparseFamily:
+    where = ""  # the entry at fault, if one is
     doc, _ = _read_json(path)
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a JSON array of cubes")
-    cubes = []
-    for i, entry in enumerate(doc):
-        where = f"{path}: cube entry {i}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected a JSON object")
-        if "level" not in entry or "coords" not in entry:
-            raise ValueError(f"{where}: needs 'level' and 'coords'")
-        level, coords = entry["level"], entry["coords"]
-        if not isinstance(coords, list) or any(type(v) is not int for v in [level, *coords]):
-            raise ValueError(f"{where}: level and coords must be integers")
-        if not 0 <= level <= config.finest_level:  # before DyadicCube computes 2**level
-            raise ValueError(f"{where}: level must be in [0, {config.finest_level}]")
-        cubes.append(DyadicCube(level, tuple(coords)))
-    return family_from_cubes(config, cubes)
+    try:
+        if not isinstance(doc, list):
+            raise ValueError("expected a JSON array of cubes")
+        cubes = []
+        for i, entry in enumerate(doc):
+            where = f"cube entry {i}: "
+            if not isinstance(entry, dict):
+                raise ValueError("expected a JSON object")
+            if "level" not in entry or "coords" not in entry:
+                raise ValueError("needs 'level' and 'coords'")
+            level, coords = entry["level"], entry["coords"]
+            if type(coords) is not list or any(type(v) is not int for v in [level, *coords]):
+                raise ValueError("level and coords must be integers")
+            if not 0 <= level <= config.finest_level:  # before DyadicCube computes 2**level
+                raise ValueError(f"level must be in [0, {config.finest_level}]")
+            cubes.append(DyadicCube(level, tuple(coords)))
+            check_cube(cubes[-1], config)
+        where = ""
+        return family_from_cubes(config, cubes)
+    except ValueError as e:
+        raise ValueError(f"{path}: {where}{e}") from e
 
 
 def _csv_text(names, columns) -> str:

@@ -449,23 +449,9 @@ def check_family_monotonicity(seed):
     P = wm.ExponentTuple(6.0, 6.0)
     spec = wf.WeightFamilySpec("power", tuple(2.0**-k for k in range(2, 10)))
     consts = [pair.apvec.value for _, pair in wf.build_family(spec, P, cfg)]
-    mono = all(b > a for a, b in zip(consts, consts[1:]))
-    cfg8 = wd.GridConfig(1, 8)
-    spec_r = wf.WeightFamilySpec(
-        "random_ap", tuple(2.0**-k for k in range(1, 6)), seed=seed, roughness=0.6
-    )
-    r1 = [pair for _, pair in wf.build_family(spec_r, P, cfg8)]
-    r2 = [pair for _, pair in wf.build_family(spec_r, P, cfg8)]
-    reproducible = all(
-        np.array_equal(a.w1.values, b.w1.values)
-        and np.array_equal(a.w2.values, b.w2.values)
-        for a, b in zip(r1, r2)
-    )
-    mono_r = all(b.apvec.value > a.apvec.value for a, b in zip(r1, r1[1:]))
     return {
-        "pass": mono and reproducible and mono_r,
+        "pass": all(b > a for a, b in zip(consts, consts[1:])),
         "power_constants": [consts[0], consts[-1]],
-        "random_reproducible": reproducible,
     }
 
 

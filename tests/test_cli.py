@@ -1,13 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from weaksparse import experiment
 from weaksparse import exponents as we
 from weaksparse import verify as wv
 from weaksparse.cli import main
 from weaksparse.constants import check_constant_inequalities, pair_weights
 from weaksparse.dyadic import GridConfig
+from weaksparse.families import WeightFamilySpec
 from weaksparse.measure import ExponentTuple, Weight
 from weaksparse.serialize import (
     load_grid_function,
@@ -122,9 +125,18 @@ def test_experiment_slope_command(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_experiment_slope_has_only_its_five_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "slope", "-h"])
+    options = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+    assert options == ["--p1", "--p2", "--finest-level", "--deltas", "--out"]
+
+
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+    suites = ", ".join(repr(name) for name in sorted(wv.SUITES))
+    assert f"(choose from {suites})" in capsys.readouterr().err
 
 
 def test_negative_seed_is_one_line_error(capsys):
@@ -137,28 +149,12 @@ def test_negative_seed_is_one_line_error(capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-        (["--roughness", "nan"], "roughness must be finite"),
-    ],
-    ids=["seed", "roughness"],
-)
-@pytest.mark.parametrize("family", ["power", "random_ap"])
-def test_bad_family_input_is_one_line_error(capsys, family, flags, message):
-    """A bad --seed or --roughness of experiment slope names its option,
-    whichever family reads it, in one error line with exit 2."""
-    argv = ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6"]
-    code = main(argv + ["--family", family] + flags)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"weaksparse: error: {message}\n"
-
-
 SPARSE_EVAL = (
     "sparse-eval", "--family", "{tmp}/doc.json", "--f1", "{tmp}/f.json",
     "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json",
+)
+CONSTANTS = (
+    "constants", "--weights", "{tmp}/doc.json,{tmp}/f.json", "--p1", "2", "--p2", "3",
 )
 
 
@@ -200,17 +196,47 @@ SPARSE_EVAL = (
             {"dimension": 1.7, "finest_level": 3.9, "values": [1.0] * 8},
             "doc.json: field 'dimension' must be an integer",
         ),
+        (CONSTANTS, {"dimension": 3, "finest_level": 3, "values": [1.0] * 8},
+         "doc.json: dimension must be 1 or 2"),
+        (CONSTANTS, {"dimension": 1, "finest_level": 3, "values": [0.0] * 8},
+         "doc.json: weights must be strictly positive"),
+        (
+            CONSTANTS,
+            '{"dimension": 1, "finest_level": 3, "values": [1e999, 1, 1, 1, 1, 1, 1, 1]}',
+            "doc.json: cell values must be finite",
+        ),
+        (
+            ("sparse-eval", "--family", "{tmp}/fam.json", "--f1", "{tmp}/doc.json",
+             "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json"),
+            {"dimension": 1, "finest_level": 3, "values": [float("nan")] + [1.0] * 7},
+            "doc.json: cell values must be finite",
+        ),
+        (
+            SPARSE_EVAL,
+            [{"level": 0, "coords": [0]}, {"level": 1, "coords": [5]}],
+            "doc.json: cube entry 1: coords (5,) out of range at level 1",
+        ),
+        (
+            SPARSE_EVAL,
+            [{"level": 0, "coords": [0]}] + [{"level": 1, "coords": [c]} for c in (0, 1)],
+            "doc.json: not canonically sparse",
+        ),
     ],
     ids=[
         "missing_file", "non_object", "no_coords", "fractional_level",
         "wrong_dimension", "p1_one", "one_weight_file", "fractional_grid_header",
+        "three_dimensions", "zero_weight", "infinite_weight", "nan_function",
+        "coords_out_of_range", "not_sparse",
     ],
 )
 def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, doc, message):
+    """Each error names the file at fault, and the family entry where one is."""
     cfg = GridConfig(1, 3)
     save_grid_function(Weight(cfg, np.ones(cfg.cell_count)), tmp_path / "f.json")
+    (tmp_path / "fam.json").write_text('[{"level": 0, "coords": [0]}]')
     if doc is not None:
-        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / "doc.json").write_text(text)
     code = main([arg.format(tmp=tmp_path) for arg in template])
     captured = capsys.readouterr()
     assert code == 2
@@ -219,36 +245,40 @@ def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, doc, message)
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
-def test_overflow_ends_in_one_line_error(tmp_path, capsys):
+def test_overflow_ends_in_one_line_error(tmp_path, capsys, monkeypatch):
     """A float that overflows inside a command is one error line, exit 2,
-    that names the quantity; the library call itself still raises
+    that names the quantity; the library calls themselves still raise
     OverflowError."""
     cfg = GridConfig(1, 2)
+    P = ExponentTuple(2, 3)
     w = Weight(cfg, [1e-150, 1e150, 1e-150, 1e150])
     for name in ("a", "b"):
         save_grid_function(w, tmp_path / f"{name}.json")
     with pytest.raises(OverflowError, match="joint constant .* raised to p1'/p"):
-        check_constant_inequalities(
-            pair_weights(w, Weight(cfg, w.values), ExponentTuple(2, 3))
-        )
+        check_constant_inequalities(pair_weights(w, Weight(cfg, w.values), P))
+
+    def family(spec, P, config):
+        """Weights 1e+-t for growing t, up to those above: the joint
+        constant's power gamma overflows before its power alpha does."""
+        for d, t in zip(sorted(spec.deltas, reverse=True), (1, 50, 100, 150)):
+            wt = Weight(config, w.values ** (t / 150))
+            yield d, pair_weights(wt, Weight(config, wt.values), P)
+
+    monkeypatch.setattr(experiment, "build_family", family)
+    spec = WeightFamilySpec("power", (0.5, 0.25, 0.125, 0.0625))
+    gamma = "joint constant .* raised to gamma = 1.66667$"
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match=gamma):
+        # the sweep's norms overflow first, to inf
+        experiment.slope_experiment(spec, P, cfg, tower_family(cfg))
+
     pair = f"{tmp_path}/a.json,{tmp_path}/b.json"
-    for argv, quantity in (
-        (["constants", "--weights", pair, "--p1", "2", "--p2", "3"], "p1'/p = 1.66667"),
-        (
-            [
-                "experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "8",
-                "--family", "random_ap", "--roughness", "250",
-            ],
-            "gamma = 1.66667",
-        ),
-    ):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("weaksparse: error: a value overflowed")
-        assert captured.err.count("\n") == 1
-        assert "a value overflowed: the joint constant " in captured.err
-        assert captured.err.endswith(f" raised to {quantity}\n")
+    code = main(["constants", "--weights", pair, "--p1", "2", "--p2", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("weaksparse: error: a value overflowed")
+    assert captured.err.count("\n") == 1
+    assert "a value overflowed: the joint constant " in captured.err
+    assert captured.err.endswith(" raised to p1'/p = 1.66667\n")
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

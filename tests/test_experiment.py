@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_exponents, random_function, random_weight
 from test_family_oracles import _sparse_eval_oracle
+from weaksparse import experiment
 from weaksparse import testing_conditions as wtc
 from weaksparse.constants import pair_weights
 from weaksparse.dyadic import DyadicCube, GridConfig, all_cubes, cube
@@ -12,7 +13,7 @@ from weaksparse.experiment import (
     fit_loglog_slope,
     slope_experiment,
 )
-from weaksparse.families import WeightFamilySpec
+from weaksparse.families import WeightFamilySpec, build_family
 from weaksparse.measure import (
     ExponentTuple,
     Weight,
@@ -210,6 +211,22 @@ def test_slope_experiment_rejects_degenerate_family():
             CFG,
             tower_family(CFG),
         )
+
+
+def test_slope_experiment_refuses_a_short_family_before_building_a_pair(monkeypatch):
+    built = []
+
+    def family(spec, P, config):
+        for point in build_family(spec, P, config):
+            built.append(point)
+            yield point
+
+    monkeypatch.setattr(experiment, "build_family", family)
+    message = "^family must have at least 4 points for a slope fit$"
+    for deltas in ((0.5,), (0.5, 0.25, 0.125)):
+        with pytest.raises(ValueError, match=message):
+            slope_experiment(_small_spec(deltas), P66, CFG, tower_family(CFG))
+    assert built == []
 
 
 def test_slope_experiment_ratio_columns():

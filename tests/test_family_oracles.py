@@ -51,7 +51,6 @@ from weaksparse.dyadic import (
     cell_view,
     check_cube,
     cube,
-    cube_from_index,
     cube_index,
     cube_sums,
     level_averages,
@@ -299,8 +298,7 @@ def _argmax_over_levels_oracle(per_level, config):
         if v > best:
             best = v
             at = (k, i)
-    witness = None if at is None else cube_from_index(*at, config.dimension)
-    return wc.ConstantReport(best, witness)
+    return wc.ConstantReport(best, at, config.dimension)
 
 
 def _joint_per_level_oracle(w1, w2, P):

@@ -185,12 +185,12 @@ def _oracle_slope_rows(spec, P, cfg, S, fns):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("kind", ["power", "random_ap"])
+@pytest.mark.parametrize("kind", ["power"])
 @pytest.mark.parametrize("K, p1, p2", [(8, 6.0, 6.0), (10, 2.0, 3.0), (12, 6.0, 6.0)])
 def test_slope_rows_match_oracle_path(kind, K, p1, p2):
     cfg = GridConfig(1, K)
     P = ExponentTuple(p1, p2)
-    spec = WeightFamilySpec(kind, (0.25, 0.125, 0.0625, 0.03125), seed=K)
+    spec = WeightFamilySpec(kind, (0.25, 0.125, 0.0625, 0.03125))
     S = tower_family(cfg)
     got = slope_experiment(spec, P, cfg, S)
     want = _oracle_slope_rows(spec, P, cfg, S, default_test_functions(cfg, 90210))

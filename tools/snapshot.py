@@ -33,10 +33,6 @@ SLOPES = (
     ("power_6_6_K14", ["--p1", "6", "--p2", "6", "--finest-level", "14"]),
     ("power_6_6_K20", ["--p1", "6", "--p2", "6", "--finest-level", "20"]),
     ("power_2_3_K12", ["--p1", "2", "--p2", "3", "--finest-level", "12"]),
-    (
-        "random_ap_2_3_K12",
-        ["--p1", "2", "--p2", "3", "--finest-level", "12", "--family", "random_ap"],
-    ),
 )
 
 #: (name, CLI arguments run from DIR) of the commands that end in an error.
@@ -45,11 +41,6 @@ ERRORS = (
         "constants_overflow",
         ["constants", "--weights", "inputs/huge.json,inputs/huge.json",
          "--p1", "2", "--p2", "3"],
-    ),
-    (
-        "slope_overflow",
-        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "8",
-         "--family", "random_ap", "--roughness", "250"],
     ),
     (
         "constants_two_grids",
@@ -67,21 +58,21 @@ ERRORS = (
          "--p1", "2", "--p2", "3"],
     ),
     (
+        "constants_zero_weight",
+        ["constants", "--weights", "inputs/line.json,inputs/zero.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
         "sparse_eval_undecodable",
         ["sparse-eval", "--family", "inputs/undecodable.json", "--f1", "inputs/f1.json",
          "--f2", "inputs/f2.json", "--out", "inputs/unwritten.json"],
     ),
+    (
+        "sparse_eval_out_of_range",
+        ["sparse-eval", "--family", "inputs/out_of_range.json", "--f1", "inputs/f1.json",
+         "--f2", "inputs/f2.json", "--out", "inputs/unwritten.json"],
+    ),
     ("verify_negative_seed", ["verify", "--seed", "-1"]),
-    (
-        "slope_negative_seed",
-        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
-         "--family", "random_ap", "--seed", "-1"],
-    ),
-    (
-        "slope_nan_roughness",
-        ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
-         "--family", "random_ap", "--roughness", "nan"],
-    ),
     (
         "slope_three_points",
         ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
@@ -155,14 +146,19 @@ def _write_inputs(d: Path) -> None:
     line = GridConfig(1, 14)
     edge = np.resize(np.concatenate([edge, -edge]), line.cell_count)
     save_grid_function(GridFunction(line, edge), d / "edge.json")
-    # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a cut-off
-    # file and one that is not UTF-8, -16 or -32 text
+    # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a zero
+    # weight, a cut-off file, one that is not UTF-8, -16 or -32 text, and a
+    # family entry off its level
     huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
     save_grid_function(huge, d / "huge.json")
     for name, cfg in (("line", GridConfig(1, 4)), ("plane", GridConfig(2, 2))):
         save_grid_function(Weight(cfg, rng.uniform(0.5, 2.0, 16)), d / f"{name}.json")
     (d / "malformed.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [1.0,')
+    save_grid_function(GridFunction(GridConfig(1, 4), np.zeros(16)), d / "zero.json")
     (d / "undecodable.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [\xff]}')
+    (d / "out_of_range.json").write_text(
+        '[{"level": 0, "coords": [0, 0]}, {"level": 1, "coords": [0, 5]}]'
+    )
 
 
 def main(argv=None) -> int:
