@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import constants as wc
 from . import exponents as we
@@ -30,7 +31,7 @@ def _emit(obj) -> None:
 
 def _cmd_exponents(args) -> int:
     rep = we.alpha(ExponentTuple(args.p1, args.p2))
-    _emit(rep.as_dict())
+    _emit(asdict(rep))
     return 0
 
 

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicCube, GridConfig, _halve, cube_from_index, level_averages
-from .measure import ExponentTuple, Weight, dual_weight, joint_weight, same_slots
+from .measure import ExponentTuple, Weight, _conjugate, dual_weight, joint_weight, same_slots
 
 #: Cells per chunk of the chunked cell sweeps: the joint constant's levels
 #: and _slot_sums' test-function rows (at least one row).  2^15 cells
@@ -94,7 +94,7 @@ def ap_constant(w: Weight, p: float) -> ConstantReport:
     cfg = w.config
     K = cfg.finest_level
     best = _LevelMax()
-    dual = w.values ** (1.0 - p / (p - 1.0))  # the level-K sums of w^{1-p'}
+    dual = w.values ** (1.0 - _conjugate(p))  # the level-K sums of w^{1-p'}
     for k in range(K, -1, -1):
         coarser = _halve(dual, cfg.dimension) if k else None
         if k < K:

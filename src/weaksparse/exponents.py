@@ -13,7 +13,9 @@ hypotheses; in particular the two sufficient conditions for alpha < 1
 (p at least (3+sqrt 5)/2, or min(p1,p2) > 4) can be checked exactly on
 the sample.
 
-alpha(P) is the one entry point: its report holds beta, gamma and alpha.
+One derivation, _exponents, gives beta, gamma, alpha and the two flags
+to both entry points: alpha(P) at one tuple and region_map over the
+sample.  Its p' is measure._conjugate, the program's only one.
 region_svg renders the region table and returns the document; this module
 writes no file (serialize.write_region_svg does).
 """
@@ -21,27 +23,29 @@ writes no file (serialize.write_region_svg does).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measure import ExponentTuple
+from .measure import ExponentTuple, _conjugate
 
 #: p at or above this makes the weak-type exponent drop below 1.
 P_THRESHOLD = (3.0 + math.sqrt(5.0)) / 2.0
 
 
-def _beta_gamma(p1, p2, p):
-    """Vector-friendly core of the two exponent formulas."""
-    c1 = p1 / (p1 - 1.0)
-    c2 = p2 / (p2 - 1.0)
+def _exponents(p1, p2, p) -> dict:
+    """beta, gamma, alpha and the two flags, for scalars or arrays alike."""
+    c1, c2 = _conjugate(p1), _conjugate(p2)
     r1 = 1.0 / c1
     r2 = 1.0 / c2
     b = 1.0 / p + np.maximum(
         np.minimum(r1, r1 * c2 / p), np.minimum(r2, r2 * c1 / p)
     )
     g = np.maximum(1.0, np.maximum(c1 / p, c2 / p))
-    return b, g
+    a = np.minimum(b, g)
+    return dict(
+        beta=b, gamma=g, alpha=a, weak_strictly_better=a < g, alpha_lt_1=a < 1.0
+    )
 
 
 @dataclass(frozen=True)
@@ -55,38 +59,13 @@ class ExponentReport:
     weak_strictly_better: bool
     alpha_lt_1: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def alpha(P: ExponentTuple) -> ExponentReport:
-    b, g = (float(x) for x in _beta_gamma(P.p1, P.p2, P.p))
-    a = min(b, g)
+    """The exponents at P, as Python floats and bools (json.dumps takes them)."""
+    derived = _exponents(P.p1, P.p2, P.p)
     return ExponentReport(
-        p1=P.p1,
-        p2=P.p2,
-        p=P.p,
-        beta=b,
-        gamma=g,
-        alpha=a,
-        weak_strictly_better=a < g,
-        alpha_lt_1=a < 1.0,
+        p1=P.p1, p2=P.p2, p=P.p, **{k: v.item() for k, v in derived.items()}
     )
-
-
-#: Column order of the region table and its CSV rendering.
-REGION_COLUMNS = (
-    "inv_p1",
-    "inv_p2",
-    "p",
-    "beta",
-    "gamma",
-    "alpha",
-    "weak_strictly_better",
-    "alpha_lt_1",
-    "p_ge_golden",
-    "min_gt_4",
-)
 
 
 @dataclass
@@ -109,6 +88,12 @@ class RegionTable:
         return self.inv_p1.size
 
 
+#: Column order of the region table and its CSV rendering.
+REGION_COLUMNS = tuple(
+    f.name for f in fields(RegionTable) if f.name not in ("resolution", "i", "j")
+)
+
+
 def region_map(resolution: int) -> RegionTable:
     """Exponent table over the half-step-offset grid inside the triangle.
 
@@ -127,8 +112,6 @@ def region_map(resolution: int) -> RegionTable:
     p1 = 1.0 / x
     p2 = 1.0 / y
     p = 1.0 / (x + y)
-    b, g = _beta_gamma(p1, p2, p)
-    a = np.minimum(b, g)
     return RegionTable(
         resolution=resolution,
         i=i,
@@ -136,11 +119,7 @@ def region_map(resolution: int) -> RegionTable:
         inv_p1=x,
         inv_p2=y,
         p=p,
-        beta=b,
-        gamma=g,
-        alpha=a,
-        weak_strictly_better=a < g,
-        alpha_lt_1=a < 1.0,
+        **_exponents(p1, p2, p),
         p_ge_golden=p >= P_THRESHOLD,
         min_gt_4=np.minimum(p1, p2) > 4.0,
     )

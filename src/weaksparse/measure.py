@@ -116,6 +116,7 @@ def indicator(config: GridConfig, q: DyadicCube) -> GridFunction:
 
 
 def _conjugate(p: float) -> float:
+    """p' = p/(p - 1), the program's only one; elementwise on arrays."""
     return p / (p - 1.0)
 
 

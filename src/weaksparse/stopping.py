@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import WeightPair
 from .dyadic import DyadicCube, check_cube, parent
-from .measure import GridFunction, Weight, _same_grid, lp_norm
+from .measure import GridFunction, Weight, _conjugate, _same_grid, lp_norm
 from .sparse import SparseFamily, family_forest
 
 
@@ -116,8 +116,7 @@ def carleson_checks(F: StoppingFamily, p: float) -> CarlesonReport:
     child_mass_ok = all(sum(k) <= mass[m] / 2.0 for m, k in kids.items())
     members = zip(F.members.tolist(), F.wavg[F.members].tolist())
     sum_value = sum(a**p * mass[q] for q, a in members)
-    pc = p / (p - 1.0)
-    bound_value = 2.0 * pc**p * lp_norm(F.f, F.w, p) ** p
+    bound_value = 2.0 * _conjugate(p) ** p * lp_norm(F.f, F.w, p) ** p
     return CarlesonReport(
         child_mass_ok, sum_value, bound_value, sum_value <= bound_value
     )

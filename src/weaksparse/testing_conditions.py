@@ -39,6 +39,7 @@ from .measure import (
     ExponentTuple,
     GridFunction,
     _same_grid,
+    _weak_max,
     lp_norm,
     weak_norm,
     weighted_measure,
@@ -186,10 +187,10 @@ def testing_sweep(
     # [a, b, 0] are the global images, [a, b, 1 + i] those masked to cube i
     images = S.images(c[0][:, None] * c[1][None, :])
     scale = norms[0][:, None] * norms[1][None, :]
-    glob = np.empty(scale.shape)
-    for a, b in np.ndindex(scale.shape):
-        g = GridFunction(cfg, images[a, b, 0][labels])  # raises if not finite
-        glob[a, b] = weak_norm(g, v, P.p) / scale[a, b]
+    cells = images[:, :, 0][..., labels]
+    if not np.isfinite(cells).all():
+        raise ValueError("cell values must be finite")
+    glob = _weak_max(cells, v.values, P.p, cfg.cell_volume) / scale
     # each masked image is at most the global one on Q's cells, so it is finite
     loc = np.empty(scale.shape + (len(S),))
     for i, q in enumerate(S.cubes):

@@ -146,7 +146,7 @@ def check_measure_properties(seed):
         if wm.weak_norm(f, w, p) > wm.lp_norm(f, w, p) * (1.0 + 1e-12):
             failures += 1
         pi = rng.uniform(1.2, 5.0)
-        back = wm.dual_weight(wm.dual_weight(w, pi), pi / (pi - 1.0))
+        back = wm.dual_weight(wm.dual_weight(w, pi), wm._conjugate(pi))
         dev = float(np.max(np.abs(back.values - w.values) / w.values))
         worst_involution = max(worst_involution, dev)
         if dev > 1e-12:
@@ -317,6 +317,7 @@ def check_bilinear_decomposition(seed):
 def check_local_testing_direction(seed):
     rng = np.random.default_rng(seed)
     cfg = wd.GridConfig(1, 6)
+    indicators = [wm.indicator(cfg, wd.cube(k, 0)) for k in range(0, cfg.finest_level, 2)]
     worst = 0.0
     failures = 0
     for _ in range(12):
@@ -326,10 +327,7 @@ def check_local_testing_direction(seed):
         S = _random_family(rng, cfg)
         if len(S) == 0:
             continue
-        fns = [
-            wm.indicator(cfg, wd.cube(k, 0)) for k in range(0, cfg.finest_level, 2)
-        ]
-        fns.append(_random_nonneg(rng, cfg, zeros=0.0))
+        fns = [*indicators, _random_nonneg(rng, cfg, zeros=0.0)]
         glob, loc = wtc.testing_sweep(S, wc.pair_weights(w1, w2, P), fns)
         glob, loc = float(glob.max()), float(loc.max())
         worst = max(worst, loc / glob)
@@ -352,21 +350,17 @@ def check_localized_testing_family(seed):
     rng = np.random.default_rng(seed)
     S, family = _delta_family()
     cfg = S.config
+    qt = wd.cube(0, 0)
     f2s = [
         wm.indicator(cfg, wd.cube(cfg.finest_level, 0)),
         wm.indicator(cfg, wd.cube(5, 0)),
-        wm.indicator(cfg, wd.cube(0, 0)),
+        wm.indicator(cfg, qt),
         _random_nonneg(rng, cfg, zeros=0.0),
     ]
     apv, loc = [], []
     for _, pair in family:
         apv.append(pair.apvec.value)
-        loc.append(
-            max(
-                wtc.local_sigma_testing_ratio(S, pair, f2, wd.cube(0, 0)).ratio
-                for f2 in f2s
-            )
-        )
+        loc.append(max(wtc.local_sigma_testing_ratio(S, pair, f2, qt).ratio for f2 in f2s))
     slope = fit_loglog_slope(apv, loc)
     return {
         "pass": slope <= _RATIO_SLOPE_TOL,

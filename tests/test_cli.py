@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -34,6 +35,21 @@ def test_exponents_command(capsys):
     assert doc["alpha"] == pytest.approx(1.5)
     assert doc["weak_strictly_better"] is True
     assert doc["alpha_lt_1"] is False
+
+
+@pytest.mark.parametrize("p1, p2", [(2, 3), (4, 4), (6, 6), (4.5, 4.5), (3, 30), (1.05, 40)])
+def test_exponents_stdout_is_the_report_in_floats_and_bools(capsys, p1, p2):
+    """The report's fields are Python floats and bools, not numpy scalars
+    (json.dumps refuses np.bool_, and np.float64 would pass it unseen)."""
+    code, out = run_cli(capsys, "exponents", "--p1", str(p1), "--p2", str(p2))
+    assert code == 0
+    doc = json.loads(out)
+    report = dataclasses.asdict(we.alpha(ExponentTuple(float(p1), float(p2))))
+    assert doc == report
+    flags = ("weak_strictly_better", "alpha_lt_1")
+    types = {k: bool if k in flags else float for k in report}
+    assert {k: type(v) for k, v in report.items()} == types
+    assert {k: type(v) for k, v in doc.items()} == types
 
 
 def test_region_command_writes_csv_and_svg(tmp_path, capsys):

@@ -65,6 +65,34 @@ def test_region_map_row_matches_alpha_op():
     assert t.alpha[row] == pytest.approx(alpha(ExponentTuple(6, 6)).alpha, abs=1e-15)
 
 
+def test_alpha_and_region_map_agree_at_every_sample():
+    """alpha(ExponentTuple(1/x, 1/y)) against each row (x, y) of region_map.
+
+    The table forms p as 1/(x + y), ExponentTuple as 1/(1/p1 + 1/p2) with
+    p1 = 1/x, and the two roundings differ at about 8 % of the rows.  Where
+    they give the same p, every field agrees bit for bit; elsewhere p and
+    the exponents are a few ulps apart and both flags still agree.
+    """
+    fields = ("p", "beta", "gamma", "alpha", "weak_strictly_better", "alpha_lt_1")
+    same_p = 0
+    for resolution in range(2, 61):
+        t = region_map(resolution)
+        reps = [
+            alpha(ExponentTuple(1.0 / x, 1.0 / y))
+            for x, y in zip(t.inv_p1.tolist(), t.inv_p2.tolist())
+        ]
+        got = {f: np.array([getattr(r, f) for r in reps]) for f in fields}
+        same = got["p"] == t.p
+        same_p += int(same.sum())
+        for f in fields:
+            assert np.array_equal(got[f][same], getattr(t, f)[same]), (resolution, f)
+        for f in fields[:4]:
+            np.testing.assert_array_max_ulp(got[f], getattr(t, f), maxulp=4)
+        for f in fields[4:]:
+            assert np.array_equal(got[f], getattr(t, f)), (resolution, f)
+    assert same_p >= 33138  # of 35,990 rows: the bit-for-bit check is not vacuous
+
+
 def test_region_claims_hold_everywhere():
     t = region_map(200)
     assert not np.any(t.p_ge_golden & ~t.alpha_lt_1)

@@ -28,6 +28,11 @@ SRC = ROOT / "src"
 
 VERIFY_SEEDS = (20260809, 1, 7, 12345)
 
+#: (p1, p2) of the exponents runs: alpha = beta = gamma = 1 at (4, 4);
+#: min(p1, p2) > 4 alone at (4.5, 4.5); p >= (3 + sqrt 5)/2 alone at
+#: (3, 30); both conditions for alpha < 1 at (6, 6); p near 1 at (1.05, 40).
+EXPONENTS = (("2", "3"), ("4", "4"), ("6", "6"), ("4.5", "4.5"), ("3", "30"), ("1.05", "40"))
+
 #: (name, slope flags) of the experiment runs.
 SLOPES = (
     ("power_6_6_K14", ["--p1", "6", "--p2", "6", "--finest-level", "14"]),
@@ -177,6 +182,8 @@ def main(argv=None) -> int:
         verify = ["verify", "--suite", "all", "--seed", str(seed)]
         _cli(verify, out / f"verify_{seed}.json", out)
     _cli(["verify", "--suite", "all", "--out", "verify_out.json"], out / "verify_out.stdout", out)
+    for p1, p2 in EXPONENTS:
+        _cli(["exponents", "--p1", p1, "--p2", p2], out / f"exponents_{p1}_{p2}.json", out)
     for name, args in ERRORS:
         _cli(args, out / f"error_{name}.stdout", out)
     weights = f"{inputs / 'w1.json'},{inputs / 'w2.json'}"
