@@ -32,7 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DyadicCube, GridConfig, _halve, cube_from_index, level_averages
+from .dyadic import (
+    DyadicCube, GridConfig, _blocks, _halve, _per_cube, cube_from_index, level_averages
+)
 from .measure import ExponentTuple, Weight, _conjugate, dual_weight, joint_weight, same_slots
 
 #: Cells per chunk of the chunked cell sweeps: the joint constant's levels
@@ -124,9 +126,8 @@ def ainfty_constant(w: Weight) -> ConstantReport:
     running = w.values.copy()  # level-K averages are the cell values
     for k in range(K - 1, -1, -1):
         sums = _halve(sums, n)
-        blocks = running.reshape((1 << k, 1 << (K - k)) * n)
-        averages = (sums / cfg.cells_per_cube(k)).reshape((1 << k, 1) * n)
-        np.maximum(blocks, averages, out=blocks)
+        blocks = _blocks(running, k, cfg)
+        np.maximum(blocks, _per_cube(sums / cfg.cells_per_cube(k), k, cfg), out=blocks)
         pooled = running
         for _ in range(K - k):
             pooled = _halve(pooled, n)

@@ -11,9 +11,11 @@ Conventions used throughout the package:
   * cube enumeration order is level-major, then lexicographic coords;
   * all cubes are half-open, so fixed-level cubes partition [0,1)^n
     with no boundary double counting;
-  * cell_view is the one cell-block geometry and _halve the one pooling
-    step: cube_sums stacks it into the pyramid of every per-level sum or
-    average, and the A_p and A_infty walks take it a level at a time;
+  * _blocks is the one cell layout of a level's cubes, indexed by _in_cube
+    and broadcast onto by _per_cube; _nested is the one nesting test;
+    _halve is the one pooling step: cube_sums stacks it into the pyramid
+    of every per-level sum or average, and the A_p and A_infty walks take
+    it a level at a time;
   * each geometry fact has one body over the coordinate tuple for every n
     in _MAX_LEVEL; the one dimension branch is _halve's measured 1D add;
   * cell_view expects a cube already checked against its grid (check_cube).
@@ -122,23 +124,26 @@ def children(q: DyadicCube, config: GridConfig) -> list[DyadicCube]:
     ]
 
 
-def relation(q: DyadicCube, r: DyadicCube) -> Relation:
-    """Exact classification; two dyadic cubes are nested or disjoint.
+def _nested(level_a, coords_a, level_b, coords_b):
+    """Whether cubes a and b are nested, equal included: their coordinates agree
+    at the coarser level.  Levels and coordinates may be integers or arrays."""
+    d = level_a - level_b
+    shift_a, shift_b = d * (d > 0), -d * (d < 0)
+    nested = True
+    for a, b in zip(coords_a, coords_b):
+        nested = nested & ((a >> shift_a) == (b >> shift_b))
+    return nested
 
-    They are nested exactly when their coordinates agree at the coarser level.
-    """
+
+def relation(q: DyadicCube, r: DyadicCube) -> Relation:
+    """Exact classification; two dyadic cubes are nested or disjoint."""
     if q.dimension != r.dimension:
         raise ValueError("cubes live on grids of different dimension")
-    d = q.level - r.level
-    if d == 0:
-        return Relation.EQUAL if q.coords == r.coords else Relation.DISJOINT
-    if d > 0:
-        if tuple(c >> d for c in q.coords) == r.coords:
-            return Relation.Q_INSIDE_R
+    if not _nested(q.level, q.coords, r.level, r.coords):
         return Relation.DISJOINT
-    if tuple(c >> -d for c in r.coords) == q.coords:
-        return Relation.R_INSIDE_Q
-    return Relation.DISJOINT
+    if q.level == r.level:
+        return Relation.EQUAL
+    return Relation.Q_INSIDE_R if q.level > r.level else Relation.R_INSIDE_Q
 
 
 def all_cubes(config: GridConfig) -> Iterator[DyadicCube]:
@@ -187,15 +192,28 @@ def cells_of(q: DyadicCube, config: GridConfig) -> np.ndarray:
     return np.ravel_multi_index(block, (config.side_cells,) * len(q.coords)).ravel()
 
 
-def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray:
-    """Numpy view of a flat cell array covering exactly the cells of q.
+def _blocks(flat: np.ndarray, level: int, config: GridConfig) -> np.ndarray:
+    """A flat cell array viewed as (2^k, side >> k) per dimension at level k:
+    per axis the cube coordinate, then the cell inside the cube."""
+    return flat.reshape((1 << level, config.side_cells >> level) * config.dimension)
 
-    Returns a 1D slice in 1D and a 2D block view in 2D; writes through.
-    Slices only the axes q has, so check q against config first (check_cube).
-    """
-    m = 1 << (config.finest_level - q.level)
-    block = tuple([slice(c * m, (c + 1) * m) for c in q.coords])
-    return flat.reshape((config.side_cells,) * len(block))[block]
+
+def _in_cube(coords, cell) -> tuple:
+    """Index of _blocks: each cube coordinate (integers or arrays) followed by
+    `cell`, 0 for the cube's first cell or slice(None) for all of them."""
+    return tuple([x for c in coords for x in (c, cell)])
+
+
+def _per_cube(values: np.ndarray, level: int, config: GridConfig) -> np.ndarray:
+    """One value per level-k cube, shaped (2^k, 1) per dimension so that it
+    broadcasts over the cube's cells in _blocks."""
+    return values.reshape((1 << level, 1) * config.dimension)
+
+
+def cell_view(flat: np.ndarray, q: DyadicCube, config: GridConfig) -> np.ndarray:
+    """View of a flat cell array on exactly the cells of q, a cube already
+    checked against config (check_cube): 1D in 1D, 2D in 2D; writes through."""
+    return _blocks(flat, q.level, config)[_in_cube(q.coords, slice(None))]
 
 
 # Even and odd cells of the last axis, built once: building the index per
@@ -243,9 +261,7 @@ def level_averages(values: np.ndarray, config: GridConfig) -> list[np.ndarray]:
 
 def expand_level_values(level_values: np.ndarray, level: int, config: GridConfig) -> np.ndarray:
     """Broadcast one value per level-`level` cube to every cell it contains."""
-    m = 1 << (config.finest_level - level)
-    grid = np.asarray(level_values, dtype=np.float64)
-    grid = grid.reshape((1 << level,) * config.dimension)
-    for axis in range(config.dimension):
-        grid = np.repeat(grid, m, axis=axis)
-    return grid.ravel()
+    out = np.empty(config.cell_count)
+    values = np.asarray(level_values, dtype=np.float64)
+    _blocks(out, level, config)[...] = _per_cube(values, level, config)
+    return out

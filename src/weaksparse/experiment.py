@@ -127,7 +127,8 @@ def _pair_sweep(
     g = S.images(c1[a] * c2[b])
     if not np.isfinite(g).all():
         raise ValueError("cell values must be finite")
-    strong, weak = atom_norms(g, S.masses(pair.v), pair.P.p)
+    with np.errstate(over="ignore"):  # slope_experiment refuses a row that is not finite
+        strong, weak = atom_norms(g, S.masses(pair.v), pair.P.p)
     scale = norms[0][a] * norms[1][b]
     return float((weak / scale).max()), float((strong / scale).max())
 
@@ -141,7 +142,7 @@ def slope_experiment(
 ) -> SlopeResult:
     """Measure empirical weak/strong exponents along a weight family; each
     point's pair is swept and dropped.  A family of fewer than 4 points is
-    refused before any pair is built, the constants are checked after."""
+    refused before any pair is built; the constants, then the rows, after."""
     if len(spec.deltas) < 4:
         raise ValueError("family must have at least 4 points for a slope fit")
     if test_functions is None:
@@ -168,6 +169,8 @@ def slope_experiment(
         )
         for d, apv, weak, strong in points
     ]
+    if not np.isfinite([(r.weak, r.strong) for r in rows]).all():
+        raise ValueError("weak and strong quantities must be finite")
     weak_slope = fit_loglog_slope(constants, [r.weak for r in rows])
     strong_slope = fit_loglog_slope(constants, [r.strong for r in rows])
     return SlopeResult(tuple(rows), weak_slope, strong_slope)

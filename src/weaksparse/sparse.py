@@ -44,6 +44,9 @@ import numpy as np
 from .dyadic import (
     DyadicCube,
     GridConfig,
+    _blocks,
+    _in_cube,
+    _nested,
     cell_view,
     check_cube,
     cube_from_index,
@@ -152,18 +155,17 @@ class SparseFamily:
         len(self) off the union.  up[j] is the label under cube j's first
         cell just before j is painted: the position of its minimal strict
         ancestor in the family, or len(self) for a maximal cube.  Every cube
-        comes after the cubes containing it, so up[j] < j otherwise.  The
-        cells blocks[c_0, :, c_1, :] are those of the level's cube (c_0, c_1).
+        comes after the cubes containing it, so up[j] < j otherwise.
         """
         n, cfg = len(self), self.config
         labels = np.full(cfg.cell_count, n, dtype=np.intp)
         up = np.empty(n, dtype=np.intp)
         for k, at, index in self._levels:  # coarse to fine
-            blocks = labels.reshape((1 << k, cfg.side_cells >> k) * cfg.dimension)
+            blocks = _blocks(labels, k, cfg)
             coords = index_coords(k, index, cfg.dimension)
-            up[at] = blocks[tuple(x for c in coords for x in (c, 0))]
-            cells = tuple(x for c in coords for x in (c, slice(None)))
-            blocks[cells] = np.arange(at.start, at.stop).reshape((-1,) + (1,) * cfg.dimension)
+            up[at] = blocks[_in_cube(coords, 0)]
+            positions = np.arange(at.start, at.stop).reshape((-1,) + (1,) * cfg.dimension)
+            blocks[_in_cube(coords, slice(None))] = positions
         labels.flags.writeable = up.flags.writeable = False
         return labels, up
 
@@ -329,14 +331,10 @@ def sparse_eval(S: SparseFamily, f1: GridFunction, f2: GridFunction) -> GridFunc
 
 def _nested_with(S: SparseFamily, qt: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
     """Masks of S's positions: the cubes containing qt (equality included),
-    and those strictly inside.  Two dyadic cubes are nested exactly when
-    their coordinates agree at the coarser of their levels."""
-    d = S.levels - qt.level
-    nested = np.ones(len(S), dtype=bool)
+    and those strictly inside."""
     coords = index_coords(S.levels, S.keys - S._starts[S.levels], S.config.dimension)
-    for c, t in zip(coords, qt.coords):
-        nested &= (c >> np.maximum(d, 0)) == (t >> np.maximum(-d, 0))
-    return nested & (d <= 0), nested & (d > 0)
+    nested = _nested(S.levels, coords, qt.level, qt.coords)
+    return nested & (S.levels <= qt.level), nested & (S.levels > qt.level)
 
 
 def _check_localized(f2: GridFunction, qt: DyadicCube) -> None:

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _CHUNK_CELLS, WeightPair
-from .dyadic import (
-    DyadicCube,
-    GridConfig,
-    cell_view,
-    check_cube,
-)
+from .dyadic import DyadicCube, GridConfig, cell_view, check_cube
 from .measure import (
     ExponentTuple,
     GridFunction,
@@ -54,21 +49,22 @@ class TestingReport:
     lhs: float
     rhs_without_constant: float
     ratio: float
-    context: str
 
 
-def _make_report(lhs: float, rhs: float, context: str) -> TestingReport:
+def _make_report(lhs: float, rhs: float) -> TestingReport:
     ratio = lhs / rhs if rhs > 0.0 else float("nan")
-    return TestingReport(lhs, rhs, ratio, context)
+    return TestingReport(lhs, rhs, ratio)
 
 
 def _slot_norms(pair: WeightPair, f1: GridFunction, f2: GridFunction) -> float:
     """The norm product ||f1||_{L^{p1}(s1)} ||f2||_{L^{p2}(s2)}; raises if
-    either norm is 0."""
+    either norm is 0, then if either is not finite."""
     n1 = lp_norm(f1, pair.s1, pair.P.p1)
     n2 = lp_norm(f2, pair.s2, pair.P.p2)
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("test functions must not vanish identically")
+    if not np.isfinite([n1, n2]).all():
+        raise ValueError("cell values must be finite")
     return n1 * n2
 
 
@@ -102,7 +98,8 @@ def _slot_powers(fns: list[GridFunction], config: GridConfig, P: ExponentTuple):
 
     def power(x: np.ndarray, p: float) -> np.ndarray:
         a = np.abs(x)
-        return np.power(a, p, out=a)  # lp_norm's |f|^p
+        with np.errstate(over="ignore"):  # an infinite norm is refused in _slot_sums
+            return np.power(a, p, out=a)  # lp_norm's |f|^p
 
     def powers(p: float) -> list[np.ndarray]:
         return [x if one else power(x, p) for x, one in zip(values, ones)]
@@ -131,7 +128,7 @@ def _slot_sums(
     Besides powers, this holds one chunk, its cube-sum pyramid and the
     weights.  Raises for a pair off the family's grid before any work,
     then if a test function vanishes identically, then if a slot product
-    is not finite (as GridFunction would).
+    or a norm is not finite (as GridFunction and _slot_norms would).
     """
     _same_grid(S, pair)
     s1, s2, P = pair.s1, pair.s2, pair.P
@@ -155,7 +152,7 @@ def _slot_sums(
         norms[1], sums[1] = norms[0], sums[0]
     if not norms.all():
         raise ValueError("test functions must not vanish identically")
-    if not finite:
+    if not (finite and np.isfinite(norms).all()):
         raise ValueError("cell values must be finite")
     return norms, sums
 
@@ -272,8 +269,7 @@ def local_sigma_testing_ratio(
         * n2
         * weighted_measure(s1, qt) ** (1.0 / P.p1)
     )
-    ctx = f"S={len(S)} cubes, qt={qt}, P=({P.p1:g},{P.p2:g})"
-    return _make_report(lhs, rhs, ctx)
+    return _make_report(lhs, rhs)
 
 
 def sparse_sum_norm_ratios(
@@ -294,7 +290,7 @@ def sparse_sum_norm_ratios(
 
     carleson1 = carleson2 = 0.0
     for k, _, index in S._levels:
-        vol = 2.0 ** (-S.config.dimension * k)  # DyadicCube.volume
+        vol = S.config.cells_per_cube(k) * S.config.cell_volume
         for i in index.tolist():
             carleson1 += a1[k][i] ** (P.p / P.p1) * a2[k][i] ** (P.p / P.p2) * vol
             carleson2 += (
@@ -306,5 +302,4 @@ def sparse_sum_norm_ratios(
     rhs1 = apv ** (1.0 / P.p) * carleson1 ** (1.0 / P.p)
     lhs2 = lp_norm(sparse_eval(S, s1, v), s2, P.p2_prime)
     rhs2 = apv ** (1.0 / P.p) * carleson2 ** (1.0 / P.p2_prime)
-    ctx = f"S={len(S)} cubes, P=({P.p1:g},{P.p2:g})"
-    return _make_report(lhs1, rhs1, ctx), _make_report(lhs2, rhs2, ctx)
+    return _make_report(lhs1, rhs1), _make_report(lhs2, rhs2)

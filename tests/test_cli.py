@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import weaksparse
 from weaksparse import experiment
 from weaksparse import exponents as we
 from weaksparse import verify as wv
@@ -295,6 +299,21 @@ def test_overflow_ends_in_one_line_error(tmp_path, capsys, monkeypatch):
     assert captured.err.count("\n") == 1
     assert "a value overflowed: the joint constant " in captured.err
     assert captured.err.endswith(" raised to p1'/p = 1.66667\n")
+
+
+def test_huge_exponents_end_in_one_stderr_line():
+    """At p1 = p2 = 1e6 the test functions' powers overflow before the power
+    weights underflow; stderr holds the error line and no numpy warning."""
+    src = os.path.dirname(os.path.dirname(weaksparse.__file__))
+    argv = ["experiment", "slope", "--p1", "1e6", "--p2", "1e6", "--finest-level", "4"]
+    out = subprocess.run(
+        [sys.executable, "-m", "weaksparse", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "weaksparse: error: weights must be strictly positive\n"
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from weaksparse.dyadic import (
     DyadicCube,
     GridConfig,
     Relation,
+    _nested,
     all_cubes,
     cells_of,
     children,
@@ -74,6 +75,13 @@ def test_relation_matches_cell_containment(dim, K):
                 assert cells[r] < cells[q]
             else:
                 assert cells[q].isdisjoint(cells[r])
+    # the nesting test on arrays: every cube q against all cubes r at once
+    levels = np.array([r.level for r in cubes])
+    coords = np.array([r.coords for r in cubes]).T
+    for q in cubes:
+        want = [relation(q, r) is not Relation.DISJOINT for r in cubes]
+        assert _nested(levels, coords, q.level, q.coords).tolist() == want
+        assert _nested(q.level, q.coords, levels, coords).tolist() == want
 
 
 @pytest.mark.parametrize("dim,K", [(1, 4), (2, 3)])

@@ -7,7 +7,8 @@ written once for 1D and once for 2D, and of cells_of, which read the
 cube's block of an index array over the whole grid.  The sweeps compare
 them with the current bodies exhaustively on 1D K = 1..10 and 2D K = 1..5:
 the same cubes in the same order, the same indices and children, the same
-cell_view values and shapes (and still views of the flat array), the same
+cell_view values, shapes and strides (and still views of the flat array,
+as is every cube's block of the level-block view), the same
 cell indices and dtype, the same expansions, and the same outcome of
 cube_from_index, value or exception type and message, for every valid
 index and for out-of-range ones.
@@ -21,6 +22,8 @@ import pytest
 from weaksparse.dyadic import (
     DyadicCube,
     GridConfig,
+    _blocks,
+    _in_cube,
     all_cubes,
     cells_of,
     children,
@@ -131,10 +134,13 @@ def test_cell_view_matches_forked_body(dim, K):
     flat = np.arange(cfg.cell_count, dtype=np.float64)
     for q in all_cubes(cfg):
         view = cell_view(flat, q, cfg)
+        block = _blocks(flat, q.level, cfg)[_in_cube(q.coords, slice(None))]
         expected = _cell_view_oracle(flat, q, cfg)
-        assert view.shape == expected.shape
-        assert np.array_equal(view, expected)
-        assert np.shares_memory(view, flat)
+        for got in (view, block):
+            assert got.shape == expected.shape
+            assert got.strides == expected.strides
+            assert np.array_equal(got, expected)
+            assert np.shares_memory(got, flat)
     # writes go through to the flat array
     scratch = np.zeros(cfg.cell_count)
     last = cube_from_index(K, cfg.cell_count - 1, dim)

@@ -284,8 +284,7 @@ def _sparse_sum_norm_ratios_oracle(S, w1, w2, P):
     rhs1 = apv ** (1.0 / P.p) * carleson1 ** (1.0 / P.p)
     lhs2 = lp_norm(GridFunction(cfg, sum2), s2, P.p2_prime)
     rhs2 = apv ** (1.0 / P.p) * carleson2 ** (1.0 / P.p2_prime)
-    ctx = f"S={len(S)} cubes, P=({P.p1:g},{P.p2:g})"
-    return wtc._make_report(lhs1, rhs1, ctx), wtc._make_report(lhs2, rhs2, ctx)
+    return wtc._make_report(lhs1, rhs1), wtc._make_report(lhs2, rhs2)
 
 
 def _argmax_over_levels_oracle(per_level, config):
@@ -382,8 +381,7 @@ def _local_sigma_testing_ratio_oracle(S, w1, w2, P, f2, qt):
         * n2
         * weighted_measure(s1, qt) ** (1.0 / P.p1)
     )
-    ctx = f"S={len(S)} cubes, qt={qt}, P=({P.p1:g},{P.p2:g})"
-    return wtc._make_report(lhs, rhs, ctx)
+    return wtc._make_report(lhs, rhs)
 
 
 # --- the sweep -----------------------------------------------------------------

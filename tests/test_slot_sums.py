@@ -257,6 +257,28 @@ def test_vanishing_function_is_reported_before_an_overflowing_product():
                 sweep(S, tiny, one, P, fns)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_infinite_slot_norms_are_refused_like_the_oracle():
+    """At p = 2000 a random test function's |f|^p overflows where f > 1.43,
+    while every product |f| s stays finite: its slot norms are infinite."""
+    cfg = GridConfig(1, 6)
+    P = ExponentTuple(2000.0, 2000.0)
+    one = Weight(cfg, np.ones(cfg.cell_count))
+    pair = pair_weights(one, one, P)
+    S = tower_family(cfg)
+    fns = default_test_functions(cfg, 1)
+    assert lp_norm(fns[-1], one, P.p1) == np.inf
+    for call in (
+        lambda: wtc._slot_sums(S, pair, *wtc._slot_powers(fns, cfg, P)),
+        lambda: _pair_sweep(S, pair, *wtc._slot_powers(fns, cfg, P)),
+        lambda: wtc.testing_sweep(S, pair, fns),
+        lambda: wtc._slot_norms(pair, fns[-1], fns[0]),
+        lambda: wtc._slot_norms(pair, fns[0], fns[-1]),
+    ):
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            call()
+
+
 # --- memory -------------------------------------------------------------------
 
 

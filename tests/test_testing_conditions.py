@@ -209,11 +209,21 @@ def test_sweep_raises_like_the_cellwise_quantities():
     ):
         with pytest.raises(ValueError, match="must not vanish identically"):
             call()
-    huge = constant(CFG, 1e200)  # finite slots whose image overflows
+    huge = constant(CFG, 1e200)  # finite slots whose slot norms overflow: 1e200^2
     for call in (
         lambda: wtc.testing_sweep(S, pair, [unit, huge]),
         lambda: global_weak_quantity(S, pair, huge, huge),
         lambda: local_testing_quantity(S, pair, huge, huge, q),
+    ):
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            call()
+    # finite slots and norms whose image overflows: dual weights 1e250 and 1e125
+    tiny = Weight(CFG, np.full(CFG.cell_count, 1e-250))
+    pair = pair_weights(tiny, tiny, P23)
+    for call in (
+        lambda: wtc.testing_sweep(S, pair, [unit]),
+        lambda: global_weak_quantity(S, pair, unit, unit),
+        lambda: local_testing_quantity(S, pair, unit, unit, q),
     ):
         with pytest.raises(ValueError, match="cell values must be finite"):
             call()

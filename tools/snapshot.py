@@ -93,6 +93,10 @@ ERRORS = (
         ["experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
          "--deltas", "0.5,0.5,0.25,0.125"],
     ),
+    (
+        "slope_huge_exponents",
+        ["experiment", "slope", "--p1", "1e6", "--p2", "1e6", "--finest-level", "4"],
+    ),
 )
 
 
