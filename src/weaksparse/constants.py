@@ -7,15 +7,15 @@ of the outer cube; this is self-consistent with the dyadic A_p constants
 but is a discretization choice, not an equivalence claim about the full
 Hardy-Littlewood operator.
 
-Each constant is one walk over the levels that reduces every level to its
-maximum as soon as the level is computed (_LevelMax), so no constant holds
-the per-cube values of all levels at once.  A_infty and A_p walk from the
-finest level to the coarsest, pooling what they need one sibling halving
+Each constant is one walk over the levels, from the finest to the
+coarsest, that reduces every level to its maximum as soon as the level is
+computed (_LevelMax), so no constant holds the per-cube values of all
+levels at once.  A_infty and A_p pool what they need one sibling halving
 at a time: A_infty the weight's sums and its running maximal averages,
 A_p the dual power w^{1-p'}, and neither keeps its pooling.  The joint
-constant walks the kept level averages (_joint_levels), filling a level
-wider than _CHUNK_CELLS cells chunk by chunk, and dualize_first_entry
-compares two such walks level by level.
+constant walks the kept level averages (_joint_levels), filling each
+level chunk by chunk, and dualize_first_entry compares two such walks
+level by level.
 
 A pair's joint and A_{2p} constants start from its weights s1, s2 and v
 and their per-level cube averages.  pair_weights derives the three once,
@@ -62,12 +62,12 @@ class ConstantReport:
 
 
 class _LevelMax:
-    """Maximum over the cubes of the levels offered, in any level order.
+    """Maximum over the cubes of the levels offered, finest level first.
 
     Each level is reduced to its first maximal cube at once (np.argmax, so a
-    level holding a NaN offers that NaN, which never wins).  Among equal
-    maxima the coarser level wins, so the witness is the first maximal cube
-    in enumeration order (level-major), whichever way the levels are walked.
+    level holding a NaN offers that NaN, which never wins).  A later level is
+    coarser, so an equal maximum replaces the witness: it is the first
+    maximal cube in enumeration order (level-major).
     """
 
     def __init__(self):
@@ -77,7 +77,7 @@ class _LevelMax:
     def offer(self, level: int, values: np.ndarray) -> None:
         i = int(np.argmax(values))
         v = float(values[i])
-        if v > self.value or (v == self.value and self.at is not None and level < self.at[0]):
+        if v >= self.value:
             self.value, self.at = v, (level, i)
 
     def report(self, config: GridConfig) -> ConstantReport:
@@ -94,13 +94,11 @@ def ap_constant(w: Weight, p: float) -> ConstantReport:
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
     cfg = w.config
-    K = cfg.finest_level
     best = _LevelMax()
     dual = w.values ** (1.0 - _conjugate(p))  # the level-K sums of w^{1-p'}
-    for k in range(K, -1, -1):
+    for k in range(cfg.finest_level, -1, -1):
         coarser = _halve(dual, cfg.dimension) if k else None
-        if k < K:
-            dual /= cfg.cells_per_cube(k)
+        dual /= cfg.cells_per_cube(k)
         dual **= p - 1.0
         dual *= w.averages[k]
         best.offer(k, dual)
@@ -179,33 +177,29 @@ def pair_weights(w1: Weight, w2: Weight, P: ExponentTuple) -> WeightPair:
 
 
 def _joint_levels(pair: WeightPair):
-    """Per-cube values <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} from the kept level
-    averages: one fresh array per level, from level 0 to K, which the caller
-    may overwrite.  A level wider than _CHUNK_CELLS cells is filled chunk
-    by chunk, so its temporaries stay at two chunks.  When s2 is s1 at
-    p1 = p2 the shared averages are raised once: (x t) t equals
-    x t^{e1} t^{e2} bit for bit."""
+    """(k, values) of the per-cube <v>_Q <s1>_Q^{p/p1'} <s2>_Q^{p/p2'} from the
+    kept level averages, from level K down to 0: one fresh array per level,
+    which the caller may overwrite, filled chunk by chunk so its temporaries
+    stay at two chunks.  When s2 is s1 at p1 = p2 the shared averages are
+    raised once: (x t) t equals x t^{e1} t^{e2} bit for bit."""
     e1 = pair.P.p / pair.P.p1_prime
     e2 = pair.P.p / pair.P.p2_prime
     shared = pair.s2 is pair.s1 and e2 == e1
-    for x, y, z in zip(pair.v.averages, pair.s1.averages, pair.s2.averages):
-        if x.size <= _CHUNK_CELLS:  # one chunk: the plain product, cheaper on small levels
-            t = y**e1
-            yield x * t * (t if shared else z**e2)
-            continue
+    for k in range(pair.config.finest_level, -1, -1):
+        x, y, z = pair.v.averages[k], pair.s1.averages[k], pair.s2.averages[k]
         out = np.empty_like(x)
         for lo in range(0, x.size, _CHUNK_CELLS):
             c = slice(lo, lo + _CHUNK_CELLS)
             t = y[c] ** e1
             part = np.multiply(x[c], t, out=out[c])
             part *= t if shared else z[c] ** e2
-        yield out
+        yield k, out
 
 
 def apvec_constant(pair: WeightPair) -> ConstantReport:
     """Joint two-weight constant: max over cubes of the product quantity."""
     best = _LevelMax()
-    for k, values in enumerate(_joint_levels(pair)):
+    for k, values in _joint_levels(pair):
         best.offer(k, values)
     return best.report(pair.config)
 
@@ -258,14 +252,7 @@ def check_constant_inequalities(pair: WeightPair) -> InequalityReport:
         and sigma2_ap <= sigma2_bound * (1.0 + _RTOL)
     )
     return InequalityReport(
-        apvec,
-        joint_ap,
-        sigma1_ap,
-        sigma2_ap,
-        joint_bound,
-        sigma1_bound,
-        sigma2_bound,
-        ok,
+        apvec, joint_ap, sigma1_ap, sigma2_ap, joint_bound, sigma1_bound, sigma2_bound, ok
     )
 
 
@@ -280,14 +267,14 @@ def dualize_first_entry(pair: WeightPair) -> tuple[WeightPair, float]:
     transformed pair holds the original's s2 = w2^(1-p2'), the same object,
     so s2 and its level averages serve both pairs.
     """
-    P, cfg, w2 = pair.P, pair.config, pair.w2
-    w1_new = Weight(cfg, pair.v.values ** (1.0 - P.p_prime))
+    P, w2 = pair.P, pair.w2
+    w1_new = dual_weight(pair.v, P.p)
     P_new = ExponentTuple(P.p_prime, P.p2)
     v_new = joint_weight(w1_new, w2, P_new)
     dual = WeightPair(w1_new, w2, P_new, dual_weight(w1_new, P_new.p1), pair.s2, v_new)
     power = P.p1_prime / P.p
     err = 0.0
-    for expected, new in zip(_joint_levels(pair), _joint_levels(dual)):
+    for (_, expected), (_, new) in zip(_joint_levels(pair), _joint_levels(dual)):
         expected **= power
         new -= expected
         np.abs(new, out=new)
@@ -303,12 +290,17 @@ def reverse_holder_epsilon(sigma: Weight) -> float:
 
 
 def reverse_holder_check(sigma: Weight) -> tuple[float, bool]:
-    """Worst cube ratio <sigma^(1+eps)>_Q / <sigma>_Q^(1+eps); pass iff <= 2."""
+    """Worst cube ratio <sigma^(1+eps)>_Q / <sigma>_Q^(1+eps); pass iff <= 2.
+    Jensen's inequality puts every ratio at 1 or above, so a level whose
+    ratio is not finite (cube sums that overflow give inf/inf) is refused."""
     cfg = sigma.config
     eps = reverse_holder_epsilon(sigma)
     a1 = sigma.averages
     a2 = level_averages(sigma.values ** (1.0 + eps), cfg)
     worst = 0.0
-    for k in range(cfg.finest_level + 1):
-        worst = max(worst, float(np.max(a2[k] / a1[k] ** (1.0 + eps))))
+    for k in range(cfg.finest_level, -1, -1):
+        ratio = float(np.max(a2[k] / a1[k] ** (1.0 + eps)))
+        if not np.isfinite(ratio):
+            raise ValueError(f"reverse Hoelder ratio at level {k} is not finite")
+        worst = max(worst, ratio)
     return worst, worst <= 2.0

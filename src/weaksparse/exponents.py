@@ -134,6 +134,22 @@ _FILL_WEAK = "#b8cfe8"  # weak-type exponent strictly below strong-type
 _FILL_LT1 = "#2f6db3"  # weak-type exponent below 1
 
 
+def _line(x1, y1, x2, y2, stroke: str = "#000000", extra: str = "") -> str:
+    """One <line> of region_svg; coordinates are written as given."""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="1"{extra}/>'
+    )
+
+
+def _text(x, y, size: int, anchor: str, label: str, extra: str = "") -> str:
+    """One <text> of region_svg; coordinates are written as given."""
+    return (
+        f'<text x="{x}" y="{y}" font-size="{size}" '
+        f'text-anchor="{anchor}" font-family="sans-serif"{extra}>{label}</text>'
+    )
+
+
 def region_svg(table: RegionTable) -> str:
     """Render the region table as a standalone SVG; byte-deterministic.
 
@@ -168,46 +184,19 @@ def region_svg(table: RegionTable) -> str:
     ax = _SVG_ML
     ay = _SVG_MT + _SVG_PLOT
     # frame, diagonal 1/p1 + 1/p2 = 1, ticks
-    parts.append(
-        f'<line x1="{ax}" y1="{ay}" x2="{ax + _SVG_PLOT}" y2="{ay}" '
-        'stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{ax}" y1="{ay}" x2="{ax}" y2="{_SVG_MT}" '
-        'stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{ax}" y1="{_SVG_MT}" x2="{ax + _SVG_PLOT}" y2="{ay}" '
-        'stroke="#888888" stroke-width="1" stroke-dasharray="4,3"/>'
-    )
+    parts.append(_line(ax, ay, ax + _SVG_PLOT, ay))
+    parts.append(_line(ax, ay, ax, _SVG_MT))
+    parts.append(_line(ax, _SVG_MT, ax + _SVG_PLOT, ay, "#888888", ' stroke-dasharray="4,3"'))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        tx = ax + frac * _SVG_PLOT
+        tx = px(ax + frac * _SVG_PLOT)
         ty = ay - frac * _SVG_PLOT
         label = f"{frac:g}"
-        parts.append(
-            f'<line x1="{px(tx)}" y1="{ay}" x2="{px(tx)}" y2="{ay + 5}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(tx)}" y="{ay + 18}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
-        )
-        parts.append(
-            f'<line x1="{ax - 5}" y1="{px(ty)}" x2="{ax}" y2="{px(ty)}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ax - 8}" y="{px(ty + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{ax + _SVG_PLOT / 2:.1f}" y="{ay + 36}" font-size="13" '
-        'text-anchor="middle" font-family="sans-serif">1/p1</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_SVG_MT + _SVG_PLOT / 2:.1f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {_SVG_MT + _SVG_PLOT / 2:.1f})">1/p2</text>'
-    )
+        parts.append(_line(tx, ay, tx, ay + 5))
+        parts.append(_text(tx, ay + 18, 11, "middle", label))
+        parts.append(_line(ax - 5, px(ty), ax, px(ty)))
+        parts.append(_text(ax - 8, px(ty + 4), 11, "end", label))
+    mid = f"{_SVG_MT + _SVG_PLOT / 2:.1f}"
+    parts.append(_text(f"{ax + _SVG_PLOT / 2:.1f}", ay + 36, 13, "middle", "1/p1"))
+    parts.append(_text(16, mid, 13, "middle", "1/p2", f' transform="rotate(-90 16 {mid})"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -30,6 +30,11 @@ def power_weight(a: float, config: GridConfig) -> Weight:
     edges = np.arange(config.cell_count + 1, dtype=np.float64) / config.cell_count
     prim = edges ** (a + 1.0)
     vals = np.diff(prim) / ((a + 1.0) * config.cell_volume)
+    zeros = vals.size - np.count_nonzero(vals)
+    if zeros:
+        raise ValueError(
+            f"power weight x^a with a = {a:.8g} underflows to 0 on {zeros} of {vals.size} cells"
+        )
     return Weight(config, vals)
 
 

@@ -303,7 +303,8 @@ def test_overflow_ends_in_one_line_error(tmp_path, capsys, monkeypatch):
 
 def test_huge_exponents_end_in_one_stderr_line():
     """At p1 = p2 = 1e6 the test functions' powers overflow before the power
-    weights underflow; stderr holds the error line and no numpy warning."""
+    weight underflows; stderr holds the error line, which names the power
+    weight and its exponent, and no numpy warning."""
     src = os.path.dirname(os.path.dirname(weaksparse.__file__))
     argv = ["experiment", "slope", "--p1", "1e6", "--p2", "1e6", "--finest-level", "4"]
     out = subprocess.run(
@@ -313,7 +314,9 @@ def test_huge_exponents_end_in_one_stderr_line():
         text=True,
     )
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr == "weaksparse: error: weights must be strictly positive\n"
+    assert out.stderr == (
+        "weaksparse: error: power weight x^a with a = 749999.25 underflows to 0 on 15 of 16 cells\n"
+    )
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

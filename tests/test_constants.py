@@ -272,6 +272,15 @@ def test_reverse_holder_constant_weight():
     assert reverse_holder_epsilon(w) == pytest.approx(1.0 / 2**12, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sums and powers
+def test_reverse_holder_refuses_an_overflowing_weight():
+    # every cube sum overflows, so each ratio is inf/inf = NaN; Jensen puts a
+    # true ratio at 1 or above, so the check must not pass with 0
+    w = Weight(GridConfig(1, 3), np.full(8, 1.7e308))
+    with pytest.raises(ValueError, match="^reverse Hoelder ratio at level 3 is not finite$"):
+        reverse_holder_check(w)
+
+
 def test_reverse_holder_power_weights():
     cfg = GridConfig(1, 10)
     for a in (-0.9, -0.5, 0.5, 1.0, 2.0):

@@ -31,6 +31,14 @@ def test_power_weight_rejects_nonintegrable():
         power_weight(0.5, GridConfig(2, 3))
 
 
+def test_power_weight_that_underflows_names_its_exponent():
+    # x^224.25 integrates to 0 on the 149 cells nearest 0, which Weight
+    # would refuse without naming the power weight
+    with pytest.raises(ValueError) as e:
+        power_weight(224.25, GridConfig(1, 12))
+    assert str(e.value) == "power weight x^a with a = 224.25 underflows to 0 on 149 of 4096 cells"
+
+
 def test_power_weight_cell_values_are_exact_integrals():
     # aggregating K+4 resolution cells reproduces the K-level values exactly
     a = 1.7

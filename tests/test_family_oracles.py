@@ -751,7 +751,8 @@ def _unshared_pair():
     [
         ("apvec_constant", 3, 2, 1),
         ("check_constant_inequalities", 3, 2, 1),  # A_p pools its dual power in its walk
-        ("dualize_first_entry", 5, 3, 2),  # s2 and its averages serve both pairs
+        # s2 and its averages serve both pairs; the fourth dual is v's
+        ("dualize_first_entry", 5, 4, 2),
         ("sparse_sum_norm_ratios", 3, 2, 1),
         ("local_sigma_testing_ratio", 3, 2, 1),
     ],
@@ -1098,18 +1099,20 @@ def test_ap_and_joint_walks_match_the_list_bodies(config):
 
 
 def test_joint_walk_over_several_chunks_matches_the_list_body():
-    """Levels wider than one chunk (1D K = 17: levels 16 and 17 take 2 and
-    4 chunks of _CHUNK_CELLS) give the list body's joint constant and dual
-    transform error bit for bit, off and on the diagonal."""
-    cfg = GridConfig(1, 17)
-    assert cfg.cell_count == 4 * wc._CHUNK_CELLS
-    rng = np.random.default_rng(17)
-    w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
-    for a, b, P in [(w1, w2, ExponentTuple(2.0, 3.0)), (w1, w1, ExponentTuple(6.0, 6.0))]:
-        pair = pair_weights(a, b, P)
-        assert _same_report(wc.apvec_constant(pair), _apvec_oracle(a, b, P))
-        _, err = wc.dualize_first_entry(pair)
-        assert _same_bits(err, _dualize_first_entry_oracle(a, b, P)[3])
+    """Finest levels of one chunk of _CHUNK_CELLS (1D K = 15) and of several
+    (1D K = 16 and 17, 2D K = 8; at 1D K = 17 levels 16 and 17 take 2 and 4
+    chunks) give the list body's joint constant and dual transform error bit
+    for bit, off and on the diagonal."""
+    for cfg, chunks in [(GridConfig(1, 17), 4), (GridConfig(1, 15), 1),
+                        (GridConfig(1, 16), 2), (GridConfig(2, 8), 2)]:
+        assert cfg.cell_count == chunks * wc._CHUNK_CELLS
+        rng = np.random.default_rng(cfg.finest_level)
+        w1, w2 = random_weight(rng, cfg), random_weight(rng, cfg)
+        for a, b, P in [(w1, w2, ExponentTuple(2.0, 3.0)), (w1, w1, ExponentTuple(6.0, 6.0))]:
+            pair = pair_weights(a, b, P)
+            assert _same_report(wc.apvec_constant(pair), _apvec_oracle(a, b, P))
+            _, err = wc.dualize_first_entry(pair)
+            assert _same_bits(err, _dualize_first_entry_oracle(a, b, P)[3])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the dual power of 1e-300

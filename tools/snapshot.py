@@ -97,6 +97,10 @@ ERRORS = (
         "slope_huge_exponents",
         ["experiment", "slope", "--p1", "1e6", "--p2", "1e6", "--finest-level", "4"],
     ),
+    (
+        "slope_power_weight_underflow",
+        ["experiment", "slope", "--p1", "300", "--p2", "300", "--finest-level", "12"],
+    ),
 )
 
 
