@@ -9,13 +9,14 @@ Hardy-Littlewood operator.
 
 Each constant is one walk over the levels, from the finest to the
 coarsest, that reduces every level to its maximum as soon as the level is
-computed (_LevelMax), so no constant holds the per-cube values of all
-levels at once.  A_infty and A_p pool what they need one sibling halving
-at a time: A_infty the weight's sums and its running maximal averages,
-A_p the dual power w^{1-p'}, and neither keeps its pooling.  The joint
-constant walks the kept level averages (_joint_levels), filling each
-level chunk by chunk, and dualize_first_entry compares two such walks
-level by level.
+computed, so no constant holds the per-cube values of all levels at once.
+_LevelMax is the one reduction of every walk here, and it refuses a level
+whose maximum is not finite (cube sums or joint products that overflow).
+A_infty and A_p pool what they need one sibling halving at a time:
+A_infty the weight's sums and its running maximal averages, A_p the dual
+power w^{1-p'}, and neither keeps its pooling.  The joint constant walks
+the kept level averages (_joint_levels), filling each level chunk by
+chunk, and dualize_first_entry compares two such walks level by level.
 
 A pair's joint and A_{2p} constants start from its weights s1, s2 and v
 and their per-level cube averages.  pair_weights derives the three once,
@@ -53,30 +54,31 @@ class ConstantReport:
     (level, index) on a grid of that dimension and built on first read."""
 
     value: float
-    at: tuple[int, int] | None
+    at: tuple[int, int]
     dimension: int
 
     @cached_property
-    def argmax_cube(self) -> DyadicCube | None:
-        return None if self.at is None else cube_from_index(*self.at, self.dimension)
+    def argmax_cube(self) -> DyadicCube:
+        return cube_from_index(*self.at, self.dimension)
 
 
 class _LevelMax:
-    """Maximum over the cubes of the levels offered, finest level first.
+    """Maximum of `name` over the cubes of the levels offered, finest first.
 
-    Each level is reduced to its first maximal cube at once (np.argmax, so a
-    level holding a NaN offers that NaN, which never wins).  A later level is
-    coarser, so an equal maximum replaces the witness: it is the first
-    maximal cube in enumeration order (level-major).
+    Each level is reduced to its first maximal cube at once (np.argmax,
+    which stops at a NaN); a level whose maximum is inf or NaN is refused.
+    A later level is coarser, so an equal maximum replaces the witness: it
+    is the first maximal cube in enumeration order (level-major).
     """
 
-    def __init__(self):
-        self.value = -np.inf
-        self.at = None
+    def __init__(self, name: str):
+        self.name, self.value, self.at = name, -np.inf, None
 
     def offer(self, level: int, values: np.ndarray) -> None:
         i = int(np.argmax(values))
         v = float(values[i])
+        if not np.isfinite(v):
+            raise ValueError(f"{self.name} at level {level} is not finite")
         if v >= self.value:
             self.value, self.at = v, (level, i)
 
@@ -94,7 +96,7 @@ def ap_constant(w: Weight, p: float) -> ConstantReport:
     if not 1.0 < p < np.inf:
         raise ValueError("p must be in (1, inf)")
     cfg = w.config
-    best = _LevelMax()
+    best = _LevelMax("A_p constant")
     dual = w.values ** (1.0 - _conjugate(p))  # the level-K sums of w^{1-p'}
     for k in range(cfg.finest_level, -1, -1):
         coarser = _halve(dual, cfg.dimension) if k else None
@@ -118,7 +120,7 @@ def ainfty_constant(w: Weight) -> ConstantReport:
     """
     cfg = w.config
     K, n = cfg.finest_level, cfg.dimension
-    best = _LevelMax()
+    best = _LevelMax("A_infty constant")
     best.offer(K, np.ones(1))  # on a finest cube M(w chi_Q) = w: every one reads 1
     sums = w.values
     running = w.values.copy()  # level-K averages are the cell values
@@ -188,17 +190,18 @@ def _joint_levels(pair: WeightPair):
     for k in range(pair.config.finest_level, -1, -1):
         x, y, z = pair.v.averages[k], pair.s1.averages[k], pair.s2.averages[k]
         out = np.empty_like(x)
-        for lo in range(0, x.size, _CHUNK_CELLS):
-            c = slice(lo, lo + _CHUNK_CELLS)
-            t = y[c] ** e1
-            part = np.multiply(x[c], t, out=out[c])
-            part *= t if shared else z[c] ** e2
+        with np.errstate(over="ignore"):  # _LevelMax refuses inf; never open across the yield
+            for lo in range(0, x.size, _CHUNK_CELLS):
+                c = slice(lo, lo + _CHUNK_CELLS)
+                t = y[c] ** e1
+                part = np.multiply(x[c], t, out=out[c])
+                part *= t if shared else z[c] ** e2
         yield k, out
 
 
 def apvec_constant(pair: WeightPair) -> ConstantReport:
     """Joint two-weight constant: max over cubes of the product quantity."""
-    best = _LevelMax()
+    best = _LevelMax("joint constant")
     for k, values in _joint_levels(pair):
         best.offer(k, values)
     return best.report(pair.config)
@@ -273,14 +276,14 @@ def dualize_first_entry(pair: WeightPair) -> tuple[WeightPair, float]:
     v_new = joint_weight(w1_new, w2, P_new)
     dual = WeightPair(w1_new, w2, P_new, dual_weight(w1_new, P_new.p1), pair.s2, v_new)
     power = P.p1_prime / P.p
-    err = 0.0
-    for (_, expected), (_, new) in zip(_joint_levels(pair), _joint_levels(dual)):
+    worst = _LevelMax("dual transform deviation")
+    for (k, expected), (_, new) in zip(_joint_levels(pair), _joint_levels(dual)):
         expected **= power
         new -= expected
         np.abs(new, out=new)
         new /= expected
-        err = max(err, float(np.max(new)))
-    return dual, err
+        worst.offer(k, new)
+    return dual, worst.value
 
 
 def reverse_holder_epsilon(sigma: Weight) -> float:
@@ -291,16 +294,13 @@ def reverse_holder_epsilon(sigma: Weight) -> float:
 
 def reverse_holder_check(sigma: Weight) -> tuple[float, bool]:
     """Worst cube ratio <sigma^(1+eps)>_Q / <sigma>_Q^(1+eps); pass iff <= 2.
-    Jensen's inequality puts every ratio at 1 or above, so a level whose
-    ratio is not finite (cube sums that overflow give inf/inf) is refused."""
+    Jensen's inequality puts every ratio at 1 or above; _LevelMax refuses a
+    level whose ratio is not finite (overflowing cube sums give inf/inf)."""
     cfg = sigma.config
     eps = reverse_holder_epsilon(sigma)
     a1 = sigma.averages
     a2 = level_averages(sigma.values ** (1.0 + eps), cfg)
-    worst = 0.0
+    worst = _LevelMax("reverse Hoelder ratio")
     for k in range(cfg.finest_level, -1, -1):
-        ratio = float(np.max(a2[k] / a1[k] ** (1.0 + eps)))
-        if not np.isfinite(ratio):
-            raise ValueError(f"reverse Hoelder ratio at level {k} is not finite")
-        worst = max(worst, ratio)
-    return worst, worst <= 2.0
+        worst.offer(k, a2[k] / a1[k] ** (1.0 + eps))
+    return worst.value, worst.value <= 2.0

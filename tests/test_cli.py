@@ -241,12 +241,28 @@ CONSTANTS = (
             [{"level": 0, "coords": [0]}] + [{"level": 1, "coords": [c]} for c in (0, 1)],
             "doc.json: not canonically sparse",
         ),
+        (SPARSE_EVAL, [{"level": 4, "coords": [0]}], "doc.json: cube entry 0: level must be in [0, 3]"),
+        (CONSTANTS, {"dimension": 1, "finest_level": 2, "values": [1.0] * 4},
+         "weight files live on different grids"),
+        (
+            ("sparse-eval", "--family", "{tmp}/fam.json", "--f1", "{tmp}/doc.json",
+             "--f2", "{tmp}/f.json", "--out", "{tmp}/out.json"),
+            {"dimension": 1, "finest_level": 2, "values": [1.0] * 4},
+            "input functions live on different grids",
+        ),
+        (
+            ("experiment", "slope", "--p1", "2", "--p2", "3", "--finest-level", "6",
+             "--deltas", "0.5,0.5,0.25,0.125"),
+            None,
+            "family constants not strictly increasing",
+        ),
     ],
     ids=[
         "missing_file", "non_object", "no_coords", "fractional_level",
         "wrong_dimension", "p1_one", "one_weight_file", "fractional_grid_header",
         "three_dimensions", "zero_weight", "infinite_weight", "nan_function",
-        "coords_out_of_range", "not_sparse",
+        "coords_out_of_range", "not_sparse", "level_out_of_range", "weights_on_two_grids",
+        "functions_on_two_grids", "constants_not_increasing",
     ],
 )
 def test_misuse_ends_in_one_line_error(tmp_path, capsys, template, doc, message):
@@ -317,6 +333,25 @@ def test_huge_exponents_end_in_one_stderr_line():
     assert out.stderr == (
         "weaksparse: error: power weight x^a with a = 749999.25 underflows to 0 on 15 of 16 cells\n"
     )
+
+
+def test_joint_constant_past_the_largest_double_ends_in_one_stderr_line(tmp_path):
+    """On 1e+-200 weights at (2, 3) the level-1 joint product is about 1e479:
+    stderr holds the refusal alone, without numpy's overflow warning, and
+    stdout holds no report with an Infinity in it."""
+    src = os.path.dirname(os.path.dirname(weaksparse.__file__))
+    w = Weight(GridConfig(1, 2), [1e-200, 1e200, 1e-200, 1e200])
+    save_grid_function(w, tmp_path / "w.json")
+    argv = ["constants", "--weights", "w.json,w.json", "--p1", "2", "--p2", "3"]
+    out = subprocess.run(
+        [sys.executable, "-m", "weaksparse", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "weaksparse: error: joint constant at level 1 is not finite\n"
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

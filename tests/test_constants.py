@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,29 @@ def test_all_constants_at_least_one(rng):
         assert ap_constant(w1, P.p1).value >= 1.0 - 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing cube sums
+def test_constants_refuse_cube_sums_that_overflow():
+    # the true constants are 1, but every sum above the finest level is inf:
+    # A_p read inf, and A_infty, whose coarser levels read inf/inf = NaN, 1
+    # at a finest cube
+    w = Weight(GridConfig(1, 3), np.full(8, 1.7e308))
+    with pytest.raises(ValueError, match="^A_p constant at level 2 is not finite$"):
+        ap_constant(w, 2.0)
+    with pytest.raises(ValueError, match="^A_infty constant at level 2 is not finite$"):
+        ainfty_constant(w)
+
+
+def test_joint_constant_refuses_products_that_overflow_without_a_warning():
+    # at level 1 the joint product is (5e199)^2.4, about 1e479; the walk
+    # raised it to inf and reported inf, with numpy's overflow warning
+    h = Weight(GridConfig(1, 2), [1e-200, 1e200, 1e-200, 1e200])
+    pair = pair_weights(h, h, ExponentTuple(2.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^joint constant at level 1 is not finite$"):
+            pair.apvec
+
+
 # --- constant inequalities --------------------------------------------------
 
 
@@ -274,10 +299,20 @@ def test_reverse_holder_constant_weight():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sums and powers
 def test_reverse_holder_refuses_an_overflowing_weight():
-    # every cube sum overflows, so each ratio is inf/inf = NaN; Jensen puts a
-    # true ratio at 1 or above, so the check must not pass with 0
+    # every cube sum overflows, so each ratio would be inf/inf = NaN; Jensen
+    # puts a true ratio at 1 or above, so the check must not pass with 0.  The
+    # A_infty constant behind eps reads the same sums and refuses first.
     w = Weight(GridConfig(1, 3), np.full(8, 1.7e308))
-    with pytest.raises(ValueError, match="^reverse Hoelder ratio at level 3 is not finite$"):
+    with pytest.raises(ValueError, match="^A_infty constant at level 2 is not finite$"):
+        reverse_holder_check(w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sum
+def test_reverse_holder_refuses_a_ratio_that_is_not_finite():
+    # the weight's sum 1.6e308 is finite, so A_infty is 1, but the sum of
+    # sigma^(1+eps) overflows, so the level-0 ratio is inf
+    w = Weight(GridConfig(1, 1), [8e307, 8e307])
+    with pytest.raises(ValueError, match="^reverse Hoelder ratio at level 0 is not finite$"):
         reverse_holder_check(w)
 
 

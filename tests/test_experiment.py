@@ -52,6 +52,26 @@ def test_default_test_functions_shape():
     )
 
 
+def test_random_test_functions_set_rows_on_a_coarse_grid_only():
+    """The 8 random functions of the default set set every strong value at
+    K = 2, P = (2, 3) and no row at K = 12, with the CLI's deltas: they
+    cannot be dropped without changing rows on coarse grids."""
+    spec = WeightFamilySpec("power", tuple(2.0**-k for k in range(2, 10)))
+
+    def rows(K, P, indicators_only):
+        cfg = GridConfig(1, K)
+        fns = default_test_functions(cfg, experiment._TEST_SEED)
+        fns = fns[: K + 1] if indicators_only else fns
+        return slope_experiment(spec, P, cfg, tower_family(cfg), fns).rows
+
+    P23 = ExponentTuple(2.0, 3.0)
+    full, indicators = rows(2, P23, False), rows(2, P23, True)
+    assert all(a.strong != b.strong for a, b in zip(full, indicators))
+    assert (full[0].strong, indicators[0].strong) == (2.7865195627115185, 2.7651281832519574)
+    for P in (P66, P23):
+        assert rows(12, P, False) == rows(12, P, True)
+
+
 # --- atom evaluation against the cellwise oracle ----------------------------
 
 

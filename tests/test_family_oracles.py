@@ -321,13 +321,16 @@ def _apvec_oracle(w1, w2, P):
     return _argmax_over_levels_oracle(_joint_per_level_oracle(w1, w2, P), w1.config)
 
 
-def _ap_oracle(w, p):
+def _ap_per_level_oracle(w, p):
     cfg = w.config
     pc = p / (p - 1.0)
     aw = level_averages(w.values, cfg)
     ad = level_averages(w.values ** (1.0 - pc), cfg)
-    per_level = [aw[k] * ad[k] ** (p - 1.0) for k in range(cfg.finest_level + 1)]
-    return _argmax_over_levels_oracle(per_level, cfg)
+    return [aw[k] * ad[k] ** (p - 1.0) for k in range(cfg.finest_level + 1)]
+
+
+def _ap_oracle(w, p):
+    return _argmax_over_levels_oracle(_ap_per_level_oracle(w, p), w.config)
 
 
 def _check_constant_inequalities_oracle(w1, w2, P, rtol=1e-10):
@@ -1074,19 +1077,34 @@ def test_ainfty_over_cube_sums_matches_the_one_level_pyramid(config):
         assert _same_report(ainfty_constant(w), _ainfty_oracle(w))
 
 
+def _assert_walk_matches_list(walk, name, per_level, config):
+    """walk() reports the list body's maximum and witness bit for bit when
+    every level of per_level is finite, and else refuses the finest level
+    that is not."""
+    bad = [k for k, values in enumerate(per_level) if not np.isfinite(values).all()]
+    if bad:
+        with pytest.raises(ValueError, match=f"^{name} at level {bad[-1]} is not finite$"):
+            walk()
+    else:
+        assert _same_report(walk(), _argmax_over_levels_oracle(per_level, config))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN at the extremes
 @pytest.mark.parametrize("config", _EVAL_GRIDS, ids=_IDS)
 def test_ap_and_joint_walks_match_the_list_bodies(config):
     """A_p and the joint constant, walked level by level, against the bodies
     that kept every level's values and reduced the list at the end: value
-    and witness bit for bit, also where levels hold inf or NaN."""
+    and witness bit for bit where every level is finite, and the refusal of
+    the finest level that holds inf or NaN where one does."""
     rng = np.random.default_rng(4000 + 100 * config.dimension + config.finest_level)
     weights = _sweep_weights(rng, config)
     # p - 1 = 1, 0.5 and 2 are numpy's fast exponents; the others are not
     ps = (2.0, 1.5, 3.0, float(rng.uniform(1.01, 12.0)), 40.0)
     for w in weights:
         for p in ps:
-            assert _same_report(wc.ap_constant(w, p), _ap_oracle(w, p))
+            _assert_walk_matches_list(
+                lambda: wc.ap_constant(w, p), "A_p constant", _ap_per_level_oracle(w, p), config
+            )
     q = float(rng.uniform(1.5, 12.0))
     for w1, w2 in zip(weights, weights[1:] + weights[:1]):
         for a, b, P in [(w1, w2, random_exponents(rng)), (w1, w1, ExponentTuple(q, q))]:
@@ -1095,7 +1113,10 @@ def test_ap_and_joint_walks_match_the_list_bodies(config):
             except ValueError:  # a dual weight overflows
                 assert _outcome(_apvec_oracle, a, b, P)[0] == "raised"
                 continue
-            assert _same_report(wc.apvec_constant(pair), _apvec_oracle(a, b, P))
+            per_level = _joint_per_level_oracle(a, b, P)
+            _assert_walk_matches_list(
+                lambda: wc.apvec_constant(pair), "joint constant", per_level, config
+            )
 
 
 def test_joint_walk_over_several_chunks_matches_the_list_body():

@@ -48,6 +48,11 @@ ERRORS = (
          "--p1", "2", "--p2", "3"],
     ),
     (
+        "constants_joint_not_finite",
+        ["constants", "--weights", "inputs/huger.json,inputs/huger.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
         "constants_two_grids",
         ["constants", "--weights", "inputs/line.json,inputs/plane.json",
          "--p1", "2", "--p2", "3"],
@@ -159,11 +164,13 @@ def _write_inputs(d: Path) -> None:
     line = GridConfig(1, 14)
     edge = np.resize(np.concatenate([edge, -edge]), line.cell_count)
     save_grid_function(GridFunction(line, edge), d / "edge.json")
-    # inputs of ERRORS: 16 cells on two grids, 1e+-150 values, a zero
+    # inputs of ERRORS: 16 cells on two grids, 1e+-150 and 1e+-200 values, a zero
     # weight, a cut-off file, one that is not UTF-8, -16 or -32 text, and a
     # family entry off its level
     huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
     save_grid_function(huge, d / "huge.json")
+    huger = Weight(GridConfig(1, 2), [1e-200, 1e200, 1e-200, 1e200])
+    save_grid_function(huger, d / "huger.json")
     for name, cfg in (("line", GridConfig(1, 4)), ("plane", GridConfig(2, 2))):
         save_grid_function(Weight(cfg, rng.uniform(0.5, 2.0, 16)), d / f"{name}.json")
     (d / "malformed.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [1.0,')
