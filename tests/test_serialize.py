@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_weight
+from weaksparse import serialize
 from weaksparse.cli import main
 from weaksparse.dyadic import GridConfig
 from weaksparse.exponents import REGION_COLUMNS, region_map
@@ -77,12 +78,31 @@ def _special_values():
     return np.concatenate([values, -values])
 
 
+def _slice_filling(count):
+    """count floats whose writer rendering, joined by ", ", is exactly one
+    slice of the grid reader (serialize._SLICE bytes): 1/3, 1.25 and 1.0
+    render in 18, 4 and 3 bytes."""
+    spare = serialize._SLICE - (5 * count - 2)
+    long, wide = divmod(spare, 15)
+    assert 0 <= long + wide <= count
+    return [1 / 3] * long + [1.25] * wide + [1.0] * (count - long - wide)
+
+
 def _assert_saved_as_json_dump(tmp_path, cfg, values):
+    """save_grid_function writes json.dump's bytes, and the loader reads
+    them back bit for bit as json does."""
     f = GridFunction(cfg, np.resize(values, cfg.cell_count))
-    save_grid_function(f, tmp_path / "f.json")
+    path = tmp_path / "f.json"
+    save_grid_function(f, path)
     doc = {"dimension": cfg.dimension, "finest_level": cfg.finest_level}
     doc["values"] = f.values.tolist()
-    assert (tmp_path / "f.json").read_bytes() == _json_dump_bytes(doc)
+    raw = path.read_bytes()
+    assert raw == _json_dump_bytes(doc)
+    want = np.array(json.loads(raw)["values"]).tobytes()
+    assert load_grid_function(path).values.tobytes() == want
+    # the slice reader takes every such file but those with many exponents
+    exponents = raw.count(b"e", raw.index(b"[")) > cfg.cell_count // serialize._EXPONENTS
+    assert (serialize._read_saved_grid(raw) is None) == exponents
 
 
 def test_saved_bytes_equal_json_dump_output(tmp_path, rng):
@@ -112,6 +132,12 @@ def test_saved_bytes_equal_json_dump_output(tmp_path, rng):
     size = np.abs(special)
     scientific = special[(size < 1e-4) | (size >= 1e16)]
     _assert_saved_as_json_dump(tmp_path, GridConfig(1, 15), scientific)
+    # the band with one scientific value in 64, which the slice reader takes
+    mixed = band.copy()
+    mixed[::64] = np.resize(scientific, mixed[::64].size)
+    _assert_saved_as_json_dump(tmp_path, GridConfig(1, 18), mixed)
+    # a body one value longer than a whole slice: the last slice is one value
+    _assert_saved_as_json_dump(tmp_path, GridConfig(1, 13), _slice_filling(2**13 - 1) + [0.1])
 
 
 def test_sparse_eval_output_bytes_equal_json_dump_output(tmp_path, capsys, rng):
@@ -132,6 +158,74 @@ def test_sparse_eval_output_bytes_equal_json_dump_output(tmp_path, capsys, rng):
     assert 0 < np.count_nonzero(image.values >= 1e16) < cfg.cell_count  # both exponent forms
     doc = {"dimension": 2, "finest_level": 4, "values": image.values.tolist()}
     assert paths["out"].read_bytes() == _json_dump_bytes(doc)
+
+
+def _writer_layout(level, body: str, dimension=1) -> bytes:
+    """A grid file in save_grid_function's layout around a values body."""
+    head = f'{{"dimension": {dimension}, "finest_level": {level}, "values": ['
+    return (head + body + "]}\n").encode()
+
+
+_BOUNDARY = ", ".join(map(repr, _slice_filling(2**13)))  # one whole slice
+
+
+_LAYOUT_CASES = {
+    "boolean_first": _writer_layout(1, "true, 1.5"),
+    "boolean_last": _writer_layout(1, "1.5, false"),
+    "big_integer": _writer_layout(1, "123456789012345678901234567890, 1.5"),
+    "big_integer_among_floats": _writer_layout(2, "0.5, 123456789012345678901234567890, 1.5, 2.5"),
+    "overflow": _writer_layout(1, "1e999, 1.5"),
+    "nan": _writer_layout(1, "NaN, 1.5"),
+    "minus_infinity": _writer_layout(1, "1.5, -Infinity"),
+    "null": _writer_layout(1, "1.5, null"),
+    "trailing_comma": _writer_layout(1, "1.0, 2.0,"),
+    "double_comma": _writer_layout(1, "1.0,,2.0"),
+    "trailing_comma_ends_a_slice": _writer_layout(13, _BOUNDARY + ", "),
+    "double_comma_straddles_a_cut": _writer_layout(13, _BOUNDARY + ",, 2.0"),
+    "comma_in_string": _writer_layout(1, '"1.0, 2.0", 1.5'),
+    "nested": _writer_layout(1, "[1.0, 2.0], 1.5"),
+    "one_too_few": _writer_layout(2, "1.5, 2.5, 3.5"),
+    "one_too_many": _writer_layout(2, "1.5, 2.5, 3.5, 4.5, 5.5"),
+    "one_too_few_long": _writer_layout(2, ", ".join([repr(1 / 3)] * 3)),  # room for 4
+    "one_too_few_of_1024": _writer_layout(10, ", ".join([repr(1 / 3)] * 1023)),
+    "level_24_over_two": _writer_layout(24, "1.5, 2.5"),
+    "empty": _writer_layout(1, ""),
+    "integers": _writer_layout(1, "1, 2"),
+    "not_shortest": _writer_layout(1, "-0, 1.50"),
+    "other_exponent_forms": _writer_layout(1, "1E5, 0.00001"),
+    "no_exponent_past_1e16": _writer_layout(1, "100000000000000000.0, 1.5"),
+    # 32 cells: two values written with an exponent are taken, three are not
+    "writer_exponents": _writer_layout(5, ", ".join(["1e-05", "1.5e+16"] + ["1.5"] * 30)),
+    "other_exponent": _writer_layout(5, ", ".join(["1e5", "1.5e+16"] + ["1.5"] * 30)),
+    "too_many_exponents": _writer_layout(5, ", ".join(["1e-05", "1e+16", "2e-300"] + ["1.5"] * 29)),
+    "three_dimensions": _writer_layout(3, "1.5, 2.5"),
+    "bom": b"\xef\xbb\xbf" + _writer_layout(1, "1.5, 2.5"),
+    "crlf": _writer_layout(1, "1.5, 2.5")[:-1] + b"\r\n",
+    "writer": _writer_layout(1, "1.5, 2.5"),
+    "writer_one_slice": _writer_layout(13, _BOUNDARY),
+    "writer_plane": _writer_layout(2, "0.5, 0.25, 1.5, 2.5", dimension=2),
+}
+
+
+@pytest.mark.parametrize("raw", list(_LAYOUT_CASES.values()), ids=list(_LAYOUT_CASES))
+def test_slice_reader_loads_as_json_does(tmp_path, monkeypatch, raw):
+    """A file in the writer's layout loads to the same array bytes, or fails
+    with the same exception and message, as through json alone."""
+    path = tmp_path / "g.json"
+    path.write_bytes(raw)
+
+    def outcomes():
+        found = []
+        for load in (load_grid_function, load_weight):
+            try:
+                found.append(load(path).values.tobytes())
+            except Exception as e:  # the type is compared
+                found.append((type(e), str(e)))
+        return found
+
+    got = outcomes()
+    monkeypatch.setattr(serialize, "_read_saved_grid", lambda raw: None)
+    assert got == outcomes()
 
 
 def test_start_up_command_does_not_import_orjson():
@@ -314,6 +408,56 @@ def test_weight_file_is_not_held_as_bytes_beside_its_text(tmp_path, rng):
         tracemalloc.stop()
     parsed = cells * (8 + 24)  # the list's slots and its float objects
     assert peak < size + parsed + 8 * cells, (peak, size, parsed)
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_json_path_drops_the_bytes_before_parsing(tmp_path, rng):
+    """A weight file the slice reader declines (here for its CRLF ending)
+    peaks under the text, the parsed list of floats and one more cell
+    array while json reads it, as the writer's own files did before."""
+    cfg = GridConfig(1, 16)
+    path = tmp_path / "w.json"
+    save_grid_function(random_weight(rng, cfg), path)
+    path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
+    assert serialize._read_saved_grid(path.read_bytes()) is None
+    load_weight(path)  # warm caches and imports
+    size, cells = path.stat().st_size, cfg.cell_count
+    parsed = cells * (8 + 24)  # the list's slots and its float objects
+    peak = _traced_peak(lambda: load_weight(path))
+    assert peak < size + parsed + 8 * cells, (peak, size, parsed)
+
+
+def test_slice_reader_holds_one_slice_of_parsed_values(tmp_path, rng):
+    """Loading a 1D K = 16 weight peaks under the file's bytes, two cell
+    arrays (the values and the weight's copy) and one slice's list of
+    floats; a whole-file parse would hold a float object per cell.  A
+    header that claims 2^24 cells over two values allocates none of them."""
+    cfg = GridConfig(1, 16)
+    path = tmp_path / "w.json"
+    save_grid_function(random_weight(rng, cfg), path)
+    load_weight(path)  # warm caches and imports
+    size, cells = path.stat().st_size, cfg.cell_count
+    listed = serialize._SLICE // 4 * (8 + 24)  # a value and its ", " take 5 bytes or more
+    peak = _traced_peak(lambda: load_weight(path))
+    assert peak < size + 2 * 8 * cells + listed, (peak, size, listed)
+    claim = tmp_path / "claim.json"
+    claim.write_bytes(_writer_layout(24, "1.5, 2.5"))
+
+    def refused():
+        with pytest.raises(ValueError, match="expected 16777216 values, got 2"):
+            load_weight(claim)
+
+    assert _traced_peak(refused) < 2**20
 
 
 def test_deeply_nested_document_is_a_value_error(tmp_path):

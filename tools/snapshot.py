@@ -68,6 +68,16 @@ ERRORS = (
          "--p1", "2", "--p2", "3"],
     ),
     (
+        "constants_boolean",
+        ["constants", "--weights", "inputs/boolean.json,inputs/line.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
+        "constants_big_integer",
+        ["constants", "--weights", "inputs/line.json,inputs/big_integer.json",
+         "--p1", "2", "--p2", "3"],
+    ),
+    (
         "constants_zero_weight",
         ["constants", "--weights", "inputs/line.json,inputs/zero.json",
          "--p1", "2", "--p2", "3"],
@@ -165,8 +175,10 @@ def _write_inputs(d: Path) -> None:
     edge = np.resize(np.concatenate([edge, -edge]), line.cell_count)
     save_grid_function(GridFunction(line, edge), d / "edge.json")
     # inputs of ERRORS: 16 cells on two grids, 1e+-150 and 1e+-200 values, a zero
-    # weight, a cut-off file, one that is not UTF-8, -16 or -32 text, and a
-    # family entry off its level
+    # weight, a cut-off file, one that is not UTF-8, -16 or -32 text, a
+    # family entry off its level, and two files in the grid writer's layout
+    # that json refuses (a boolean; an integer past 64 bits, which orjson
+    # would read as a float)
     huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
     save_grid_function(huge, d / "huge.json")
     huger = Weight(GridConfig(1, 2), [1e-200, 1e200, 1e-200, 1e200])
@@ -175,6 +187,10 @@ def _write_inputs(d: Path) -> None:
         save_grid_function(Weight(cfg, rng.uniform(0.5, 2.0, 16)), d / f"{name}.json")
     (d / "malformed.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [1.0,')
     save_grid_function(GridFunction(GridConfig(1, 4), np.zeros(16)), d / "zero.json")
+    for name, first in (("boolean", "true"), ("big_integer", "123456789012345678901234567890")):
+        values = ", ".join([first] + ["1.5"] * 15)
+        text = f'{{"dimension": 1, "finest_level": 4, "values": [{values}]}}\n'
+        (d / f"{name}.json").write_bytes(text.encode())
     (d / "undecodable.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [\xff]}')
     (d / "out_of_range.json").write_text(
         '[{"level": 0, "coords": [0, 0]}, {"level": 1, "coords": [0, 5]}]'
