@@ -93,8 +93,6 @@ def ap_constant(w: Weight, p: float) -> ConstantReport:
     at a time from the finest to the coarsest, and each level is turned
     into its values in place, so none of them is kept.
     """
-    if not 1.0 < p < np.inf:
-        raise ValueError("p must be in (1, inf)")
     cfg = w.config
     best = _LevelMax("A_p constant")
     dual = w.values ** (1.0 - _conjugate(p))  # the level-K sums of w^{1-p'}

@@ -124,7 +124,8 @@ def _pair_sweep(
     else:
         a, b = np.indices((count, count)).reshape(2, -1)
     c1, c2 = sums / S.cells
-    g = S.images(c1[a] * c2[b])
+    with np.errstate(over="ignore"):  # an image past the doubles is refused below
+        g = S.images(c1[a] * c2[b])
     if not np.isfinite(g).all():
         raise ValueError("cell values must be finite")
     with np.errstate(over="ignore"):  # slope_experiment refuses a row that is not finite

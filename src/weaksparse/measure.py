@@ -116,7 +116,11 @@ def indicator(config: GridConfig, q: DyadicCube) -> GridFunction:
 
 
 def _conjugate(p: float) -> float:
-    """p' = p/(p - 1), the program's only one; elementwise on arrays."""
+    """p' = p/(p - 1), the program's only one; elementwise on arrays.
+    Refuses p, or any entry of p, outside (1, inf): 1, less, NaN, +-inf."""
+    inside = (1.0 < p) & (p < np.inf)  # a plain bool on a float: cheap
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        raise ValueError("p must be in (1, inf)")
     return p / (p - 1.0)
 
 
@@ -198,10 +202,18 @@ def same_slots(w1: Weight, w2: Weight, P: ExponentTuple) -> bool:
 
 
 def dual_weight(w: Weight, pi: float) -> Weight:
-    """Cellwise w^(1 - pi'), the dual weight for the exponent pi."""
-    if not (1.0 < pi < np.inf):
-        raise ValueError("exponent must be in (1, inf)")
-    return Weight(w.config, w.values ** (1.0 - _conjugate(pi)))
+    """Cellwise w^(1 - pi'), the dual weight for the exponent pi.
+
+    A power that over- or underflows is refused by Weight, with a message
+    that names the dual weight and pi rather than the weight w.
+    """
+    e = 1.0 - _conjugate(pi)
+    with np.errstate(over="ignore"):  # inf is refused below, without a warning
+        values = w.values**e
+    try:
+        return Weight(w.config, values)
+    except ValueError as err:
+        raise ValueError(f"dual weight w^(1 - p') at p = {pi}: {err}") from None
 
 
 def joint_weight(w1: Weight, w2: Weight, P: ExponentTuple) -> Weight:

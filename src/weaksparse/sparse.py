@@ -325,8 +325,11 @@ def generate_sparse(config: GridConfig, seed: int, budget: float) -> SparseFamil
 def sparse_eval(S: SparseFamily, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Pointwise sum over Q in S of <f1>_Q <f2>_Q on Q; exact."""
     _same_grid(S, f1, f2)
-    coef = (S.sums(f1) / S.cells) * (S.sums(f2) / S.cells)
-    return GridFunction(S.config, S.images(coef)[S.paint[0]])
+    # GridFunction refuses an inf, or the nan of inf - inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = (S.sums(f1) / S.cells) * (S.sums(f2) / S.cells)
+        values = S.images(coef)[S.paint[0]]
+    return GridFunction(S.config, values)
 
 
 def _nested_with(S: SparseFamily, qt: DyadicCube) -> tuple[np.ndarray, np.ndarray]:

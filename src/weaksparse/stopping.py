@@ -106,8 +106,7 @@ def carleson_checks(F: StoppingFamily, p: float) -> CarlesonReport:
     2 (p')^p ||f||_{L^p(w)}^p.  Reads F's averages, w-sums, f and w, and
     sums each member's children in key order.
     """
-    if not 1.0 < p < np.inf:
-        raise ValueError("p must be in (1, inf)")
+    p_prime = _conjugate(p)  # refuses p outside (1, inf) before any work
     mass = (F.wsum * F.family.config.cell_volume).tolist()
     later = np.flatnonzero(F.generation > 0)  # the members that are someone's child
     kids: dict[int, list[float]] = {}
@@ -116,7 +115,7 @@ def carleson_checks(F: StoppingFamily, p: float) -> CarlesonReport:
     child_mass_ok = all(sum(k) <= mass[m] / 2.0 for m, k in kids.items())
     members = zip(F.members.tolist(), F.wavg[F.members].tolist())
     sum_value = sum(a**p * mass[q] for q, a in members)
-    bound_value = 2.0 * _conjugate(p) ** p * lp_norm(F.f, F.w, p) ** p
+    bound_value = 2.0 * p_prime**p * lp_norm(F.f, F.w, p) ** p
     return CarlesonReport(
         child_mass_ok, sum_value, bound_value, sum_value <= bound_value
     )

@@ -9,20 +9,20 @@ import numpy as np
 import pytest
 
 import weaksparse
-from weaksparse import experiment
+from weaksparse import experiment, families
 from weaksparse import exponents as we
 from weaksparse import verify as wv
 from weaksparse.cli import main
 from weaksparse.constants import check_constant_inequalities, pair_weights
 from weaksparse.dyadic import GridConfig
 from weaksparse.families import WeightFamilySpec
-from weaksparse.measure import ExponentTuple, Weight
+from weaksparse.measure import ExponentTuple, Weight, constant
 from weaksparse.serialize import (
     load_grid_function,
     save_grid_function,
     save_sparse_family,
 )
-from weaksparse.sparse import sparse_eval, tower_family
+from weaksparse.sparse import generate_sparse, sparse_eval, tower_family
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +352,55 @@ def test_joint_constant_past_the_largest_double_ends_in_one_stderr_line(tmp_path
     )
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == "weaksparse: error: joint constant at level 1 is not finite\n"
+
+
+def _write_past_the_doubles_inputs(d):
+    """Two 1D K = 10 weights with values in [0.36, 3.5], and a 2D K = 4
+    family with f = 1e200, whose coefficients <f>_Q^2 are past the largest
+    double."""
+    cfg = GridConfig(1, 10)
+    for name, seed in (("a", 1), ("b", 2)):
+        save_grid_function(families.random_weight(cfg, seed, 0.6), d / f"{name}.json")
+    plane = GridConfig(2, 4)
+    save_sparse_family(generate_sparse(plane, 1, 0.25), d / "family.json")
+    save_grid_function(constant(plane, 1e200), d / "big.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["constants", "--weights", "a.json,b.json", "--p1", "1.0000001", "--p2", "1e9"],
+            "dual weight w^(1 - p') at p = 1.0000001: cell values must be finite",
+        ),
+        (
+            ["constants", "--weights", "a.json,b.json", "--p1", "1.001", "--p2", "1.5e3"],
+            "dual weight w^(1 - p') at p = 1.001: weights must be strictly positive",
+        ),
+        (
+            ["sparse-eval", "--family", "family.json", "--f1", "big.json", "--f2", "big.json",
+             "--out", "image.json"],
+            "cell values must be finite",
+        ),
+    ],
+    ids=["dual_weight_overflows", "dual_weight_underflows", "sparse_eval_overflows"],
+)
+def test_powers_past_the_doubles_end_in_one_stderr_line(tmp_path, argv, message):
+    """A dual weight whose power over- or underflows is refused by name, not
+    as the user's weight; an image past the largest double is refused as
+    before; stderr holds that line alone, without numpy's warning."""
+    _write_past_the_doubles_inputs(tmp_path)
+    src = os.path.dirname(os.path.dirname(weaksparse.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "weaksparse", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == f"weaksparse: error: {message}\n"
+    assert not (tmp_path / "image.json").exists()
 
 
 def test_failed_suite_still_exits_one(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from weaksparse.sparse import (
 )
 from weaksparse.testing_conditions import (
     _slot_powers,
+    _slot_sums,
     global_strong_quantity,
     global_weak_quantity,
 )
@@ -176,7 +179,7 @@ def test_pair_sweep_raises_like_the_oracle():
     S = tower_family(cfg)
     one = Weight(cfg, np.ones(cfg.cell_count))
     P = ExponentTuple(3.0, 3.0)
-    huge = constant(cfg, 1e200)  # finite slots whose image overflows
+    huge = constant(cfg, 1e200)  # 1e200^3 overflows the slot norms themselves
     pair = pair_weights(one, one, P)
     with pytest.raises(ValueError, match="cell values must be finite"):
         global_weak_quantity(S, pair, huge, huge)
@@ -192,6 +195,21 @@ def test_pair_sweep_raises_like_the_oracle():
     with pytest.raises(ValueError, match="cell values must be finite"):
         # the slot product overflows
         _pair_sweep(S, pair, *_slot_powers([huge], cfg, P))
+    # finite slot norms whose image overflows: dual weights 1e250 and 1e125
+    # at (2, 3) give <1 s1> <1 s2> = 1e375 on the root
+    cfg = GridConfig(1, 6)
+    S = tower_family(cfg)
+    small = Weight(cfg, np.full(cfg.cell_count, 1e-250))
+    pair = pair_weights(small, small, ExponentTuple(2.0, 3.0))
+    fns = [indicator(cfg, cube(k, 0)) for k in range(3)]
+    norms, _ = _slot_sums(S, pair, *_slot_powers(fns, cfg, pair.P))
+    assert np.isfinite(norms).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # both refuse the image without a numpy warning
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            global_weak_quantity(S, pair, fns[0], fns[0])
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            _pair_sweep(S, pair, *_slot_powers(fns, cfg, pair.P))
 
 
 def _small_spec(deltas=(0.5, 0.25, 0.125, 0.0625)):
@@ -208,6 +226,19 @@ def test_slope_experiment_small_run():
     for r in res.rows:
         assert 0 < r.weak <= r.strong  # weak quasi-norm under the strong norm
     assert np.isfinite(res.weak_slope) and np.isfinite(res.strong_slope)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_slope_experiment_refuses_a_row_that_is_not_finite():
+    """At (6, 6) the constant 1e50 has finite slot norms and images, but its
+    strong norm overflows to inf on the first point's pair."""
+    cfg = GridConfig(1, 10)
+    S = tower_family(cfg)
+    fns = [constant(cfg, 1e50), indicator(cfg, cube(0, 0))]
+    _, pair = next(iter(build_family(_small_spec(), P66, cfg)))
+    assert global_strong_quantity(S, pair, fns[0], fns[0]) == np.inf
+    with pytest.raises(ValueError, match="^weak and strong quantities must be finite$"):
+        slope_experiment(_small_spec(), P66, cfg, S, fns)
 
 
 def test_slope_experiment_deterministic():

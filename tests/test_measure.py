@@ -129,6 +129,21 @@ def test_dual_weight_involution(rng):
         assert np.max(np.abs(back.values - w.values) / w.values) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "pi, message",
+    [(1.0000001, "cell values must be finite"), (1.001, "weights must be strictly positive")],
+    ids=["overflow", "underflow"],
+)
+def test_dual_weight_names_itself_when_its_power_leaves_the_doubles(pi, message):
+    """w^(1 - pi') for w in [0.5, 4] at pi' = 1e7 + 1 overflows on w < 1,
+    and at pi' = 1001 underflows to 0 on w = 4: the refusal names the dual
+    weight and pi, and no numpy warning escapes (pytest makes it an error)."""
+    w = Weight(GridConfig(1, 2), [0.5, 1.0, 2.0, 4.0])
+    with pytest.raises(ValueError) as info:
+        dual_weight(w, pi)
+    assert str(info.value) == f"dual weight w^(1 - p') at p = {pi}: {message}"
+
+
 def test_trivial_weights_have_trivial_duals():
     cfg = GridConfig(1, 3)
     one = Weight(cfg, np.ones(cfg.cell_count))

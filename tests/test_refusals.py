@@ -9,6 +9,7 @@ from weaksparse.measure import (
     ExponentTuple,
     GridFunction,
     Weight,
+    _conjugate,
     atom_norms,
     dual_weight,
     lp_norm,
@@ -33,7 +34,7 @@ def _sigma_ratio(f2_value):
         (lambda: ap_constant(ONES, 1.0), "p must be in (1, inf)"),
         (lambda: DyadicCube(0, (0, 0, 0)), "coords must have length 1 or 2"),
         (lambda: relation(cube(0, 0), cube(0, 0, 0)), "cubes live on grids of different dimension"),
-        (lambda: dual_weight(ONES, np.inf), "exponent must be in (1, inf)"),
+        (lambda: dual_weight(ONES, np.inf), "p must be in (1, inf)"),
         (lambda: lp_norm(ONES, ONES, 0.0), "p must be in (0, inf)"),
         (lambda: weak_norm(ONES, ONES, np.inf), "p must be in (0, inf)"),
         (lambda: atom_norms(np.ones(4), np.ones(4), -1.0), "p must be in (0, inf)"),
@@ -49,3 +50,16 @@ def test_refusal_is_one_value_error(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "p", [1.0, 0.5, np.nan, np.inf, np.array([2.0, 1.0])],
+    ids=["one", "half", "nan", "inf", "array_with_one"],
+)
+def test_conjugate_refuses_p_outside_one_to_infinity(p):
+    """_conjugate decides alone which p has a p': every caller that needs
+    one (dual weights, A_p, Carleson bounds, the exponent formulas) gets
+    this refusal rather than a division by zero or a negative p'."""
+    with pytest.raises(ValueError) as info:
+        _conjugate(p)
+    assert str(info.value) == "p must be in (1, inf)"

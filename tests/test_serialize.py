@@ -198,7 +198,11 @@ _LAYOUT_CASES = {
     "writer_exponents": _writer_layout(5, ", ".join(["1e-05", "1.5e+16"] + ["1.5"] * 30)),
     "other_exponent": _writer_layout(5, ", ".join(["1e5", "1.5e+16"] + ["1.5"] * 30)),
     "too_many_exponents": _writer_layout(5, ", ".join(["1e-05", "1e+16", "2e-300"] + ["1.5"] * 29)),
-    "three_dimensions": _writer_layout(3, "1.5, 2.5"),
+    "level_3_over_two": _writer_layout(3, "1.5, 2.5"),
+    # headers GridConfig refuses: the reader declines them for json's message
+    "three_dimensions": _writer_layout(1, "1.5, 2.5", dimension=3),
+    "line_level_25": _writer_layout(25, "1.5, 2.5"),
+    "plane_level_13": _writer_layout(13, "1.5, 2.5", dimension=2),
     "bom": b"\xef\xbb\xbf" + _writer_layout(1, "1.5, 2.5"),
     "crlf": _writer_layout(1, "1.5, 2.5")[:-1] + b"\r\n",
     "writer": _writer_layout(1, "1.5, 2.5"),

@@ -293,6 +293,19 @@ def test_sparse_eval_hand_example():
     assert np.allclose(out.values, [1.25, 1.25, 0.25, 0.25])
 
 
+@pytest.mark.parametrize(
+    "f2", [[1e200] * 4, [3e200, -1e200, 0.0, 0.0]], ids=["overflow", "inf_minus_inf"]
+)
+def test_sparse_eval_refuses_an_image_past_the_doubles_without_a_warning(f2):
+    """<f1>_Q <f2>_Q past the largest double is inf, and an atom under a +inf
+    and a -inf coefficient adds them to nan: GridFunction refuses both, and
+    no numpy warning escapes (pytest makes it an error)."""
+    cfg = GridConfig(1, 2)
+    fam = family_from_cubes(cfg, [cube(0, 0), cube(1, 0), cube(2, 1)])
+    with pytest.raises(ValueError, match="^cell values must be finite$"):
+        sparse_eval(fam, constant(cfg, 1e200), GridFunction(cfg, f2))
+
+
 def test_sparse_eval_bilinear_and_monotone(rng):
     fam = generate_sparse(CFG, seed=11, budget=0.3)
     f1 = random_function(rng, CFG)

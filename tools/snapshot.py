@@ -83,6 +83,21 @@ ERRORS = (
          "--p1", "2", "--p2", "3"],
     ),
     (
+        "constants_dual_weight_overflow",
+        ["constants", "--weights", "inputs/rough1.json,inputs/rough2.json",
+         "--p1", "1.0000001", "--p2", "1e9"],
+    ),
+    (
+        "constants_dual_weight_underflow",
+        ["constants", "--weights", "inputs/rough1.json,inputs/rough2.json",
+         "--p1", "1.001", "--p2", "1.5e3"],
+    ),
+    (
+        "sparse_eval_overflow",
+        ["sparse-eval", "--family", "inputs/small_family.json", "--f1", "inputs/big.json",
+         "--f2", "inputs/big.json", "--out", "inputs/unwritten.json"],
+    ),
+    (
         "sparse_eval_undecodable",
         ["sparse-eval", "--family", "inputs/undecodable.json", "--f1", "inputs/f1.json",
          "--f2", "inputs/f2.json", "--out", "inputs/unwritten.json"],
@@ -146,6 +161,7 @@ def _write_inputs(d: Path) -> None:
     import numpy as np
 
     from weaksparse.dyadic import GridConfig
+    from weaksparse.families import random_weight
     from weaksparse.measure import GridFunction, Weight
     from weaksparse.serialize import save_grid_function, save_sparse_family
     from weaksparse.sparse import generate_sparse
@@ -176,9 +192,10 @@ def _write_inputs(d: Path) -> None:
     save_grid_function(GridFunction(line, edge), d / "edge.json")
     # inputs of ERRORS: 16 cells on two grids, 1e+-150 and 1e+-200 values, a zero
     # weight, a cut-off file, one that is not UTF-8, -16 or -32 text, a
-    # family entry off its level, and two files in the grid writer's layout
+    # family entry off its level, two files in the grid writer's layout
     # that json refuses (a boolean; an integer past 64 bits, which orjson
-    # would read as a float)
+    # would read as a float), two rough weights whose dual weights leave the
+    # doubles near p = 1, and f = 1e200 on a small family, whose image overflows
     huge = Weight(GridConfig(1, 2), [1e-150, 1e150, 1e-150, 1e150])
     save_grid_function(huge, d / "huge.json")
     huger = Weight(GridConfig(1, 2), [1e-200, 1e200, 1e-200, 1e200])
@@ -192,6 +209,11 @@ def _write_inputs(d: Path) -> None:
         text = f'{{"dimension": 1, "finest_level": 4, "values": [{values}]}}\n'
         (d / f"{name}.json").write_bytes(text.encode())
     (d / "undecodable.json").write_bytes(b'{"dimension": 1, "finest_level": 4, "values": [\xff]}')
+    for name, seed in (("rough1", 1), ("rough2", 2)):
+        save_grid_function(random_weight(GridConfig(1, 10), seed, 0.6), d / f"{name}.json")
+    small = GridConfig(2, 4)
+    save_sparse_family(generate_sparse(small, 1, 0.25), d / "small_family.json")
+    save_grid_function(GridFunction(small, np.full(small.cell_count, 1e200)), d / "big.json")
     (d / "out_of_range.json").write_text(
         '[{"level": 0, "coords": [0, 0]}, {"level": 1, "coords": [0, 5]}]'
     )
